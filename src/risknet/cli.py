@@ -119,6 +119,8 @@ def _probe_state(scenario: Scenario, ego_id: int, frame: int):
 
 def _grid_from_args(args, scenario: Scenario) -> GridSpec:
     cell = args.cell
+    if not (math.isfinite(cell) and cell > 0.0):
+        raise BadConfig(f"--cell must be a positive number, got {cell!r}")
     if args.bounds:
         parts = [p.strip() for p in args.bounds.split(",")]
         if len(parts) != 4:
@@ -130,6 +132,8 @@ def _grid_from_args(args, scenario: Scenario) -> GridSpec:
     else:
         x0, y0, x1, y1 = scenario.bounds
         x0, y0, x1, y1 = x0 - 5.0, y0 - 5.0, x1 + 5.0, y1 + 5.0
+    if not all(math.isfinite(v) for v in (x0, y0, x1, y1)):
+        raise BadConfig("grid bounds must be finite")
     if x1 <= x0 or y1 <= y0:
         raise BadConfig("grid bounds must have positive area")
     width = max(1, int(math.ceil((x1 - x0) / cell)))
@@ -361,12 +365,24 @@ def read_prediction(path: str) -> MixturePrediction:
     if data.get("format") != "risknet-prediction":
         raise BadConfig(f"not a prediction file: {path}")
     modes = []
-    for m in data["modes"]:
-        states = np.array(m["states"], float)
-        covs = np.stack([np.diag(d) for d in np.array(m["cov_diag"], float)])
-        modes.append(PredictionMode(pi=float(m["pi"]), states=states,
-                                    covariances=covs))
-    return MixturePrediction(modes=modes, dt=float(data["dt"]))
+    try:
+        for m in data["modes"]:
+            states = np.array(m["states"], float)
+            diags = np.array(m["cov_diag"], float)
+            if states.ndim != 2 or states.shape[1:] != (4,) or (
+                    diags.shape != states.shape):
+                raise ValueError("states and cov_diag must both be (t_f, 4)")
+            modes.append(PredictionMode(
+                pi=float(m["pi"]), states=states,
+                covariances=np.stack([np.diag(d) for d in diags])))
+        dt = float(data["dt"])
+    except KeyError as exc:
+        raise BadConfig(f"prediction file {path} lacks {exc}")
+    except (TypeError, ValueError) as exc:
+        raise BadConfig(f"malformed prediction file {path}: {exc}")
+    if not modes:
+        raise BadConfig(f"prediction file {path} has no modes")
+    return MixturePrediction(modes=modes, dt=dt)
 
 
 def cmd_predict(args, cfg: RunConfig) -> int:

@@ -391,6 +391,11 @@ def read_raster(sidecar_path: str) -> RiskRaster:
         with open(payload_path, "rb") as fh:
             raw = fh.read()
         count = grid.width * grid.height
+        if len(raw) != 4 * count:
+            raise BadConfig(
+                f"raster payload holds {len(raw)} bytes, expected "
+                f"{4 * count} for a {grid.width}x{grid.height} grid"
+            )
         values = np.array(
             struct.unpack("<" + "f" * count, raw), dtype=float
         ).reshape(grid.height, grid.width)

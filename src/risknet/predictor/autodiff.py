@@ -1,13 +1,12 @@
 """Minimal reverse-mode automatic differentiation on numpy arrays.
 
-Just enough operator coverage for the recurrent encoder, attention
-decoder, covariance rollout, and Gaussian mixture loss: elementwise
-arithmetic, matmul, exp/log/tanh/sigmoid, reductions, stacking, and
-basic indexing.  Gradients are accumulated by walking the recorded tape
-in reverse topological order.
+The predictor's encoder step, attention, filter rollout and step
+density are fused nodes built with ``_node``; the ops here join them:
+elementwise arithmetic, matmul, exp/log, reductions, stacking, and basic
+indexing.  Gradients are accumulated by walking the recorded tape in
+reverse topological order.
 """
 
-import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -49,38 +48,6 @@ class Tensor:
             self.grad = np.array(g, dtype=float)
         else:
             self.grad += g
-
-    def item(self) -> float:
-        return float(self.data)
-
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, idx):
-        return getitem(self, idx)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
@@ -222,38 +189,15 @@ def log(a):
     return _node(np.log(a.data), (a,), backward)
 
 
-def tanh(a):
-    a = as_tensor(a)
-    out_data = np.tanh(a.data)
-
-    def backward(g):
-        a._accum(g * (1.0 - out_data * out_data))
-
-    return _node(out_data, (a,), backward)
-
-
-def sigmoid(a):
-    a = as_tensor(a)
-    x = a.data
-    out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-
-    def backward(g):
-        a._accum(g * out_data * (1.0 - out_data))
-
-    return _node(out_data, (a,), backward)
-
-
-def tsum(a, axis=None):
+def tsum(a, axis=None, keepdims=False):
     a = as_tensor(a)
 
     def backward(g):
-        if axis is None:
-            a._accum(np.broadcast_to(g, a.data.shape))
-        else:
-            a._accum(np.broadcast_to(np.expand_dims(g, axis), a.data.shape))
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        a._accum(np.broadcast_to(g, a.data.shape))
 
-    return _node(a.data.sum(axis=axis), (a,), backward)
+    return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
 
 def stack(tensors, axis=0):
@@ -297,11 +241,13 @@ def softmax(a):
     return div(e, tsum(e))
 
 
-def logsumexp(a):
-    """log(sum(exp(a))) of a 1-D tensor, stabilized the same way."""
+def logsumexp(a, keepdims=False):
+    """log(sum(exp(a))) over the last axis, stabilized by the (detached)
+    maximum."""
     a = as_tensor(a)
-    m = float(a.data.max())
-    return add(log(tsum(exp(sub(a, m)))), m)
+    m = a.data.max(axis=-1, keepdims=True)
+    total = tsum(exp(sub(a, m)), axis=-1, keepdims=keepdims)
+    return add(log(total), m if keepdims else m[..., 0])
 
 
 def backward(out: Tensor):

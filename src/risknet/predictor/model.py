@@ -7,17 +7,21 @@ propagating state and covariance through a constant-Jacobian kinematic
 filter step.  The mixture is trained by negative log-likelihood on
 positions.
 
-All forward math runs on autodiff tensors so the training gradients and
-the gradient checker exercise exactly the production path.
+Every stage works on a batch.  The encoder packs the histories of many
+windows into rows, one per (window, agent) pair, and updates all rows of
+a history step in one tape node; the decoder rolls the states and
+covariances of every (window, mode) pair forward together.  A single
+window or agent is a batch of one, so the training gradients, the
+gradient checker and inference all run the same code.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..errors import DegenerateCovariance, NotPSD, ShapeMismatch
+from ..errors import DegenerateCovariance, ShapeMismatch
 from ..scene import AgentState, InteractionGraph
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -81,15 +85,19 @@ class DecoderParams:
             raise ShapeMismatch("one head required per mode")
 
 
+GATES = ("reset", "update", "cand")
+GATE_PARTS = ("w_self", "w_nbr", "u_self", "u_nbr", "bias")
+
+
 def parameter_items(
     cell: GraphCellParams, dec: DecoderParams
 ) -> List[Tuple[str, Tensor]]:
     """All trainable tensors in canonical order (also the serialization
     order)."""
     items: List[Tuple[str, Tensor]] = []
-    for gate_name in ("reset", "update", "cand"):
+    for gate_name in GATES:
         gate: GateBlock = getattr(cell, gate_name)
-        for part in ("w_self", "w_nbr", "u_self", "u_nbr", "bias"):
+        for part in GATE_PARTS:
             items.append((f"cell.{gate_name}.{part}", getattr(gate, part)))
     items.append(("dec.w_att", dec.w_att))
     for i, head in enumerate(dec.heads):
@@ -102,29 +110,197 @@ def parameter_items(
 
 # ==================== encoder ====================
 
-def _zeros(n: int) -> Tensor:
-    return Tensor(np.zeros(n))
+def _rows(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``a @ w.T`` row by row.  BLAS blocks the rows of a matrix product,
+    so a row's rounding would depend on the rows packed beside it; the
+    einsum loop keeps every row's result independent of the batch."""
+    return np.einsum("ri,hi->rh", a, w)
 
 
-def _neighbor_mean(vectors: List[Tensor]) -> Optional[Tensor]:
-    """Mean over the neighbor set; None stands for the zero vector of the
-    empty set (whose contribution through any weight matrix vanishes)."""
-    if not vectors:
-        return None
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+@dataclass
+class PackedStep:
+    """One history step of packed rows.
+
+    Absent rows carry zero features.  Neighbour slots hold the rows whose
+    hidden states a present row averages; unused slots are masked out, and
+    a row without neighbours has a zero mean.
+    """
+
+    x: np.ndarray          # (R, d_in) features
+    x_bar: np.ndarray      # (R, d_in) neighbour feature means
+    present: np.ndarray    # (R,) bool
+    nbr_rows: np.ndarray   # (R, K) int
+    nbr_mask: np.ndarray   # (R, K) 1.0 in used slots
+    nbr_count: np.ndarray  # (R,) neighbours per row, at least 1
+
+
+HistoryStep = Tuple[Mapping[int, Union[Tensor, np.ndarray]],
+                    InteractionGraph]
+
+
+def _feature_vector(value, d_in: int) -> np.ndarray:
+    v = value.data if isinstance(value, Tensor) else np.asarray(value, float)
+    if v.shape != (d_in,):
+        raise ShapeMismatch(
+            f"feature dim {v.shape} does not match d_in={d_in}"
+        )
+    return v
+
+
+def _mean(vectors: Sequence[np.ndarray]) -> np.ndarray:
     total = vectors[0]
     for v in vectors[1:]:
-        total = ad.add(total, v)
-    return ad.div(total, float(len(vectors)))
+        total = total + v
+    return total / float(len(vectors))
 
 
-def _gate_preact(gate: GateBlock, psi, psi_bar, h, h_bar):
-    kappa = ad.matmul(gate.w_self, psi)
-    if psi_bar is not None:
-        kappa = ad.add(kappa, ad.matmul(gate.w_nbr, psi_bar))
-    xi = ad.matmul(gate.u_self, h)
-    if h_bar is not None:
-        xi = ad.add(xi, ad.matmul(gate.u_nbr, h_bar))
-    return kappa, xi
+def _neighbour_slots(
+    n_rows: int, slots: Mapping[int, Sequence[int]]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Padded (R, K) neighbour rows, their mask, and per-row counts."""
+    k_max = max((len(s) for s in slots.values()), default=0)
+    nbr_rows = np.zeros((n_rows, k_max), dtype=np.intp)
+    nbr_mask = np.zeros((n_rows, k_max))
+    for r, s in slots.items():
+        nbr_rows[r, :len(s)] = s
+        nbr_mask[r, :len(s)] = 1.0
+    return nbr_rows, nbr_mask, np.maximum(nbr_mask.sum(axis=1), 1.0)
+
+
+def pack_histories(
+    histories: Sequence[Sequence[HistoryStep]], d_in: int
+) -> Tuple[List[PackedStep], List[Dict[int, int]]]:
+    """Pack equal-length histories into rows, one per (window, agent)
+    pair, agents ascending by id within each window.
+
+    An agent's neighbours at a step are its graph neighbours present in
+    that step's features.  Returns the packed steps and, per window, the
+    row of each agent.
+    """
+    if not histories or not histories[0]:
+        raise ShapeMismatch("history must contain at least one step")
+    n_steps = len(histories[0])
+    if any(len(h) != n_steps for h in histories):
+        raise ShapeMismatch("packed histories must have equal lengths")
+    row_maps: List[Dict[int, int]] = []
+    n_rows = 0
+    for history in histories:
+        ids = sorted(set().union(*(feats.keys() for feats, _ in history)))
+        row_maps.append({a: n_rows + i for i, a in enumerate(ids)})
+        n_rows += len(ids)
+    steps = []
+    for s in range(n_steps):
+        x = np.zeros((n_rows, d_in))
+        x_bar = np.zeros((n_rows, d_in))
+        present = np.zeros(n_rows, dtype=bool)
+        slots: Dict[int, List[int]] = {}
+        for history, rows in zip(histories, row_maps):
+            feats, graph = history[s]
+            for a, value in feats.items():
+                x[rows[a]] = _feature_vector(value, d_in)
+                present[rows[a]] = True
+            for a in feats:
+                ids = [rows[w] for w in graph.neighbors(a) if w in feats]
+                if ids:
+                    x_bar[rows[a]] = _mean([x[r] for r in ids])
+                    slots[rows[a]] = ids
+        steps.append(PackedStep(x, x_bar, present,
+                                *_neighbour_slots(n_rows, slots)))
+    return steps, row_maps
+
+
+class _StackedGates:
+    """The weights of the reset, update and candidate gates stacked along
+    the output axis, so one product per input path serves all gates."""
+
+    def __init__(self, cell: GraphCellParams):
+        self.d_h = cell.d_h
+        self.gates = [getattr(cell, g) for g in GATES]
+        self.params = tuple(getattr(g, part) for g in self.gates
+                            for part in GATE_PARTS)
+        self.stacked = {
+            part: np.concatenate([getattr(g, part).data for g in self.gates])
+            for part in GATE_PARTS
+        }
+
+    def accumulate(self, grads: Mapping[str, np.ndarray]) -> None:
+        d = self.d_h
+        for i, gate in enumerate(self.gates):
+            for part, g in grads.items():
+                t = getattr(gate, part)
+                if t.requires_grad:
+                    t._accum(g[i * d:(i + 1) * d])
+
+
+def _gru_step(gates: _StackedGates, step: PackedStep, h: Tensor) -> Tensor:
+    """One recurrent update of every row as a single tape node.
+
+    Gate pre-activations combine a self term with the neighbour mean, on
+    both the feature path and the hidden path.  Rows absent at this step
+    keep their hidden state.
+    """
+    W = gates.stacked
+    d = gates.d_h
+    hd = h.data
+    k_max = step.nbr_rows.shape[1]
+    if k_max:
+        h_bar = ((hd[step.nbr_rows] * step.nbr_mask[..., None]).sum(axis=1)
+                 / step.nbr_count[:, None])
+    else:
+        h_bar = np.zeros_like(hd)
+    kappa = _rows(step.x, W["w_self"]) + _rows(step.x_bar, W["w_nbr"])
+    xi = _rows(hd, W["u_self"]) + _rows(h_bar, W["u_nbr"])
+    bias = W["bias"]
+    r = _sigmoid(kappa[:, :d] + xi[:, :d] + bias[:d])
+    z = _sigmoid(kappa[:, d:2 * d] + xi[:, d:2 * d] + bias[d:2 * d])
+    xi_c = xi[:, 2 * d:]
+    c = np.tanh(kappa[:, 2 * d:] + r * xi_c + bias[2 * d:])
+    keep = ~step.present[:, None]
+    out = np.where(keep, hd, (1.0 - z) * c + z * hd)
+
+    def backward(g):
+        g_new = np.where(keep, 0.0, g)
+        da_c = g_new * (1.0 - z) * (1.0 - c * c)
+        da_r = da_c * xi_c * r * (1.0 - r)
+        da_z = g_new * (hd - c) * z * (1.0 - z)
+        d_kappa = np.concatenate([da_r, da_z, da_c], axis=1)
+        d_xi = np.concatenate([da_r, da_z, da_c * r], axis=1)
+        if h.requires_grad:
+            dh = np.where(keep, g, g_new * z) + d_xi @ W["u_self"]
+            if k_max:
+                d_bar = (d_xi @ W["u_nbr"]) / step.nbr_count[:, None]
+                np.add.at(dh, step.nbr_rows,
+                          d_bar[:, None, :] * step.nbr_mask[..., None])
+            h._accum(dh)
+        gates.accumulate({
+            "w_self": d_kappa.T @ step.x,
+            "w_nbr": d_kappa.T @ step.x_bar,
+            "u_self": d_xi.T @ hd,
+            "u_nbr": d_xi.T @ h_bar,
+            "bias": d_kappa.sum(axis=0),
+        })
+
+    return ad._node(out, (h,) + gates.params, backward)
+
+
+def encode_packed(
+    params: GraphCellParams, steps: Sequence[PackedStep]
+) -> List[Tensor]:
+    """Hidden states of every packed row after each history step.  Rows
+    start from zero, so an agent new at a step starts from a zero hidden
+    state, and an absent agent resumes from its last one."""
+    gates = _StackedGates(params)
+    h = Tensor(np.zeros((steps[0].x.shape[0], params.d_h)))
+    out = []
+    for step in steps:
+        h = _gru_step(gates, step, h)
+        out.append(h)
+    return out
 
 
 def cell_step(
@@ -142,34 +318,26 @@ def cell_step(
     """
     if agent_id not in features or agent_id not in hiddens:
         raise ShapeMismatch(f"agent {agent_id} missing from features/hiddens")
-    psi = ad.as_tensor(features[agent_id])
+    psi = _feature_vector(features[agent_id], params.d_in)
     h_prev = ad.as_tensor(hiddens[agent_id])
-    if psi.shape != (params.d_in,):
-        raise ShapeMismatch(
-            f"feature dim {psi.shape} does not match d_in={params.d_in}"
-        )
     if h_prev.shape != (params.d_h,):
         raise ShapeMismatch(
             f"hidden dim {h_prev.shape} does not match d_h={params.d_h}"
         )
     nbr_ids = [w for w in graph.neighbors(agent_id) if w in features]
-    psi_bar = _neighbor_mean([ad.as_tensor(features[w]) for w in nbr_ids])
-    h_bar = _neighbor_mean(
-        [ad.as_tensor(hiddens[w]) for w in nbr_ids if w in hiddens]
-    )
-
-    k_r, x_r = _gate_preact(params.reset, psi, psi_bar, h_prev, h_bar)
-    k_z, x_z = _gate_preact(params.update, psi, psi_bar, h_prev, h_bar)
-    k_h, x_h = _gate_preact(params.cand, psi, psi_bar, h_prev, h_bar)
-
-    r = ad.sigmoid(ad.add(ad.add(k_r, x_r), params.reset.bias))
-    z = ad.sigmoid(ad.add(ad.add(k_z, x_z), params.update.bias))
-    h_tilde = ad.tanh(ad.add(ad.add(k_h, ad.mul(r, x_h)), params.cand.bias))
-    one_minus_z = ad.sub(1.0, z)
-    return ad.add(ad.mul(one_minus_z, h_tilde), ad.mul(z, h_prev))
-
-
-HistoryStep = Tuple[Mapping[int, Tensor], InteractionGraph]
+    h_ids = [w for w in nbr_ids if w in hiddens]
+    # row 0 is the agent; the rows after it only lend their hidden states
+    n = 1 + len(h_ids)
+    x = np.zeros((n, params.d_in))
+    x[0] = psi
+    x_bar = np.zeros((n, params.d_in))
+    if nbr_ids:
+        x_bar[0] = _mean([_feature_vector(features[w], params.d_in)
+                          for w in nbr_ids])
+    step = PackedStep(x, x_bar, np.arange(n) == 0,
+                      *_neighbour_slots(n, {0: list(range(1, n))}))
+    h = ad.stack([h_prev] + [ad.as_tensor(hiddens[w]) for w in h_ids])
+    return ad.getitem(_gru_step(_StackedGates(params), step, h), 0)
 
 
 def encode(
@@ -178,79 +346,50 @@ def encode(
     """Run the recurrent cell over the history, oldest step first.
 
     Every agent starts from a zero hidden state, including agents that
-    first appear mid-history.  Returns each agent's hidden sequence over
-    the steps it was present.
+    first appear mid-history; an agent missing from a step keeps its last
+    hidden state.  Returns each agent's hidden sequence over the steps it
+    was present.
     """
-    if not history:
-        raise ShapeMismatch("history must contain at least one step")
-    hiddens: Dict[int, Tensor] = {}
+    steps, (rows,) = pack_histories([history], params.d_in)
+    hs = encode_packed(params, steps)
     sequences: Dict[int, List[Tensor]] = {}
-    for features, graph in history:
-        step_ids = sorted(features.keys())
-        prev = {
-            a: hiddens.get(a, _zeros(params.d_h)) for a in step_ids
-        }
-        for a in step_ids:
-            h = cell_step(params, features, prev, graph, a)
-            hiddens[a] = h
-            sequences.setdefault(a, []).append(h)
+    for (features, _), h in zip(history, hs):
+        for a in sorted(features.keys()):
+            sequences.setdefault(a, []).append(ad.getitem(h, rows[a]))
     return sequences
 
 
 # ==================== attention ====================
 
-def _attend_stacked(dec: DecoderParams, H: Tensor, query: Tensor) -> Tensor:
-    w = ad.matmul(ad.as_tensor(query), dec.w_att)  # (d_h,)
-    scores = ad.mul(ad.matmul(H, w), 1.0 / math.sqrt(dec.d_h))
-    weights = ad.softmax(scores)
-    return ad.matmul(weights, H)
-
-
 def _fused_attend(H: Tensor, w_att: Tensor, query: Tensor,
                   scale: float) -> Tensor:
-    """Single-node bilinear attention; numerically identical to the
-    composed-op form, with a hand-derived backward pass."""
+    """Bilinear attention of every (window, mode) query over its window's
+    hidden sequence, as one node with a hand-derived backward pass.
+
+    H is (B, T, d_h), the queries (B, M, 4); scores are
+    ``query @ w_att @ h_t * scale`` and the context is the softmax-weighted
+    mean of the hiddens, (B, M, d_h).
+    """
     Hd, Wd, qd = H.data, w_att.data, query.data
     w = qd @ Wd
-    scores = (Hd @ w) * scale
-    e = np.exp(scores - scores.max())
-    a = e / e.sum()
-    out = a @ Hd
+    scores = np.einsum("btd,bmd->bmt", Hd, w) * scale
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    a = e / e.sum(axis=-1, keepdims=True)
+    out = np.einsum("bmt,btd->bmd", a, Hd)
 
     def backward(g):
-        Hg = Hd @ g
-        ds = a * (Hg - float(a @ Hg)) * scale
+        Hg = np.einsum("btd,bmd->bmt", Hd, g)
+        ds = a * (Hg - (a * Hg).sum(axis=-1, keepdims=True)) * scale
         if H.requires_grad:
-            H._accum(np.outer(a, g) + np.outer(ds, w))
-        gw = Hd.T @ ds
+            H._accum(np.einsum("bmt,bmd->btd", a, g)
+                     + np.einsum("bmt,bmd->btd", ds, w))
+        gw = np.einsum("btd,bmt->bmd", Hd, ds)
         if w_att.requires_grad:
-            w_att._accum(np.outer(qd, gw))
+            w_att._accum(np.einsum("bmi,bmd->id", qd, gw))
         if query.requires_grad:
-            query._accum(Wd @ gw)
+            query._accum(gw @ Wd.T)
 
     return ad._node(out, (H, w_att, query), backward)
-
-
-def attend(
-    dec: DecoderParams, hiddens: Sequence[Tensor], query: Tensor
-) -> Tensor:
-    """Attention-weighted context over a hidden sequence.
-
-    Scores are a bilinear form between the decoder state (the query) and
-    each hidden, scaled by 1/sqrt(d_h); weights are their softmax.
-    """
-    return _attend_stacked(dec, ad.stack(list(hiddens)), query)
-
-
-def attention_weights(
-    dec: DecoderParams, hiddens: Sequence[Tensor], query: Tensor
-) -> np.ndarray:
-    """The softmax weights alone, for inspection and tests."""
-    with ad.no_grad():
-        H = ad.stack(list(hiddens))
-        w = ad.matmul(ad.as_tensor(query), dec.w_att)
-        scores = ad.mul(ad.matmul(H, w), 1.0 / math.sqrt(dec.d_h))
-        return ad.softmax(scores).data.copy()
 
 
 # ==================== EKF propagation ====================
@@ -269,59 +408,40 @@ def kinematic_matrices(dt: float) -> Tuple[np.ndarray, np.ndarray]:
     return F, G
 
 
-def _check_psd(mat: np.ndarray, name: str) -> None:
-    if not np.all(np.isfinite(mat)):
-        raise NotPSD(f"{name} has non-finite entries")
-    if not np.allclose(mat, mat.T, atol=1e-9, rtol=0.0):
-        raise NotPSD(f"{name} is not symmetric")
-    if np.linalg.eigvalsh(mat).min() < -1e-9:
-        raise NotPSD(f"{name} has a negative eigenvalue")
+def _fused_heads(ctx: Tensor, heads: Sequence[ModeHead]) -> Tensor:
+    """Per-mode readout of the contexts (B, M, d_h) as one node: the
+    controls in the first two entries of the last axis, the process-noise
+    log-scales in the other two."""
+    W = np.stack([np.concatenate([h.w_u.data, h.w_s.data]) for h in heads])
+    b = np.stack([np.concatenate([h.b_u.data, h.b_s.data]) for h in heads])
+    cd = ctx.data
+    out = np.einsum("bmd,mkd->bmk", cd, W) + b
 
+    def backward(g):
+        if ctx.requires_grad:
+            ctx._accum(np.einsum("bmk,mkd->bmd", g, W))
+        gW = np.einsum("bmk,bmd->mkd", g, cd)
+        gb = g.sum(axis=0)
+        for m, head in enumerate(heads):
+            for t, gm in ((head.w_u, gW[m, :2]), (head.w_s, gW[m, 2:]),
+                          (head.b_u, gb[m, :2]), (head.b_s, gb[m, 2:])):
+                if t.requires_grad:
+                    t._accum(gm)
 
-def ekf_propagate(
-    state: np.ndarray,
-    cov: np.ndarray,
-    control: np.ndarray,
-    Q: np.ndarray,
-    dt: float,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """One time update of the kinematic filter.
-
-    Positions advance by v*dt + u*dt^2/2, velocities by u*dt; the
-    covariance is pushed through the constant Jacobian and inflated by
-    the control-mapped process noise.
-    """
-    state = np.asarray(state, float)
-    cov = np.asarray(cov, float)
-    control = np.asarray(control, float)
-    Q = np.asarray(Q, float)
-    if state.shape != (STATE_DIM,) or cov.shape != (STATE_DIM, STATE_DIM):
-        raise ShapeMismatch("state must be (4,), covariance (4, 4)")
-    if control.shape != (2,) or Q.shape != (2, 2):
-        raise ShapeMismatch("control must be (2,), Q (2, 2)")
-    _check_psd(cov, "covariance")
-    _check_psd(Q, "process noise")
-    F, G = kinematic_matrices(dt)
-    new_state = F @ state + G @ control
-    new_cov = F @ cov @ F.T + G @ Q @ G.T
-    return new_state, new_cov
-
-
-def _ekf_consts(dt: float):
-    F, G = kinematic_matrices(dt)
-    g0, g1 = G[:, 0], G[:, 1]
-    return F, G, np.outer(g0, g0), np.outer(g1, g1)
+    parents = [ctx] + [t for h in heads
+                       for t in (h.w_u, h.b_u, h.w_s, h.b_s)]
+    return ad._node(out, tuple(parents), backward)
 
 
 def _fused_mean_step(x: Tensor, u: Tensor, F: np.ndarray,
                      G: np.ndarray) -> Tensor:
-    out = F @ x.data + G @ u.data
+    out = x.data @ F.T + u.data @ G.T
 
     def backward(g):
         if x.requires_grad:
-            x._accum(F.T @ g)
+            x._accum(g @ F)
         if u.requires_grad:
-            u._accum(G.T @ g)
+            u._accum(g @ G)
 
     return ad._node(out, (x, u), backward)
 
@@ -329,25 +449,20 @@ def _fused_mean_step(x: Tensor, u: Tensor, F: np.ndarray,
 def _fused_cov_step(P: Tensor, q: Tensor, F: np.ndarray, M0: np.ndarray,
                     M1: np.ndarray) -> Tensor:
     """Covariance time update with the control-mapped diagonal process
-    noise: F P F^T + q0 M0 + q1 M1, where Mk = outer(G[:,k], G[:,k])."""
-    out = F @ P.data @ F.T + q.data[0] * M0 + q.data[1] * M1
+    noise: F P F^T + q0 M0 + q1 M1, where Mk = outer(G[:,k], G[:,k]).
+    P is (..., 4, 4) and q (..., 2)."""
+    q0 = q.data[..., 0, None, None]
+    q1 = q.data[..., 1, None, None]
+    out = F @ P.data @ F.T + q0 * M0 + q1 * M1
 
     def backward(g):
         if P.requires_grad:
             P._accum(F.T @ g @ F)
         if q.requires_grad:
-            q._accum(np.array([(g * M0).sum(), (g * M1).sum()]))
+            q._accum(np.stack([(g * M0).sum(axis=(-2, -1)),
+                               (g * M1).sum(axis=(-2, -1))], axis=-1))
 
     return ad._node(out, (P, q), backward)
-
-
-def _ekf_step_t(x: Tensor, P: Tensor, u: Tensor, q: Tensor,
-                consts: Tuple) -> Tuple[Tensor, Tensor]:
-    """Tensor-path filter step; q holds the two process-noise variances
-    (already exponentiated), applied as G diag(q) G^T."""
-    F, G, M0, M1 = consts
-    return (_fused_mean_step(x, u, F, G),
-            _fused_cov_step(P, q, F, M0, M1))
 
 
 # ==================== decoder ====================
@@ -390,37 +505,37 @@ class MixturePrediction:
 
 
 def _decode_graph(
-    dec: DecoderParams, hidden_seq: Sequence[Tensor], x0: Tensor
-) -> Tuple[Tensor, List[List[Tensor]], List[List[Tensor]]]:
-    """Roll every mode forward on the tape.
+    dec: DecoderParams, H: Tensor, x0: np.ndarray
+) -> Tuple[Tensor, List[Tensor], List[Tensor]]:
+    """Roll every mode of every window forward on the tape.
 
-    Returns mode logits, per-mode state tensors, and per-mode covariance
-    tensors.  The attention query at each step is the mode's current
-    state, so modes diverge through their own rollouts even though the
-    scoring weights are shared.
+    H holds the target hidden sequences (B, T, d_h) and x0 the start
+    states (B, 4).  Returns the mode logits (B, M) and, per step, the
+    states (B, M, 4) and covariances (B, M, 4, 4).  The attention query
+    at each step is the mode's current state, so modes diverge through
+    their own rollouts even though the scoring weights are shared.
     """
-    consts = _ekf_consts(dec.dt)
-    H = ad.stack(list(hidden_seq))
+    F, G = kinematic_matrices(dec.dt)
+    M0 = np.outer(G[:, 0], G[:, 0])
+    M1 = np.outer(G[:, 1], G[:, 1])
     scale = 1.0 / math.sqrt(dec.d_h)
-    logits = ad.add(ad.matmul(dec.w_pi, hidden_seq[-1]), dec.b_pi)
-    all_states: List[List[Tensor]] = []
-    all_covs: List[List[Tensor]] = []
-    for head in dec.heads:
-        x = ad.as_tensor(x0)
-        P = Tensor(np.zeros((STATE_DIM, STATE_DIM)))
-        states: List[Tensor] = []
-        covs: List[Tensor] = []
-        for _ in range(dec.horizon):
-            context = _fused_attend(H, dec.w_att, x, scale)
-            u = ad.add(ad.matmul(head.w_u, context), head.b_u)
-            log_scale = ad.add(ad.matmul(head.w_s, context), head.b_s)
-            q = ad.exp(log_scale)
-            x, P = _ekf_step_t(x, P, u, q, consts)
-            states.append(x)
-            covs.append(P)
-        all_states.append(states)
-        all_covs.append(covs)
-    return logits, all_states, all_covs
+    h_last = ad.getitem(H, (slice(None), -1))
+    logits = ad.add(ad.matmul(h_last, ad.transpose(dec.w_pi)), dec.b_pi)
+    x0 = np.asarray(x0, float)
+    x = Tensor(np.repeat(x0[:, None, :], dec.modes, axis=1))
+    P = Tensor(np.zeros(x.shape + (STATE_DIM,)))
+    states: List[Tensor] = []
+    covs: List[Tensor] = []
+    for _ in range(dec.horizon):
+        context = _fused_attend(H, dec.w_att, x, scale)
+        readout = _fused_heads(context, dec.heads)
+        u = ad.getitem(readout, (Ellipsis, slice(0, 2)))
+        q = ad.exp(ad.getitem(readout, (Ellipsis, slice(2, 4))))
+        x = _fused_mean_step(x, u, F, G)
+        P = _fused_cov_step(P, q, F, M0, M1)
+        states.append(x)
+        covs.append(P)
+    return logits, states, covs
 
 
 def decode(
@@ -441,17 +556,17 @@ def decode(
         seq = hiddens[graph.ego_id]
     else:
         seq = hiddens
+    H = Tensor(np.stack([ad.as_tensor(h).data for h in seq])[None])
     with ad.no_grad():
         logits, states_t, covs_t = _decode_graph(
-            dec, [ad.as_tensor(h) for h in seq], ad.as_tensor(np.asarray(x0, float))
+            dec, H, np.asarray(x0, float)[None]
         )
-        pis = ad.softmax(logits).data
-    modes = []
-    for l in range(dec.modes):
-        states = np.stack([s.data for s in states_t[l]])
-        covs = np.stack([c.data for c in covs_t[l]])
-        modes.append(PredictionMode(pi=float(pis[l]), states=states,
-                                    covariances=covs))
+        pis = ad.softmax(Tensor(logits.data[0])).data
+    states = np.stack([s.data[0] for s in states_t], axis=1)
+    covs = np.stack([c.data[0] for c in covs_t], axis=1)
+    modes = [PredictionMode(pi=float(pis[l]), states=states[l],
+                            covariances=covs[l])
+             for l in range(dec.modes)]
     return MixturePrediction(modes=modes, dt=dec.dt)
 
 
@@ -463,21 +578,26 @@ def _step_log_density(
     """Log density of the 2-D position Gaussian at one step, with the
     ridge regularizer on the position covariance block.
 
-    Single fused node: the 2x2 system is inverted by adjugate and the
-    backward pass applies the closed-form partials in a, b, c, d and the
-    position residual.
+    Single fused node over any leading batch shape: states (..., 4),
+    covariances (..., 4, 4), truth broadcastable to (..., 2).  Each 2x2
+    system is inverted by adjugate and the backward pass applies the
+    closed-form partials in a, b, c, d and the position residual.
     """
-    a = float(cov.data[0, 0]) + COV_REG
-    b = float(cov.data[0, 1])
-    c = float(cov.data[1, 0])
-    d = float(cov.data[1, 1]) + COV_REG
+    cd, sd = cov.data, state.data
+    a = cd[..., 0, 0] + COV_REG
+    b = cd[..., 0, 1]
+    c = cd[..., 1, 0]
+    d = cd[..., 1, 1] + COV_REG
     det = a * d - b * c
-    if not math.isfinite(det) or det <= 0.0:
-        raise DegenerateCovariance(f"position covariance determinant {det}")
-    dx = float(truth_xy[0]) - float(state.data[0])
-    dy = float(truth_xy[1]) - float(state.data[1])
+    bad = ~(np.isfinite(det) & (det > 0.0))
+    if bad.any():
+        raise DegenerateCovariance(
+            f"position covariance determinant {det[bad].flat[0]}"
+        )
+    dx = truth_xy[..., 0] - sd[..., 0]
+    dy = truth_xy[..., 1] - sd[..., 1]
     quad = (d * dx * dx - (b + c) * dx * dy + a * dy * dy) / det
-    ll = -LOG_2PI - 0.5 * math.log(det) - 0.5 * quad
+    ll = -LOG_2PI - 0.5 * np.log(det) - 0.5 * quad
 
     def backward(g):
         inv = 1.0 / det
@@ -486,38 +606,35 @@ def _step_log_density(
             dquad_db = (-dx * dy + quad * c) * inv
             dquad_dc = (-dx * dy + quad * b) * inv
             dquad_dd = (dx * dx - quad * a) * inv
-            gc = np.zeros((STATE_DIM, STATE_DIM))
-            gc[0, 0] = -0.5 * (d * inv + dquad_da)
-            gc[0, 1] = 0.5 * (c * inv - dquad_db)
-            gc[1, 0] = 0.5 * (b * inv - dquad_dc)
-            gc[1, 1] = -0.5 * (a * inv + dquad_dd)
-            cov._accum(g * gc)
+            gc = np.zeros(cd.shape)
+            gc[..., 0, 0] = -0.5 * (d * inv + dquad_da)
+            gc[..., 0, 1] = 0.5 * (c * inv - dquad_db)
+            gc[..., 1, 0] = 0.5 * (b * inv - dquad_dc)
+            gc[..., 1, 1] = -0.5 * (a * inv + dquad_dd)
+            cov._accum(g[..., None, None] * gc)
         if state.requires_grad:
-            gs = np.zeros(STATE_DIM)
-            gs[0] = 0.5 * (2.0 * d * dx - (b + c) * dy) * inv
-            gs[1] = 0.5 * (2.0 * a * dy - (b + c) * dx) * inv
-            state._accum(g * gs)
+            gs = np.zeros(sd.shape)
+            gs[..., 0] = 0.5 * (2.0 * d * dx - (b + c) * dy) * inv
+            gs[..., 1] = 0.5 * (2.0 * a * dy - (b + c) * dx) * inv
+            state._accum(g[..., None] * gs)
 
-    return ad._node(np.asarray(ll), (state, cov), backward)
+    return ad._node(ll, (state, cov), backward)
 
 
 def _mixture_nll(
-    log_pis: Sequence[Tensor],
-    mode_states: Sequence[Sequence[Tensor]],
-    mode_covs: Sequence[Sequence[Tensor]],
+    log_pis: Tensor,
+    mode_states: Sequence[Tensor],
+    mode_covs: Sequence[Tensor],
     truth: np.ndarray,
 ) -> Tensor:
-    horizon = len(mode_states[0])
+    """Per-window mixture NLL (B,) from log mode weights (B, M), per-step
+    states (B, M, 4) and covariances (B, M, 4, 4), and truth (B, T, 2)."""
     step_terms = []
-    for p in range(horizon):
-        per_mode = []
-        for l in range(len(mode_states)):
-            ll = _step_log_density(mode_states[l][p], mode_covs[l][p],
-                                   truth[p])
-            per_mode.append(ad.add(log_pis[l], ll))
-        step_terms.append(ad.logsumexp(ad.stack(per_mode)))
-    total = ad.neg(ad.tsum(ad.stack(step_terms)))
-    if not math.isfinite(float(total.data)):
+    for p, (state, cov) in enumerate(zip(mode_states, mode_covs)):
+        ll = _step_log_density(state, cov, truth[:, None, p])
+        step_terms.append(ad.logsumexp(ad.add(log_pis, ll)))
+    total = ad.neg(ad.tsum(ad.stack(step_terms, axis=-1), axis=-1))
+    if not np.all(np.isfinite(total.data)):
         raise DegenerateCovariance("non-finite mixture likelihood")
     return total
 
@@ -533,13 +650,17 @@ def nll_loss(pred: MixturePrediction, truth: np.ndarray) -> float:
         raise ShapeMismatch(
             f"truth shape {truth.shape} does not match horizon"
         )
-    log_pis = [Tensor(np.log(max(m.pi, 1e-300))) for m in pred.modes]
-    states = [[Tensor(m.states[p]) for p in range(pred.horizon)]
-              for m in pred.modes]
-    covs = [[Tensor(m.covariances[p]) for p in range(pred.horizon)]
-            for m in pred.modes]
+    log_pis = Tensor(np.log([[max(m.pi, 1e-300) for m in pred.modes]]))
+    states = np.stack([m.states for m in pred.modes])[None]
+    covs = np.stack([m.covariances for m in pred.modes])[None]
     with ad.no_grad():
-        return float(_mixture_nll(log_pis, states, covs, truth).data)
+        total = _mixture_nll(
+            log_pis,
+            [Tensor(states[:, :, p]) for p in range(pred.horizon)],
+            [Tensor(covs[:, :, p]) for p in range(pred.horizon)],
+            truth[None],
+        )
+    return float(total.data[0])
 
 
 # ==================== prediction metrics ====================

@@ -1,12 +1,12 @@
 """Dataset windowing, training loop, and gradient verification."""
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..errors import BadConfig, NonFiniteLoss, ShapeMismatch
+from ..errors import BadConfig, NonFiniteLoss
 from ..scene import (
     CAR,
     CAR_EXTENT,
@@ -26,10 +26,13 @@ from .model import (
     GraphCellParams,
     MixturePrediction,
     ModeHead,
+    PackedStep,
     _decode_graph,
     _mixture_nll,
     decode,
     encode,
+    encode_packed,
+    pack_histories,
     parameter_items,
 )
 
@@ -186,21 +189,49 @@ def extract_windows(
     return samples
 
 
-# ==================== loss over one window ====================
+# ==================== loss over a batch of windows ====================
+
+@dataclass
+class WindowBatch:
+    """Windows sharing t_h and t_f, packed once for the encoder."""
+
+    steps: List[PackedStep]  # t_h packed history steps
+    target_rows: np.ndarray  # (B,) packed row of each window's target
+    x0: np.ndarray  # (B, 4)
+    truth: np.ndarray  # (B, t_f, 2)
+
+
+def pack_windows(samples: Sequence[TrainingSample],
+                 d_in: int = D_IN) -> WindowBatch:
+    if len({(len(s.features), s.truth.shape) for s in samples}) != 1:
+        raise BadConfig("windows of one batch must share t_h and t_f")
+    steps, rows = pack_histories(
+        [list(zip(s.features, s.graphs)) for s in samples], d_in
+    )
+    return WindowBatch(
+        steps=steps,
+        target_rows=np.array([r[s.target_id] for r, s in zip(rows, samples)]),
+        x0=np.stack([s.x0 for s in samples]),
+        truth=np.stack([s.truth for s in samples]),
+    )
+
 
 def _window_loss(
-    cell: GraphCellParams, dec: DecoderParams, sample: TrainingSample
+    cell: GraphCellParams,
+    dec: DecoderParams,
+    sample: Union[TrainingSample, WindowBatch],
 ) -> Tensor:
-    history = [
-        ({a: Tensor(v) for a, v in feats.items()}, g)
-        for feats, g in zip(sample.features, sample.graphs)
-    ]
-    sequences = encode(cell, history)
-    seq = sequences[sample.target_id]
-    logits, states, covs = _decode_graph(dec, seq, Tensor(sample.x0))
-    log_norm = ad.logsumexp(logits)
-    log_pis = [ad.sub(logits[l], log_norm) for l in range(dec.modes)]
-    return _mixture_nll(log_pis, states, covs, sample.truth)
+    """Mean mixture NLL over a packed batch; a single window is a batch
+    of one."""
+    batch = sample if isinstance(sample, WindowBatch) else pack_windows(
+        [sample], cell.d_in)
+    hiddens = encode_packed(cell, batch.steps)
+    H = ad.stack([ad.getitem(h, batch.target_rows) for h in hiddens],
+                 axis=1)
+    logits, states, covs = _decode_graph(dec, H, batch.x0)
+    log_pis = ad.sub(logits, ad.logsumexp(logits, keepdims=True))
+    losses = _mixture_nll(log_pis, states, covs, batch.truth)
+    return ad.div(ad.tsum(losses), float(len(batch.x0)))
 
 
 def sample_loss(
@@ -218,22 +249,22 @@ def train(
 ) -> Tuple[GraphCellParams, DecoderParams, List[float]]:
     """Full-batch gradient descent on the mean window loss.
 
-    Returns the trained parameters and the loss curve: entry 0 is the
-    loss of the fresh parameters, entry e the loss after e updates, so
+    The windows are packed once; each epoch records one tape over all of
+    them.  Returns the trained parameters and the loss curve: entry 0 is
+    the loss of the fresh parameters, entry e the loss after e updates, so
     the curve has epochs + 1 entries and epochs = 0 records only the
     initial loss.  Deterministic given the seed.
     """
     if not dataset:
         raise BadConfig("training dataset is empty")
+    batch = pack_windows(dataset, hyper.d_in)
     cell, dec = init_model(hyper)
     params = parameter_items(cell, dec)
     curve: List[float] = []
-    n = float(len(dataset))
     for epoch in range(hyper.epochs):
         for _, p in params:
             p.grad = None
-        losses = [_window_loss(cell, dec, s) for s in dataset]
-        total = ad.div(ad.tsum(ad.stack(losses)), n)
+        total = _window_loss(cell, dec, batch)
         mean_loss = float(total.data)
         if not math.isfinite(mean_loss):
             raise NonFiniteLoss(epoch)
@@ -251,9 +282,7 @@ def train(
             if p.grad is not None:
                 p.data = p.data - scale * p.grad
     with ad.no_grad():
-        final = float(np.mean([
-            float(_window_loss(cell, dec, s).data) for s in dataset
-        ]))
+        final = float(_window_loss(cell, dec, batch).data)
     if not math.isfinite(final):
         raise NonFiniteLoss(hyper.epochs)
     curve.append(final)
@@ -398,8 +427,7 @@ def predict_for_agent(
         g = build_graph(scenario, agent_id, f, radius)
         step_ids = [agent_id] + g.neighbors(agent_id)
         feats = {
-            a: Tensor(_feature(scenario.state(a, f), center))
-            for a in step_ids
+            a: _feature(scenario.state(a, f), center) for a in step_ids
         }
         history.append((feats, g))
     sequences = encode(cell, history)

@@ -2,9 +2,9 @@
 
 Every function here recomputes an expected value directly from its
 definition, using only the standard library and numpy.  Nothing is
-imported from the package under test, and the functions share no helpers
-with it or with each other, so agreement with the production code is
-evidence rather than tautology.
+imported from the package under test but the error types the predictor
+twins raise, and the functions share no helpers with it, so agreement
+with the production code is evidence rather than tautology.
 """
 
 import math
@@ -179,3 +179,60 @@ def finite_difference_velocity(x_now, x_hat, p, dt):
 
 def weighted_sum(weights, values):
     return sum(w * v for w, v in zip(weights, values))
+
+
+# ---- reference twins of the predictor ----
+#
+# The composed forms the package's fused nodes replaced: attention over a
+# hidden sequence built from softmax, and the filter time update with its
+# input validation.  Apart from the error types they raise, they use no
+# package code.
+
+def _values(v):
+    return np.asarray(getattr(v, "data", v), float)
+
+
+def attention_weights(dec, hiddens, query):
+    """Softmax of the bilinear scores query @ w_att @ h_t / sqrt(d_h)."""
+    H = np.stack([_values(h) for h in hiddens])
+    scores = H @ (_values(query) @ _values(dec.w_att)) / math.sqrt(dec.d_h)
+    e = np.exp(scores - scores.max())
+    return e / e.sum()
+
+
+def attend(dec, hiddens, query):
+    """Attention-weighted context over a hidden sequence."""
+    H = np.stack([_values(h) for h in hiddens])
+    return attention_weights(dec, hiddens, query) @ H
+
+
+def _check_psd(mat, name):
+    from risknet.errors import NotPSD
+
+    if not np.all(np.isfinite(mat)):
+        raise NotPSD(f"{name} has non-finite entries")
+    if not np.allclose(mat, mat.T, atol=1e-9, rtol=0.0):
+        raise NotPSD(f"{name} is not symmetric")
+    if np.linalg.eigvalsh(mat).min() < -1e-9:
+        raise NotPSD(f"{name} has a negative eigenvalue")
+
+
+def ekf_propagate(state, cov, control, Q, dt):
+    """One time update of the kinematic filter: positions advance by
+    v*dt + u*dt^2/2, velocities by u*dt, and the covariance is pushed
+    through the constant Jacobian and inflated by the control-mapped
+    process noise."""
+    from risknet.errors import ShapeMismatch
+
+    state = np.asarray(state, float)
+    cov = np.asarray(cov, float)
+    control = np.asarray(control, float)
+    Q = np.asarray(Q, float)
+    if state.shape != (4,) or cov.shape != (4, 4):
+        raise ShapeMismatch("state must be (4,), covariance (4, 4)")
+    if control.shape != (2,) or Q.shape != (2, 2):
+        raise ShapeMismatch("control must be (2,), Q (2, 2)")
+    _check_psd(cov, "covariance")
+    _check_psd(Q, "process noise")
+    F, G = transition_matrices(dt)
+    return F @ state + G @ control, F @ cov @ F.T + G @ Q @ G.T

@@ -17,6 +17,7 @@ import pytest
 
 import oracles
 from conftest import constant_velocity_scenario, make_state
+from oracles import ekf_propagate
 from risknet.baselines import (
     BaselineConfig,
     RssParams,
@@ -42,7 +43,6 @@ from risknet.predictor.model import (
     MixturePrediction,
     PredictionMode,
     decode,
-    ekf_propagate,
     metrics,
     nll_loss,
 )

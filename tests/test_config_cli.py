@@ -24,6 +24,7 @@ from risknet.config import (
     load_config,
     parse_override,
 )
+from risknet.cli import read_prediction
 from risknet.errors import BadConfig
 from risknet.field import read_raster, total_directional_force
 from risknet.predictor.model import MixturePrediction, PredictionMode
@@ -415,6 +416,16 @@ def test_cli_map_bad_bounds_exit_2(cutin, tmp_path):
     assert "positive area" in proc.stderr
 
 
+def test_cli_map_bad_cell_exit_2(cutin, tmp_path):
+    for cell in ("0", "-1", "inf", "nan"):
+        proc = run_cli("map", "--scenario", cutin, "--ego-id", "0",
+                       "--frame", "0", "--cell", cell,
+                       "--set", "io.frame_rate=10", "--out", tmp_path / "m")
+        assert proc.returncode == 2, cell
+        assert proc.stderr.startswith("risknet: input error: --cell")
+        assert len(proc.stderr.splitlines()) == 1
+
+
 def test_cli_map_probabilistic_requires_model(cutin, tmp_path):
     proc = run_cli("map", "--scenario", cutin, "--ego-id", "0",
                    "--frame", "0", "--probabilistic",
@@ -688,6 +699,46 @@ def test_cli_metrics_nonfinite_likelihood_exits_3(tmp_path):
                    "--set", "io.frame_rate=5")
     assert proc.returncode == 3
     assert "risknet: numeric error:" in proc.stderr
+
+
+def prediction_payload():
+    return {
+        "format": "risknet-prediction",
+        "version": 1,
+        "agent_id": 0,
+        "frame": 5,
+        "dt": 0.2,
+        "modes": [{"pi": 1.0, "states": [[1.0, 0.0, 5.0, 0.0]] * 2,
+                   "cov_diag": [[1.0, 1.0, 1.0, 1.0]] * 2}],
+    }
+
+
+@pytest.mark.parametrize("drop", ["cov_diag", "states", "pi", "dt"])
+def test_read_prediction_missing_key_is_bad_config(tmp_path, drop):
+    payload = prediction_payload()
+    payload.pop(drop, None)
+    payload["modes"][0].pop(drop, None)
+    path = tmp_path / "pred.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(BadConfig, match=drop):
+        read_prediction(str(path))
+
+
+def test_cli_metrics_malformed_prediction_exits_2(tmp_path):
+    csv_path = export_cv(
+        tmp_path / "cv.csv", [(0, 0.0, 0.0, 5.0, 0.0)],
+        n_frames=10, frame_rate=5.0,
+    )
+    payload = prediction_payload()
+    del payload["modes"][0]["cov_diag"]
+    pred_path = tmp_path / "pred.json"
+    pred_path.write_text(json.dumps(payload))
+    proc = run_cli("metrics", "--scenario", csv_path, "--ego-id", "0",
+                   "--frame", "5", "--prediction", pred_path,
+                   "--set", "io.frame_rate=5")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("risknet: input error:")
+    assert len(proc.stderr.splitlines()) == 1
 
 
 def test_cli_predict_malformed_model_exits_2(tmp_path):

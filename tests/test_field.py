@@ -14,6 +14,7 @@ from risknet.errors import BadConfig, DegenerateDenominator, EmptyFrame
 from risknet.field import (
     GridSpec,
     RiskFieldParams,
+    RiskRaster,
     alpha_lat,
     alpha_lon,
     directional_force,
@@ -490,3 +491,15 @@ def test_raster_write_read_roundtrip_csv_and_binary(tmp_path):
     again_b = read_raster(sidecar_b)
     assert np.allclose(again_b.values, raster.values, rtol=1e-6, atol=1e-4)
     assert again_b.values.shape == raster.values.shape
+
+
+def test_read_raster_rejects_wrong_size_binary_payload(tmp_path):
+    grid = GridSpec(origin=(0.0, 0.0), cell=2.0, width=5, height=3)
+    raster = RiskRaster(grid=grid, frame=0, values=np.ones((3, 5)))
+    sidecar, payload = write_raster(raster, str(tmp_path / "b"), binary=True)
+    with open(payload, "rb") as fh:
+        raw = fh.read()
+    with open(payload, "wb") as fh:
+        fh.write(raw[:-4])
+    with pytest.raises(BadConfig, match="payload"):
+        read_raster(sidecar)

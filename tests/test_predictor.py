@@ -24,11 +24,9 @@ from risknet.predictor.model import (
     GraphCellParams,
     MixturePrediction,
     PredictionMode,
-    attend,
-    attention_weights,
+    _fused_attend,
     cell_step,
     decode,
-    ekf_propagate,
     encode,
     kinematic_matrices,
     metrics,
@@ -38,14 +36,18 @@ from risknet.predictor.model import (
 from risknet.predictor.store import load_model, save_model
 from risknet.predictor.train import (
     TrainHyper,
+    _window_loss,
     constant_motion_tracks,
     corpus_windows,
     extract_windows,
+    gradient_check,
     init_model,
+    pack_windows,
     predict_for_agent,
     sample_loss,
     train,
 )
+from oracles import attend, attention_weights, ekf_propagate
 from risknet.scene import InteractionGraph
 
 
@@ -220,7 +222,7 @@ def test_attend_equal_scores_is_mean():
     weights = attention_weights(dec, hiddens, query)
     assert np.allclose(weights, np.full(5, 0.2), atol=1e-12)
     ctx = attend(dec, hiddens, query)
-    assert np.allclose(ctx.data, h, atol=1e-12)
+    assert np.allclose(ctx, h, atol=1e-12)
 
 
 def test_attend_dominant_score_selects_step():
@@ -231,7 +233,7 @@ def test_attend_dominant_score_selects_step():
     hiddens[2] = Tensor(np.array([2.0, 0.0, 0.0, 0.0]))
     query = Tensor(np.array([100.0, 0.0, 0.0, 0.0]))
     ctx = attend(dec, hiddens, query)
-    assert np.allclose(ctx.data, hiddens[2].data, atol=1e-9)
+    assert np.allclose(ctx, hiddens[2].data, atol=1e-9)
     weights = attention_weights(dec, hiddens, query)
     assert weights[2] == pytest.approx(1.0, abs=1e-9)
 
@@ -245,6 +247,21 @@ def test_attention_weights_are_probabilities():
     w = attention_weights(dec, hiddens, query)
     assert np.all(w >= 0)
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_fused_attend_matches_oracle_per_window_and_mode():
+    rng = np.random.default_rng(4)
+    hyper = small_hyper(modes=3)
+    _, dec = init_model(hyper)
+    H = rng.normal(size=(2, 5, hyper.d_h))
+    queries = rng.normal(size=(2, 3, 4))
+    ctx = _fused_attend(Tensor(H), dec.w_att, Tensor(queries),
+                        1.0 / math.sqrt(hyper.d_h))
+    for b in range(2):
+        for m in range(3):
+            expected = attend(dec, list(H[b]), queries[b, m])
+            assert np.allclose(ctx.data[b, m], expected, rtol=1e-12,
+                               atol=1e-12)
 
 
 # ---- covariance propagation ----
@@ -343,6 +360,27 @@ def test_decode_zero_heads_constant_velocity_rollout():
             assert np.allclose(mode.states[p - 1], expected, atol=1e-9)
         assert np.array_equal(mode.covariances,
                               np.zeros((hyper.t_f, 4, 4)))
+
+
+def test_decode_rollout_matches_oracle_filter():
+    hyper = small_hyper(modes=2, t_f=4)
+    _, dec = init_model(hyper)
+    controls = [np.array([0.5, -1.0]), np.array([-2.0, 0.25])]
+    noises = [np.array([0.3, 1.5]), np.array([2.0, 0.1])]
+    for head, u, q in zip(dec.heads, controls, noises):
+        head.w_u.data = np.zeros_like(head.w_u.data)
+        head.w_s.data = np.zeros_like(head.w_s.data)
+        head.b_u.data = u.copy()
+        head.b_s.data = np.log(q)
+    x0 = np.array([1.0, -2.0, 6.0, 1.5])
+    pred = decode(dec, encoded_sequence(hyper), None, x0)
+    for mode, u, q in zip(pred.modes, controls, noises):
+        x, P = x0, np.zeros((4, 4))
+        for p in range(hyper.t_f):
+            x, P = ekf_propagate(x, P, u, np.diag(q), hyper.dt)
+            assert np.allclose(mode.states[p], x, rtol=1e-12, atol=1e-12)
+            assert np.allclose(mode.covariances[p], P, rtol=1e-12,
+                               atol=1e-12)
 
 
 def test_decode_mixture_invariants():
@@ -717,7 +755,6 @@ def test_gradient_check_suppressed_mode_has_zero_gradient():
 
     for _, p in parameter_items(cell, dec):
         p.grad = None
-    from risknet.predictor.train import _window_loss
     loss = _window_loss(cell, dec, sample)
     ad.backward(loss)
 
@@ -762,3 +799,182 @@ def test_predict_for_agent_returns_world_coordinates():
         d0 = np.linalg.norm(m.states[0, :2] - anchor_pos)
         assert d0 < 10.0  # de-centered back near the agent, not the origin
     pred.validate()
+
+
+# ---- pinned training trajectory ----
+#
+# Values recorded from the per-window trainer that preceded the batched
+# one.  Batching changes only the order of floating-point sums, so the
+# epoch-0 loss must agree to 1e-9 relative, the 5-epoch curve to 1e-6
+# and the forecasts to 1e-9.
+
+def pinned_hyper():
+    return TrainHyper(d_h=5, modes=2, t_h=5, t_f=3, dt=0.2, lr=0.05,
+                      epochs=5, seed=2)
+
+
+# Distance ahead of agent 0 per frame.  With a 50 m radius agent 1 enters,
+# leaves and re-enters within single history windows (e.g. the window
+# ending at frame 6 sees it absent, present, absent, present), and agent 3
+# first enters at frame 3.
+NEIGHBOUR_1_DX = [30, 45, 55, 62, 48, 58, 44, 60, 44, 30, 20, 25]
+NEIGHBOUR_3_DX = [80, 70, 60, 49, 40, 35, 30, 28, 27, 26, 25, 24]
+
+
+def churn_scene():
+    from risknet.scene import scenario_from_states
+    states = []
+    for f in range(12):
+        x0 = 2.0 * f
+        states.append(make_state(0, f, (x0, 0.0), (10.0, 0.0), (0.0, 0.0)))
+        states.append(make_state(1, f, (x0 + NEIGHBOUR_1_DX[f], 3.5),
+                                 (10.0 + 5.0 * np.sin(f), 0.3),
+                                 (np.cos(f), 0.0)))
+        states.append(make_state(2, f, (x0 + 10.0 + 0.5 * f, -3.5),
+                                 (12.5, 0.0), (0.1, 0.0)))
+        states.append(make_state(3, f, (x0 + NEIGHBOUR_3_DX[f], 7.0),
+                                 (8.0, 0.5), (0.0, -0.2)))
+    return scenario_from_states(states, 5.0)
+
+
+SOLO_CURVE = [-11.994542083027833, -12.111636440565428, -12.228209041926457,
+              -12.34593607555543, -12.46655892444439, -12.59183342791147]
+SOLO_PIS = [0.49451891047200697, 0.505481089527993]
+SOLO_STATES = [
+    [[61.803755891206855, 71.44401199732077, 1.5162286344201477,
+      -6.318731123893971],
+     [62.11003348257506, 70.17922844540182, 1.5465472792619748,
+      -6.329104395295551],
+     [62.42237469191345, 68.91237011806447, 1.5768648141218655,
+      -6.3394788780780305]],
+    [[61.800425921249484, 71.44431684154353, 1.4829289348464392,
+      -6.315682681666454],
+     [62.09671408918208, 70.18044822293179, 1.479952744479518,
+      -6.323003504450938],
+     [62.39240739939102, 68.91511571807904, 1.4769803576099203,
+      -6.3303215440765985]],
+]
+CHURN_CURVE = [81506.94536941874, 56346.35297098496, 32301.301398391202,
+               18340.653930042972, 10063.895331540743, 5505.637375233856]
+CHURN_PIS = {
+    0: [0.4740666516575163, 0.5259333483424837],
+    1: [0.5562674881187899, 0.4437325118812101],
+}
+CHURN_STATES = {
+    0: [[[24.00265029148411, -5.402501482755646e-06, 10.026502914841071,
+          -5.402501482755645e-05],
+         [26.010565749147407, 7.225901441426932e-06, 10.052651661791932,
+          0.0001803090440693822],
+         [28.02367592000633, 9.522508590611647e-05, 10.078450046797277,
+          0.000699682800577513]],
+        [[23.998467200593524, -0.0002865340217864096, 9.98467200593522,
+          -0.0028653402178640958],
+         [25.993889210038468, -0.0012255903978895901, 9.969548088514221,
+          -0.006525223543167707],
+         [27.98630644215503, -0.00297531080572359, 9.954624232651408,
+          -0.010971980535172288]]],
+    1: [[[50.41695297070411, 3.558204821359988, 12.108937280832302,
+          0.2820482135998782],
+         [52.8435748766508, 3.6128193204512646, 12.157281778634596,
+          0.2640967773128914],
+         [55.27986564599317, 3.6638435673870657, 12.205625914789076,
+          0.24614569204511727]],
+        [[50.409231311481115, 3.5631341425368164, 12.031720688602357,
+          0.33134142536816397],
+         [52.81268822728888, 3.6325359052243047, 12.002848469475301,
+          0.3626762015067194],
+         [55.210370651674424, 3.7082039648444387, 11.973975774380142,
+          0.3940043946946191]]],
+}
+
+
+def assert_pinned_curve(curve, expected):
+    assert len(curve) == len(expected)
+    assert curve[0] == pytest.approx(expected[0], rel=1e-9)
+    assert curve == pytest.approx(expected, rel=1e-6)
+
+
+def assert_pinned_forecast(pred, pis, states):
+    assert [m.pi for m in pred.modes] == pytest.approx(pis, abs=1e-9)
+    for mode, expected in zip(pred.modes, states):
+        assert np.allclose(mode.states, expected, rtol=1e-9, atol=1e-9)
+
+
+def test_pinned_trajectory_solo_corpus():
+    hyper = pinned_hyper()
+    samples = corpus_windows(constant_motion_tracks(6, hyper, seed=4), hyper)
+    cell, dec, curve = train(samples, hyper)
+    assert_pinned_curve(curve, SOLO_CURVE)
+    held_out = constant_motion_tracks(1, hyper, seed=9)[0]
+    pred = predict_for_agent(cell, dec, held_out, 0, hyper.t_h - 1,
+                             t_h=hyper.t_h)
+    assert_pinned_forecast(pred, SOLO_PIS, SOLO_STATES)
+
+
+def test_pinned_trajectory_neighbour_churn():
+    hyper = pinned_hyper()
+    sc = churn_scene()
+    samples = extract_windows(sc, hyper)
+    assert len(samples) == 20
+    presence = [sorted(f) for f in samples[2].features]
+    assert samples[2].target_id == 0 and samples[2].frame == 6
+    assert presence == [[0, 2], [0, 2, 3], [0, 1, 2, 3], [0, 2, 3],
+                        [0, 1, 2, 3]]
+    cell, dec, curve = train(samples, hyper)
+    assert_pinned_curve(curve, CHURN_CURVE)
+    for agent_id, frame, t_h in ((0, 11, None), (1, 9, hyper.t_h)):
+        pred = predict_for_agent(cell, dec, sc, agent_id, frame, t_h=t_h)
+        assert_pinned_forecast(pred, CHURN_PIS[agent_id],
+                               CHURN_STATES[agent_id])
+
+
+# ---- packed batches ----
+
+def churn_hyper():
+    return TrainHyper(d_h=3, modes=2, t_h=5, t_f=2, dt=0.2, lr=0.05,
+                      epochs=1, seed=5)
+
+
+def test_gradient_check_with_neighbour_churn():
+    hyper = churn_hyper()
+    cell, dec = init_model(hyper)
+    samples = extract_windows(churn_scene(), hyper, targets=[0])
+    sample = next(s for s in samples if s.frame == 6)
+    # agent 1 is absent, absent, present, absent, present
+    assert [1 in f for f in sample.features] == [False, False, True, False,
+                                                True]
+    assert gradient_check(cell, dec, sample, eps=1e-5) < 1e-3
+
+
+def test_packed_batch_equals_mean_of_single_windows():
+    hyper = churn_hyper()
+    cell, dec = init_model(hyper)
+    samples = extract_windows(churn_scene(), hyper)
+    params = [p for _, p in parameter_items(cell, dec)]
+
+    def loss_and_grads(batch):
+        for p in params:
+            p.grad = None
+        loss = _window_loss(cell, dec, batch)
+        ad.backward(loss)
+        return float(loss.data), [
+            np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+            for p in params
+        ]
+
+    packed_loss, packed_grads = loss_and_grads(pack_windows(samples))
+    singles = [loss_and_grads(s) for s in samples]
+    assert packed_loss == pytest.approx(
+        np.mean([loss for loss, _ in singles]), rel=1e-12)
+    for i, g in enumerate(packed_grads):
+        expected = np.mean([grads[i] for _, grads in singles], axis=0)
+        assert np.allclose(g, expected, rtol=1e-9, atol=1e-12)
+
+
+def test_pack_windows_rejects_mixed_lengths():
+    hyper = small_hyper()
+    short = corpus_windows(constant_motion_tracks(1, hyper), hyper)
+    longer = small_hyper(t_h=4)
+    long = corpus_windows(constant_motion_tracks(1, longer), longer)
+    with pytest.raises(BadConfig):
+        pack_windows(short + long)
