@@ -408,31 +408,6 @@ def kinematic_matrices(dt: float) -> Tuple[np.ndarray, np.ndarray]:
     return F, G
 
 
-def _fused_heads(ctx: Tensor, heads: Sequence[ModeHead]) -> Tensor:
-    """Per-mode readout of the contexts (B, M, d_h) as one node: the
-    controls in the first two entries of the last axis, the process-noise
-    log-scales in the other two."""
-    W = np.stack([np.concatenate([h.w_u.data, h.w_s.data]) for h in heads])
-    b = np.stack([np.concatenate([h.b_u.data, h.b_s.data]) for h in heads])
-    cd = ctx.data
-    out = np.einsum("bmd,mkd->bmk", cd, W) + b
-
-    def backward(g):
-        if ctx.requires_grad:
-            ctx._accum(np.einsum("bmk,mkd->bmd", g, W))
-        gW = np.einsum("bmk,bmd->mkd", g, cd)
-        gb = g.sum(axis=0)
-        for m, head in enumerate(heads):
-            for t, gm in ((head.w_u, gW[m, :2]), (head.w_s, gW[m, 2:]),
-                          (head.b_u, gb[m, :2]), (head.b_s, gb[m, 2:])):
-                if t.requires_grad:
-                    t._accum(gm)
-
-    parents = [ctx] + [t for h in heads
-                       for t in (h.w_u, h.b_u, h.w_s, h.b_s)]
-    return ad._node(out, tuple(parents), backward)
-
-
 def _fused_mean_step(x: Tensor, u: Tensor, F: np.ndarray,
                      G: np.ndarray) -> Tensor:
     out = x.data @ F.T + u.data @ G.T
@@ -502,6 +477,31 @@ class MixturePrediction:
                     raise ValueError("covariance not symmetric")
                 if np.linalg.eigvalsh(cov).min() < -1e-9:
                     raise ValueError("covariance not PSD")
+
+
+def _fused_heads(ctx: Tensor, heads: Sequence[ModeHead]) -> Tensor:
+    """Per-mode readout of the contexts (B, M, d_h) as one node: the
+    controls in the first two entries of the last axis, the process-noise
+    log-scales in the other two."""
+    W = np.stack([np.concatenate([h.w_u.data, h.w_s.data]) for h in heads])
+    b = np.stack([np.concatenate([h.b_u.data, h.b_s.data]) for h in heads])
+    cd = ctx.data
+    out = np.einsum("bmd,mkd->bmk", cd, W) + b
+
+    def backward(g):
+        if ctx.requires_grad:
+            ctx._accum(np.einsum("bmk,mkd->bmd", g, W))
+        gW = np.einsum("bmk,bmd->mkd", g, cd)
+        gb = g.sum(axis=0)
+        for m, head in enumerate(heads):
+            for t, gm in ((head.w_u, gW[m, :2]), (head.w_s, gW[m, 2:]),
+                          (head.b_u, gb[m, :2]), (head.b_s, gb[m, 2:])):
+                if t.requires_grad:
+                    t._accum(gm)
+
+    parents = [ctx] + [t for h in heads
+                       for t in (h.w_u, h.b_u, h.w_s, h.b_s)]
+    return ad._node(out, tuple(parents), backward)
 
 
 def _decode_graph(

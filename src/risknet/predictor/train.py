@@ -202,7 +202,8 @@ class WindowBatch:
 
 
 def pack_windows(samples: Sequence[TrainingSample],
-                 d_in: int = D_IN) -> WindowBatch:
+                 d_in: int) -> WindowBatch:
+    """Pack windows of equal history and horizon length into one batch."""
     if len({(len(s.features), s.truth.shape) for s in samples}) != 1:
         raise BadConfig("windows of one batch must share t_h and t_f")
     steps, rows = pack_histories(

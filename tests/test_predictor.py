@@ -962,7 +962,8 @@ def test_packed_batch_equals_mean_of_single_windows():
             for p in params
         ]
 
-    packed_loss, packed_grads = loss_and_grads(pack_windows(samples))
+    packed_loss, packed_grads = loss_and_grads(
+        pack_windows(samples, hyper.d_in))
     singles = [loss_and_grads(s) for s in samples]
     assert packed_loss == pytest.approx(
         np.mean([loss for loss, _ in singles]), rel=1e-12)
@@ -977,4 +978,4 @@ def test_pack_windows_rejects_mixed_lengths():
     longer = small_hyper(t_h=4)
     long = corpus_windows(constant_motion_tracks(1, longer), longer)
     with pytest.raises(BadConfig):
-        pack_windows(short + long)
+        pack_windows(short + long, hyper.d_in)
