@@ -372,12 +372,19 @@ def write_raster(
     return sidecar_path, payload_path
 
 
+_SIDECAR_KEYS = ("encoding", "origin", "cell", "width", "height", "payload",
+                 "frame")
+
+
 def read_raster(sidecar_path: str) -> RiskRaster:
     """Load a raster written by write_raster."""
     with open(sidecar_path) as fh:
         sidecar = json.load(fh)
     if sidecar.get("format") != "risknet-raster":
         raise BadConfig(f"not a raster sidecar: {sidecar_path}")
+    for key in _SIDECAR_KEYS:
+        if key not in sidecar:
+            raise BadConfig(f"raster sidecar {sidecar_path} lacks {key!r}")
     grid = GridSpec(
         origin=(float(sidecar["origin"][0]), float(sidecar["origin"][1])),
         cell=float(sidecar["cell"]),

@@ -303,7 +303,8 @@ def gradient_check(
     params = parameter_items(cell, dec)
     for _, p in params:
         p.grad = None
-    loss = _window_loss(cell, dec, sample)
+    batch = pack_windows([sample], cell.d_in)
+    loss = _window_loss(cell, dec, batch)
     ad.backward(loss)
     analytic = [
         p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
@@ -312,7 +313,7 @@ def gradient_check(
 
     def loss_value() -> float:
         with ad.no_grad():
-            return float(_window_loss(cell, dec, sample).data)
+            return float(_window_loss(cell, dec, batch).data)
 
     worst = 0.0
     for (_, p), grad in zip(params, analytic):

@@ -9,6 +9,7 @@ Velocities are m/s, accelerations m/s^2, masses kg.
 """
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -21,6 +22,7 @@ from .errors import (
     MissingColumn,
     NonContiguousTrack,
     NonFinite,
+    NonIntegral,
 )
 
 # Speeds below this are treated as standing still when angles are needed.
@@ -85,7 +87,7 @@ CAR_EXTENT = (4.5, 2.0)  # length, width in m
 TRUCK_EXTENT = (12.0, 2.5)
 
 
-@dataclass
+@dataclass(slots=True)
 class AgentState:
     """One agent at one frame."""
 
@@ -173,46 +175,64 @@ def scenario_from_states(
     offset: Optional[np.ndarray] = None,
 ) -> Scenario:
     """Assemble a Scenario, enforcing per-frame uniqueness and per-agent
-    frame contiguity."""
-    frames: Dict[int, List[AgentState]] = {}
-    per_agent: Dict[int, List[AgentState]] = {}
-    for s in states:
-        frames.setdefault(s.frame, []).append(s)
-        per_agent.setdefault(s.agent_id, []).append(s)
-    if not frames:
+    frame contiguity.
+
+    The checks run on whole columns: one sort by (frame, id) finds
+    duplicates and groups the frames, one by (id, frame) finds gaps and
+    each agent's first and last rows.
+    """
+    states = list(states)
+    if not states:
         raise BadConfig("scenario has no states")
+    n = len(states)
+    frame = np.fromiter((s.frame for s in states), np.int64, n)
+    ids = np.fromiter((s.agent_id for s in states), np.int64, n)
 
-    for frame, fs in frames.items():
-        ids = [s.agent_id for s in fs]
-        if len(ids) != len(set(ids)):
-            dup = sorted(i for i in ids if ids.count(i) > 1)[0]
-            raise BadConfig(f"agent {dup} appears twice at frame {frame}")
-        fs.sort(key=lambda s: s.agent_id)
+    by_frame = np.lexsort((ids, frame))
+    f_sorted, i_sorted = frame[by_frame], ids[by_frame]
+    dup = np.flatnonzero((f_sorted[1:] == f_sorted[:-1])
+                         & (i_sorted[1:] == i_sorted[:-1]))
+    if dup.size:
+        k = dup[0]
+        raise BadConfig(
+            f"agent {i_sorted[k]} appears twice at frame {f_sorted[k]}"
+        )
 
+    by_agent = np.lexsort((frame, ids))
+    f_agent, i_agent = frame[by_agent], ids[by_agent]
+    same_agent = i_agent[1:] == i_agent[:-1]
+    gap = np.flatnonzero(same_agent & (f_agent[1:] != f_agent[:-1] + 1))
+    if gap.size:
+        k = gap[0]
+        raise NonContiguousTrack(int(i_agent[k]), int(f_agent[k]) + 1)
+
+    positions = np.array([s.position for s in states], dtype=float)
+    lo, hi = positions.min(axis=0), positions.max(axis=0)
+
+    ordered = [states[i] for i in by_frame.tolist()]
+    cuts = (np.flatnonzero(f_sorted[1:] != f_sorted[:-1]) + 1).tolist()
+    frames = {ordered[a].frame: ordered[a:b]
+              for a, b in zip([0] + cuts, cuts + [n])}
+
+    cuts = (np.flatnonzero(~same_agent) + 1).tolist()
+    heads = by_agent[[0] + cuts].tolist()
+    tails = by_agent[[c - 1 for c in cuts] + [n - 1]].tolist()
     agents: Dict[int, AgentInfo] = {}
-    for aid in sorted(per_agent):
-        track = sorted(per_agent[aid], key=lambda s: s.frame)
-        for prev, cur in zip(track, track[1:]):
-            if cur.frame != prev.frame + 1:
-                raise NonContiguousTrack(aid, prev.frame + 1)
-        head = track[0]
-        agents[aid] = AgentInfo(
+    for a, b in zip(heads, tails):
+        head = states[a]
+        agents[head.agent_id] = AgentInfo(
             kind=head.kind,
             mass=head.mass,
             extent=head.extent,
-            first_frame=track[0].frame,
-            last_frame=track[-1].frame,
+            first_frame=head.frame,
+            last_frame=states[b].frame,
         )
 
-    xs = [s.position[0] for fs in frames.values() for s in fs]
-    ys = [s.position[1] for fs in frames.values() for s in fs]
-    bounds = (min(xs), min(ys), max(xs), max(ys))
-    ordered = {f: frames[f] for f in sorted(frames)}
     return Scenario(
         frame_rate=frame_rate,
-        frames=ordered,
+        frames=frames,
         agents=agents,
-        bounds=bounds,
+        bounds=(lo[0], lo[1], hi[0], hi[1]),
         source=source,
         offset=np.zeros(2) if offset is None else np.asarray(offset, float),
     )
@@ -228,6 +248,25 @@ EXPORT_HEADER = [
     "frame", "id", "x", "y", "xVelocity", "yVelocity",
     "xAcceleration", "yAcceleration", "width", "height", "class", "mass",
 ]
+
+# Largest magnitude at which every integer is exactly a float64.
+MAX_INTEGRAL = 2.0 ** 53
+
+
+def _float_or_nan(cell: Optional[str]) -> float:
+    try:
+        return float(cell)
+    except (TypeError, ValueError):
+        return math.nan
+
+
+def _floats(cells: Sequence[Optional[str]]) -> np.ndarray:
+    """Parse CSV cells with Python's ``float``; a missing or unparseable
+    cell reads as nan."""
+    try:
+        return np.fromiter(map(float, cells), float, len(cells))
+    except (TypeError, ValueError):
+        return np.fromiter(map(_float_or_nan, cells), float, len(cells))
 
 
 def load_tracks(
@@ -248,83 +287,118 @@ def load_tracks(
     car kind, and masses fall back to ``kind_defaults`` (keyed by kind
     category).  Positions are shifted so the scenario bounds have a
     nonnegative origin; the shift is remembered and undone on export.
+
+    Each column is parsed once, as a whole.  The first data row with a
+    missing, unparseable or non-finite cell raises NonFinite; after that,
+    the first row whose ``frame`` or ``id`` is not an integer (``3.0`` is,
+    ``3.5`` is not; magnitudes above 2**53 are refused) raises NonIntegral.
     """
     remap = dict(schema or {})
     masses = dict(DEFAULT_MASSES)
     if kind_defaults:
         masses.update(kind_defaults)
 
+    lengths: List[int] = []
+
+    def counted(row: List[str]) -> List[str]:
+        lengths.append(len(row))
+        return row
+
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        # The cells of every row in one list; the row lists are not kept.
+        flat = list(itertools.chain.from_iterable(map(counted, reader)))
 
-        def col(name: str) -> Optional[str]:
-            actual = remap.get(name, name)
-            return actual if actual in header else None
-
-        resolved = {}
-        for name in REQUIRED_COLUMNS:
-            actual = col(name)
-            if actual is None:
-                raise MissingColumn(remap.get(name, name))
-            resolved[name] = actual
-        for name in OPTIONAL_COLUMNS:
-            actual = col(name)
-            if actual is not None:
-                resolved[name] = actual
-
-        rows = list(reader)
-
-    def cell(row, name, idx) -> float:
-        try:
-            value = float(row[resolved[name]])
-        except (TypeError, ValueError):
-            raise NonFinite(idx) from None
-        if not math.isfinite(value):
-            raise NonFinite(idx)
-        return value
-
-    states: List[AgentState] = []
-    for idx, row in enumerate(rows):
-        frame = int(cell(row, "frame", idx))
-        aid = int(cell(row, "id", idx))
-        x = cell(row, "x", idx)
-        y = cell(row, "y", idx)
-        vx = cell(row, "xVelocity", idx)
-        vy = cell(row, "yVelocity", idx)
-        length = cell(row, "width", idx)
-        width = cell(row, "height", idx)
-        ax = cell(row, "xAcceleration", idx) if "xAcceleration" in resolved else 0.0
-        ay = cell(row, "yAcceleration", idx) if "yAcceleration" in resolved else 0.0
-        if "class" in resolved and row[resolved["class"]].strip():
-            kind = AgentKind.of(row[resolved["class"]])
-        else:
-            kind = CAR
-        if "mass" in resolved and row[resolved["mass"]].strip():
-            mass = cell(row, "mass", idx)
-        else:
-            mass = masses[kind.category]
-        states.append(AgentState(
-            agent_id=aid,
-            frame=frame,
-            position=np.array([x, y]),
-            velocity=np.array([vx, vy]),
-            acceleration=np.array([ax, ay]),
-            extent=(length, width),
-            mass=mass,
-            kind=kind,
-        ))
-
-    if not states:
+    # A repeated column name resolves to its last column.
+    index = {name: i for i, name in enumerate(header)}
+    resolved: Dict[str, int] = {}
+    for name in REQUIRED_COLUMNS + OPTIONAL_COLUMNS:
+        actual = remap.get(name, name)
+        if actual in index:
+            resolved[name] = index[actual]
+        elif name in REQUIRED_COLUMNS:
+            raise MissingColumn(actual)
+    sizes = np.array(lengths, dtype=np.intp)
+    sizes = sizes[sizes > 0]  # a blank line carries no row
+    n = sizes.size
+    if not n:
         raise BadConfig(f"no data rows in {path}")
 
-    min_x = min(s.position[0] for s in states)
-    min_y = min(s.position[1] for s in states)
-    shift = np.array([max(0.0, -min_x), max(0.0, -min_y)])
-    if shift[0] > 0.0 or shift[1] > 0.0:
-        for s in states:
-            s.position = s.position + shift
+    bad = sizes < max(resolved.values()) + 1
+    width = max(int(sizes.max()), len(header))
+    if sizes.min() < width:
+        # Pad short rows with None so column i is the slice flat[i::width].
+        ends = np.cumsum(sizes).tolist()
+        flat = list(itertools.chain.from_iterable(
+            flat[end - size:end] + [None] * (width - size)
+            for end, size in zip(ends, sizes.tolist())
+        ))
+    columns = {name: flat[i::width] for name, i in resolved.items()}
+    del flat
 
+    numeric = [name for name in resolved if name not in ("class", "mass")]
+    table = _floats(list(itertools.chain.from_iterable(
+        columns[name] for name in numeric))).reshape(len(numeric), n)
+    bad |= ~np.isfinite(table).all(axis=0)
+    values = dict(zip(numeric, table))
+
+    if "class" in resolved:
+        labels = columns["class"]
+        kind_of = {raw: AgentKind.of(raw) if raw and raw.strip() else CAR
+                   for raw in set(labels)}
+        kinds = [kind_of[raw] for raw in labels]
+        default_mass = np.fromiter(
+            (masses[kind.category] for kind in kinds), float, n)
+    else:
+        kinds = [CAR] * n
+        default_mass = np.full(n, float(masses[CAR.category]))
+
+    if "mass" in resolved:
+        cells = columns["mass"]
+        mass = _floats(cells)
+        unset = ~np.isfinite(mass)
+        if unset.any():
+            blank = np.fromiter((not (c or "").strip() for c in cells),
+                                bool, n)
+            bad |= unset & ~blank
+            mass = np.where(blank, default_mass, mass)
+    else:
+        mass = default_mass
+
+    first_bad = np.flatnonzero(bad)
+    if first_bad.size:
+        raise NonFinite(int(first_bad[0]))
+
+    keys = np.column_stack([values["frame"], values["id"]])
+    off = np.flatnonzero((keys != np.trunc(keys))
+                         | (np.abs(keys) > MAX_INTEGRAL))
+    if off.size:
+        row, col = divmod(int(off[0]), 2)
+        raise NonIntegral(row, ("frame", "id")[col], float(keys[row, col]))
+    frame, ids = keys.astype(np.int64).T
+
+    order = np.lexsort((ids, frame))
+    zero = np.zeros(n)  # absent accelerations
+    motion = np.column_stack([values.get(name, zero) for name in (
+        "x", "y", "xVelocity", "yVelocity", "xAcceleration", "yAcceleration",
+    )])[order]
+    pos, vel, acc = motion[:, 0:2], motion[:, 2:4], motion[:, 4:6]
+    shift = np.array([max(0.0, -pos[:, 0].min()), max(0.0, -pos[:, 1].min())])
+    if shift[0] > 0.0 or shift[1] > 0.0:
+        pos += shift
+
+    states = [
+        AgentState(agent_id, f, p, v, a, extent, m, kind)
+        for agent_id, f, p, v, a, extent, m, kind in zip(
+            ids[order].tolist(), frame[order].tolist(),
+            pos, vel, acc,
+            zip(values["width"][order].tolist(),
+                values["height"][order].tolist()),
+            mass[order].tolist(),
+            [kinds[i] for i in order.tolist()],
+        )
+    ]
     return scenario_from_states(states, frame_rate, source=path, offset=shift)
 
 
@@ -332,22 +406,27 @@ def export_tracks(scenario: Scenario, path: str) -> None:
     """Write the scenario back out in the canonical CSV schema.
 
     Positions are shifted back by the load-time offset so numeric columns
-    of a loaded file are reproduced exactly.
+    of a loaded file are reproduced exactly (floats are written as their
+    ``repr``).
     """
+    states = [s for f in scenario.frame_list for s in scenario.frames[f]]
+
+    def block(attr: str) -> np.ndarray:
+        return np.array([getattr(s, attr) for s in states],
+                        dtype=float).reshape(-1, 2)
+
+    columns = [
+        [s.frame for s in states], [s.agent_id for s in states],
+        *(block("position") - scenario.offset).T.tolist(),
+        *block("velocity").T.tolist(), *block("acceleration").T.tolist(),
+        *block("extent").T.tolist(),
+        [s.kind.label for s in states],
+        [float(s.mass) for s in states],
+    ]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(EXPORT_HEADER)
-        for frame in scenario.frame_list:
-            for s in scenario.frames[frame]:
-                pos = s.position - scenario.offset
-                writer.writerow([
-                    s.frame, s.agent_id,
-                    repr(float(pos[0])), repr(float(pos[1])),
-                    repr(float(s.velocity[0])), repr(float(s.velocity[1])),
-                    repr(float(s.acceleration[0])), repr(float(s.acceleration[1])),
-                    repr(float(s.extent[0])), repr(float(s.extent[1])),
-                    s.kind.label, repr(float(s.mass)),
-                ])
+        writer.writerows(zip(*columns))
 
 
 # ==================== interaction graph ====================

@@ -2,11 +2,13 @@
 
 Every function here recomputes an expected value directly from its
 definition, using only the standard library and numpy.  Nothing is
-imported from the package under test but the error types the predictor
-twins raise, and the functions share no helpers with it, so agreement
-with the production code is evidence rather than tautology.
+imported from the package under test but the error types the track
+loader and the predictor twins raise, and the functions share no helpers
+with it, so agreement with the production code is evidence rather than
+tautology.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -27,6 +29,127 @@ def velocity_angle(va, vb, eps_speed=0.1):
         return 0.0
     cos = (va[0] * vb[0] + va[1] * vb[1]) / (sa * sb)
     return math.acos(min(1.0, max(-1.0, cos)))
+
+
+# ---- reference track loader ----
+#
+# The row-by-row loader the package's columnar one replaced: csv.DictReader,
+# one float() and isfinite() per cell, then per-frame duplicate and
+# per-agent contiguity loops.  It returns plain tuples and, apart from the
+# error types it raises, uses no package code.  Two rules were added to it
+# with the columnar loader: a missing cell makes its row non-finite (the
+# class and mass cells used to raise AttributeError), and frame and id
+# must be integers of magnitude at most 2**53 (they used to be truncated).
+
+TRACK_REQUIRED = ("frame", "id", "x", "y", "xVelocity", "yVelocity",
+                  "width", "height")
+TRACK_OPTIONAL = ("xAcceleration", "yAcceleration", "class", "mass")
+TRACK_MASSES = {"pedestrian": 75.0, "bicycle": 90.0, "car": 1500.0,
+                "truck": 15000.0, "other": 1500.0}
+TRACK_KINDS = {"pedestrian": "pedestrian", "person": "pedestrian",
+               "bicycle": "bicycle", "bike": "bicycle",
+               "cyclist": "bicycle", "car": "car", "truck": "truck",
+               "lorry": "truck", "truck_bus": "truck"}
+
+
+def track_kind(raw):
+    """(category, label) of a class cell; blank cells are cars."""
+    if raw is None or not raw.strip():
+        return "car", "car"
+    category = TRACK_KINDS.get(raw.strip().lower())
+    if category is None:
+        return "other", raw.strip()
+    return category, category
+
+
+def load_track_rows(path, schema=None, kind_defaults=None):
+    """Reference ingest of a track CSV.
+
+    Returns (rows, agents, bounds, offset): rows are (frame, id, x, y, vx,
+    vy, ax, ay, length, width, category, label, mass) in (frame, id)
+    order with the shift applied, agents maps id to (category, label,
+    mass, (length, width), first_frame, last_frame).
+    """
+    from risknet.errors import (
+        BadConfig, MissingColumn, NonContiguousTrack, NonFinite, NonIntegral,
+    )
+
+    remap = dict(schema or {})
+    masses = dict(TRACK_MASSES)
+    masses.update(kind_defaults or {})
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        resolved = {}
+        for name in TRACK_REQUIRED + TRACK_OPTIONAL:
+            actual = remap.get(name, name)
+            if actual in header:
+                resolved[name] = actual
+            elif name in TRACK_REQUIRED:
+                raise MissingColumn(actual)
+        raw_rows = list(reader)
+
+    def cell(row, name, idx):
+        try:
+            value = float(row[resolved[name]])
+        except (TypeError, ValueError):
+            raise NonFinite(idx) from None
+        if not math.isfinite(value):
+            raise NonFinite(idx)
+        return value
+
+    parsed = []
+    for idx, row in enumerate(raw_rows):
+        values = [cell(row, name, idx) for name in TRACK_REQUIRED]
+        for name in ("xAcceleration", "yAcceleration"):
+            values.append(cell(row, name, idx) if name in resolved else 0.0)
+        label = row[resolved["class"]] if "class" in resolved else ""
+        if label is None:
+            raise NonFinite(idx)
+        category, label = track_kind(label)
+        mass_cell = row[resolved["mass"]] if "mass" in resolved else ""
+        if mass_cell is None:
+            raise NonFinite(idx)
+        if mass_cell.strip():
+            mass = cell(row, "mass", idx)
+        else:
+            mass = float(masses[category])
+        parsed.append((values, category, label, mass))
+
+    rows = []
+    for idx, (values, category, label, mass) in enumerate(parsed):
+        for name, value in zip(("frame", "id"), values[:2]):
+            if value != math.trunc(value) or abs(value) > 2.0 ** 53:
+                raise NonIntegral(idx, name, value)
+        frame, aid, x, y, vx, vy, length, width, ax, ay = values
+        rows.append((int(frame), int(aid), x, y, vx, vy, ax, ay,
+                     length, width, category, label, mass))
+    if not rows:
+        raise BadConfig(f"no data rows in {path}")
+
+    shift = (max(0.0, -min(r[2] for r in rows)),
+             max(0.0, -min(r[3] for r in rows)))
+    if shift[0] > 0.0 or shift[1] > 0.0:
+        rows = [(r[0], r[1], r[2] + shift[0], r[3] + shift[1]) + r[4:]
+                for r in rows]
+
+    seen = set()
+    for r in rows:
+        if (r[0], r[1]) in seen:
+            raise BadConfig(f"agent {r[1]} appears twice at frame {r[0]}")
+        seen.add((r[0], r[1]))
+    agents = {}
+    for aid in sorted({r[1] for r in rows}):
+        track = sorted((r for r in rows if r[1] == aid), key=lambda r: r[0])
+        for prev, cur in zip(track, track[1:]):
+            if cur[0] != prev[0] + 1:
+                raise NonContiguousTrack(aid, prev[0] + 1)
+        head = track[0]
+        agents[aid] = (head[10], head[11], head[12], (head[8], head[9]),
+                       head[0], track[-1][0])
+    bounds = (min(r[2] for r in rows), min(r[3] for r in rows),
+              max(r[2] for r in rows), max(r[3] for r in rows))
+    return sorted(rows, key=lambda r: (r[0], r[1])), agents, bounds, shift
 
 
 # ---- interaction field ----

@@ -349,6 +349,27 @@ def test_cli_eval_missing_ego_exits_2(cutin, tmp_path):
     assert "99" in proc.stderr
 
 
+@pytest.mark.parametrize("column", ["frame", "id"])
+def test_cli_eval_non_integral_key_exits_2(tmp_path, column):
+    path = tmp_path / "tracks.csv"
+    rows = ["frame,id,x,y,xVelocity,yVelocity,width,height",
+            "0.0,4.0,0,0,10,0,4.5,2",
+            "1,4,1,0,10,0,4.5,2"]
+    rows.append("2,4.5,2,0,10,0,4.5,2" if column == "id"
+                else "3.5,4,2,0,10,0,4.5,2")
+    path.write_text("\n".join(rows) + "\n")
+    proc = run_cli("eval", "--scenario", path, "--ego-id", "4",
+                   "--out", tmp_path / "x.csv")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("risknet: input error:")
+    assert proc.stderr.count("\n") == 1
+    assert f"{column} in data row 2" in proc.stderr
+    rows[3] = "2.0,4,2,0,10,0,4.5,2"
+    path.write_text("\n".join(rows) + "\n")
+    ok("eval", "--scenario", path, "--ego-id", "4", "--out",
+       tmp_path / "x.csv")
+
+
 def test_cli_eval_bad_override_exits_2(cutin, tmp_path):
     proc = run_cli("eval", "--scenario", cutin, "--ego-id", "0",
                    "--set", "risk.nope=1", "--out", tmp_path / "x.csv")

@@ -1,6 +1,7 @@
 """Deterministic interaction field: energies, forces, directional
 corrections, totals, and rasterization."""
 
+import json
 import math
 
 import numpy as np
@@ -502,4 +503,19 @@ def test_read_raster_rejects_wrong_size_binary_payload(tmp_path):
     with open(payload, "wb") as fh:
         fh.write(raw[:-4])
     with pytest.raises(BadConfig, match="payload"):
+        read_raster(sidecar)
+
+
+@pytest.mark.parametrize("key", ["encoding", "origin", "cell", "width",
+                                 "height", "payload", "frame"])
+def test_read_raster_missing_sidecar_key_is_bad_config(tmp_path, key):
+    grid = GridSpec(origin=(0.0, 0.0), cell=2.0, width=5, height=3)
+    raster = RiskRaster(grid=grid, frame=0, values=np.ones((3, 5)))
+    sidecar, _ = write_raster(raster, str(tmp_path / "r"))
+    with open(sidecar) as fh:
+        payload = json.load(fh)
+    del payload[key]
+    with open(sidecar, "w") as fh:
+        json.dump(payload, fh)
+    with pytest.raises(BadConfig, match=repr(key)):
         read_raster(sidecar)

@@ -2,6 +2,8 @@
 
 import csv
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -14,9 +16,11 @@ from risknet.baselines import bumper_gap
 from risknet.errors import (
     BadConfig,
     EgoAbsent,
+    InputError,
     MissingColumn,
     NonContiguousTrack,
     NonFinite,
+    NonIntegral,
 )
 from risknet.scene import (
     ARCHETYPES,
@@ -198,6 +202,47 @@ def test_export_reproduces_numeric_columns(tmp_path):
                 assert abs(x - y) <= 1e-9 * max(1.0, abs(x))
 
 
+def test_non_integral_frame_or_id_rejected(tmp_path):
+    path = tmp_path / "tracks.csv"
+    write_csv(path, [
+        ["0.0", "1.0", 0.0, 0.0, 1.0, 0.0, 4.5, 2.0],
+        [1, 1, 0.1, 0.0, 1.0, 0.0, 4.5, 2.0],
+        [2, "1.5", 0.2, 0.0, 1.0, 0.0, 4.5, 2.0],
+    ])
+    with pytest.raises(NonIntegral) as err:
+        load_tracks(str(path))
+    assert (err.value.row_index, err.value.column) == (2, "id")
+    write_csv(path, [["3.5", 1, 0.0, 0.0, 1.0, 0.0, 4.5, 2.0]])
+    with pytest.raises(NonIntegral) as err:
+        load_tracks(str(path))
+    assert (err.value.row_index, err.value.column) == (0, "frame")
+    write_csv(path, [[0, 2.0 ** 60, 0.0, 0.0, 1.0, 0.0, 4.5, 2.0]])
+    with pytest.raises(NonIntegral):
+        load_tracks(str(path))
+
+
+def test_integral_floats_load_as_ints(tmp_path):
+    path = tmp_path / "tracks.csv"
+    write_csv(path, [["0.0", "7.0", 0.0, 0.0, 1.0, 0.0, 4.5, 2.0],
+                     ["1", " 7 ", 0.1, 0.0, 1.0, 0.0, 4.5, 2.0]])
+    sc = load_tracks(str(path))
+    assert list(sc.frames) == [0, 1] and list(sc.agents) == [7]
+    assert all(type(s.frame) is int and type(s.agent_id) is int
+               for states in sc.frames.values() for s in states)
+
+
+def test_short_row_and_blank_lines(tmp_path):
+    """A blank line is not a data row; a row missing a cell is non-finite
+    at its data-row index."""
+    path = tmp_path / "tracks.csv"
+    path.write_text(",".join(HEADER + ["class"]) + "\n"
+                    "0,1,0,0,1,0,4.5,2,car\n\n"
+                    "1,1,0.1,0,1,0,4.5,2\n")
+    with pytest.raises(NonFinite) as err:
+        load_tracks(str(path))
+    assert err.value.row_index == 1
+
+
 def test_duplicate_agent_in_frame_rejected():
     states = [make_state(1, 0), make_state(1, 0, position=(5.0, 0.0))]
     with pytest.raises(BadConfig):
@@ -211,6 +256,167 @@ def test_scenario_accessors():
     assert sc.span() == (0, 4)
     assert sc.has_state(1, 4) and not sc.has_state(1, 5)
     assert {s.agent_id for s in sc.states_at(2)} == {1, 2}
+
+
+# ---- columnar ingest against the row-by-row reference ----
+
+OPTIONAL = ("xAcceleration", "yAcceleration", "class", "mass")
+NUMERIC = ("frame", "id", "x", "y", "xVelocity", "yVelocity", "width",
+           "height", "xAcceleration", "yAcceleration", "mass")
+LABELS = ("car", "Car", " truck ", "Truck_Bus", "bike", "person",
+          "hovercraft", "Van", "", "  ")
+DEFECTS = ("non_finite", "text", "short", "long", "duplicate", "gap",
+           "fraction", "drop_column")
+
+
+def _numbers(lo, hi):
+    """Float cells in several spellings, including -0 and padding."""
+    return st.builds(
+        lambda v, style: style.format(v),
+        st.floats(lo, hi, allow_nan=False),
+        st.sampled_from(("{!r}", "{:.3f}", " {!r} ", "{:.0f}", "{:e}")),
+    )
+
+
+def _integral(value):
+    return st.sampled_from((str(value), f"{value}.0", f" {value} ",
+                            f"{value}e0"))
+
+
+@st.composite
+def track_tables(draw):
+    """A well-formed track table: canonical column names, the header as
+    written, [(frame, id), cells] rows, the schema and kind defaults."""
+    columns = list(HEADER) + draw(st.lists(st.sampled_from(OPTIONAL),
+                                           unique=True))
+    if draw(st.booleans()):
+        columns.append("lane")  # a column nothing reads
+    columns = draw(st.permutations(columns))
+    rows = []
+    for aid in draw(st.lists(st.integers(-30, 60), min_size=1, max_size=4,
+                             unique=True)):
+        first = draw(st.integers(-3, 6))
+        for f in range(first, first + draw(st.integers(1, 5))):
+            cells = {"frame": draw(_integral(f)),
+                     "id": draw(_integral(aid)), "lane": "2",
+                     "class": draw(st.sampled_from(LABELS)),
+                     "mass": draw(st.one_of(st.sampled_from(("", " ")),
+                                            _numbers(50.0, 4e4)))}
+            for name in ("x", "y", "xVelocity", "yVelocity",
+                         "xAcceleration", "yAcceleration"):
+                cells[name] = draw(_numbers(-500.0, 500.0))
+            for name in ("width", "height"):
+                cells[name] = draw(_numbers(0.5, 20.0))
+            rows.append([(f, aid), [cells[c] for c in columns]])
+    rows = draw(st.permutations(rows))
+    schema = {}
+    if draw(st.booleans()):
+        renamed = draw(st.lists(st.sampled_from(HEADER + list(OPTIONAL)),
+                                unique=True))
+        schema = {name: f"c_{name.lower()}" for name in renamed}
+    header = [schema.get(c, c) for c in columns]
+    kind_defaults = draw(st.sampled_from((None, {"car": 999.5},
+                                          {"other": 42.0, "truck": 9e3})))
+    return columns, header, rows, schema, kind_defaults
+
+
+@st.composite
+def malformed_tables(draw):
+    """A track table with one to three defects applied in turn."""
+    columns, header, rows, schema, kind_defaults = draw(track_tables())
+    header = list(header)
+    rows = [[key, list(cells)] for key, cells in rows]
+    numeric = [k for k, c in enumerate(columns) if c in NUMERIC]
+    for defect in draw(st.lists(st.sampled_from(DEFECTS), min_size=1,
+                                max_size=3)):
+        i = draw(st.integers(0, len(rows) - 1))
+        (f, aid), cells = rows[i]
+        present = [k for k in numeric if k < len(cells)]
+        if defect in ("non_finite", "text") and present:
+            cells[draw(st.sampled_from(present))] = draw(st.sampled_from(
+                ("nan", "NaN", " -inf", "inf", "1e999")
+                if defect == "non_finite"
+                else ("abc", "", "1,5", "--1", "0x10")))
+        elif defect == "short":
+            del cells[draw(st.integers(0, len(cells) - 1)):]
+        elif defect == "long":
+            cells.extend(["9"] * draw(st.integers(1, 3)))
+        elif defect == "duplicate":
+            rows.insert(draw(st.integers(0, len(rows))),
+                        [(f, aid), list(cells)])
+        elif defect == "gap":
+            keys = {key for key, _ in rows}
+            inner = [k for k, (key, _) in enumerate(rows)
+                     if (key[0] - 1, key[1]) in keys
+                     and (key[0] + 1, key[1]) in keys]
+            if inner:
+                del rows[draw(st.sampled_from(inner))]
+        elif defect == "fraction":
+            k = draw(st.sampled_from(("frame", "id")))
+            if columns.index(k) < len(cells):
+                cells[columns.index(k)] = f"{f if k == 'frame' else aid}.5"
+        elif defect == "drop_column":
+            k = draw(st.integers(0, len(header) - 1))
+            header[k] = "zz"
+    return columns, header, rows, schema, kind_defaults
+
+
+def _outcome(load, table):
+    _, header, rows, schema, kind_defaults = table
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "tracks.csv")
+        write_csv(path, [cells for _, cells in rows], header=header)
+        try:
+            return load(path, schema=schema or None,
+                        kind_defaults=kind_defaults)
+        except InputError as exc:
+            return exc
+
+
+def _plain(states):
+    return [tuple(map(repr, (
+        s.frame, s.agent_id, *map(float, s.position),
+        *map(float, s.velocity), *map(float, s.acceleration), *s.extent,
+        s.kind.category, s.kind.label, s.mass))) for s in states]
+
+
+def assert_same_scene(sc, ref):
+    rows, agents, bounds, offset = ref
+    states = [s for f in sc.frame_list for s in sc.frames[f]]
+    assert _plain(states) == [tuple(map(repr, r)) for r in rows]
+    assert list(sc.frames) == sorted({r[0] for r in rows})
+    assert all(sc.state(s.agent_id, s.frame) is s for s in states)
+    assert {aid: (i.kind.category, i.kind.label, i.mass, i.extent,
+                  i.first_frame, i.last_frame)
+            for aid, i in sc.agents.items()} == agents
+    assert list(sc.agents) == list(agents)
+    assert sc.bounds == bounds
+    assert np.array_equal(sc.offset, offset)
+
+
+def assert_same_error(got, want):
+    assert type(got) is type(want), (got, want)
+    for field in ("row_index", "column", "agent_id", "gap_frame", "name"):
+        assert getattr(got, field, None) == getattr(want, field, None)
+
+
+@given(table=track_tables())
+@settings(max_examples=50, deadline=None)
+def test_columnar_ingest_matches_reference_loader(table):
+    want = _outcome(oracles.load_track_rows, table)
+    assert not isinstance(want, Exception), want
+    assert_same_scene(_outcome(load_tracks, table), want)
+
+
+@given(table=malformed_tables())
+@settings(max_examples=50, deadline=None)
+def test_columnar_ingest_rejects_like_reference_loader(table):
+    got = _outcome(load_tracks, table)
+    want = _outcome(oracles.load_track_rows, table)
+    if isinstance(want, Exception):
+        assert_same_error(got, want)
+    else:
+        assert_same_scene(got, want)
 
 
 # ---- interaction graph ----
