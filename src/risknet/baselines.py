@@ -7,11 +7,11 @@ frame against the same scenario the interaction field sees.
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import BadConfig
-from .field import RiskFieldParams, pairwise_force, total_directional_force
+from .field import RiskFieldParams, total_directional_force, total_force
 from .scene import (
     DEFAULT_LANE_WIDTH,
     EPS_SPEED,
@@ -149,14 +149,11 @@ def nc_field_risk(
     neighbors strictly in the ego's forward half plane, with no
     directional correction."""
     sign = _heading_sign(ego)
-    by_id = {s.agent_id: s for s in frame_states}
-    total = 0.0
-    for nid in graph.neighbors(ego.agent_id):
-        other = by_id[nid]
-        if sign * (other.position[0] - ego.position[0]) <= 0.0:
-            continue
-        total += pairwise_force(ego, other, params)
-    return total
+    x = {s.agent_id: s.position[0] for s in frame_states}
+    ahead = [(ego.agent_id, n) for n in graph.neighbors(ego.agent_id)
+             if sign * (x[n] - ego.position[0]) > 0.0]
+    return total_force(ego, replace(graph, edges=frozenset(ahead)),
+                       frame_states, params)
 
 
 # ==================== per-frame comparison table ====================

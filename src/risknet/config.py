@@ -43,7 +43,6 @@ class IOConfig:
     frame_rate: float = 25.0  # Hz, for ingested track files
     schema: Dict[str, str] = field(default_factory=dict)  # column remaps
     binary_raster: bool = False
-    weights: str = "uniform"  # horizon weight preset for risk series
 
     def __post_init__(self):
         if self.frame_rate <= 0:

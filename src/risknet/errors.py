@@ -49,6 +49,15 @@ class NonIntegral(InputError):
         self.column = column
 
 
+class NonPositive(InputError):
+    def __init__(self, row_index: int, column: str, value: float):
+        super().__init__(
+            f"{column} in data row {row_index} must be positive: {value!r}"
+        )
+        self.row_index = row_index
+        self.column = column
+
+
 class EgoAbsent(InputError):
     def __init__(self, ego_id: int, frame: int):
         super().__init__(f"agent {ego_id} is not present at frame {frame}")

@@ -3,24 +3,20 @@
 Risk between two agents is modeled as a virtual interaction energy that
 grows with relative speed and the reduced mass of the pair, turned into a
 force by dividing by their distance, and reshaped directionally by a
-Doppler-style longitudinal factor and a lateral angular decay.
+Doppler-style longitudinal factor and a lateral angular decay.  Each
+formula appears once, in a kernel that broadcasts over agent columns.
 """
 
 import json
 import math
 import struct
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import BadConfig, DegenerateDenominator, EmptyFrame
-from .scene import (
-    AgentState,
-    InteractionGraph,
-    Scenario,
-    velocity_angle,
-)
+from .scene import EPS_SPEED, AgentState, InteractionGraph, Scenario
 
 # Doppler denominators closer to zero than this raise DegenerateDenominator.
 EPS_DENOM = 1e-6  # m/s
@@ -68,9 +64,9 @@ class RiskFieldParams:
         missing = [c for c in DEFAULT_K if c not in self.k]
         if missing:
             raise BadConfig(f"k map missing kinds: {missing}")
-
-    def k_of(self, kind_category: str) -> float:
-        return self.k[kind_category]
+        if not all(0.0 <= v < math.inf
+                   for v in [*self.k.values(), self.C_default]):
+            raise BadConfig("k and C_default must be finite and nonnegative")
 
 
 @dataclass
@@ -87,10 +83,102 @@ class RiskSample:
     directional_force: float  # N
 
 
+class AgentColumns(NamedTuple):
+    """Agents as arrays; an (M, 1) ego against (N,) others gives (M, N)
+    pair terms.  k and C enter only as the other agent's."""
+
+    position: np.ndarray  # (..., 2) m
+    velocity: np.ndarray  # (..., 2) m/s
+    length: np.ndarray  # (...) m, extent along x
+    mass: np.ndarray  # (...) kg
+    k: np.ndarray  # (...) severity of the agent's kind
+    C: np.ndarray  # (...) road condition around the agent
+
+
+def _c_for(c_of: Optional[Mapping[int, float]], agent_id: int,
+           params: RiskFieldParams) -> float:
+    if c_of is None:
+        return params.C_default
+    return c_of.get(agent_id, params.C_default)
+
+
+def agent_columns(states: Sequence[AgentState], params: RiskFieldParams,
+                  c_of: Optional[Mapping[int, float]] = None) -> AgentColumns:
+    """Stack states into (n,) columns with one array build; C by id."""
+    rows = [[*s.position.tolist(), *s.velocity.tolist(), s.extent[0], s.mass,
+             params.k[s.kind.category], _c_for(c_of, s.agent_id, params)]
+            for s in states]
+    table = np.array(rows, dtype=float).reshape(-1, 8)
+    return AgentColumns(table[:, 0:2], table[:, 2:4], *table[:, 4:].T)
+
+
+def _contact_floor(len_a, len_b, params: RiskFieldParams) -> np.ndarray:
+    return np.maximum(params.r_min, 0.5 * (len_a + len_b))
+
+
+def force_terms(ego: AgentColumns, other: AgentColumns,
+                params: RiskFieldParams) -> Tuple[np.ndarray, ...]:
+    """Energy (J), force (N) and center distance r (m) of every pair;
+    the force divides the energy by r floored at the contact distance."""
+    dv = ego.velocity - other.velocity
+    rel_sq = dv[..., 0] * dv[..., 0] + dv[..., 1] * dv[..., 1]
+    if params.unit_mass_energy:
+        mu = 1.0
+    else:
+        mu = ego.mass * other.mass / (ego.mass + other.mass)
+    energy = 0.5 * other.k * other.C * mu * rel_sq
+    d = other.position - ego.position
+    r = np.hypot(d[..., 0], d[..., 1])
+    floor = _contact_floor(ego.length, other.length, params)
+    return energy, energy / np.maximum(r, floor), r
+
+
+def _alpha_lon(v_ego, v_other, cos_theta,
+               params: RiskFieldParams) -> np.ndarray:
+    """Doppler ratio floored at 0; alpha_cap where its denominator is
+    within EPS_DENOM of zero."""
+    denom = params.wave_speed - v_other * cos_theta
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = (params.wave_speed + v_ego * cos_theta) / denom
+    return np.where(np.abs(denom) < EPS_DENOM, params.alpha_cap,
+                    np.maximum(0.0, ratio))
+
+
+def _alpha_lat(cos_theta, params: RiskFieldParams) -> np.ndarray:
+    """exp(-beta * sin^2 theta), with sin^2 theta = 1 - cos^2 theta."""
+    return np.exp(-params.beta * (1.0 - cos_theta * cos_theta))
+
+
+def directional_terms(ego: AgentColumns, other: AgentColumns,
+                      force: np.ndarray,
+                      params: RiskFieldParams) -> Tuple[np.ndarray, ...]:
+    """alpha_lon, alpha_lat and directional force of every pair; cos theta
+    is 1 when either speed is below EPS_SPEED, where it means nothing."""
+    v_ego = np.hypot(ego.velocity[..., 0], ego.velocity[..., 1])
+    v_other = np.hypot(other.velocity[..., 0], other.velocity[..., 1])
+    dot = np.sum(ego.velocity * other.velocity, axis=-1)
+    slow = (v_ego < EPS_SPEED) | (v_other < EPS_SPEED)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos_theta = np.where(slow, 1.0,
+                             np.clip(dot / (v_ego * v_other), -1.0, 1.0))
+    a_lon = _alpha_lon(v_ego, v_other, cos_theta, params)
+    a_lat = _alpha_lat(cos_theta, params)
+    return a_lon, a_lat, a_lon * a_lat * force
+
+
+def sum_others(values: np.ndarray):
+    """Sum (N,) or (M, N) values over the others axis one column at a
+    time, so masked zero columns leave the sum bit-identical."""
+    total = 0.0
+    for column in values.T:
+        total = total + column
+    return total
+
+
 def pair_distance_floor(a: AgentState, b: AgentState,
                         params: RiskFieldParams) -> float:
     """Distance floor for a pair: half the summed lengths, at least r_min."""
-    return max(params.r_min, 0.5 * (a.extent[0] + b.extent[0]))
+    return float(_contact_floor(a.extent[0], b.extent[0], params))
 
 
 def interaction_energy(
@@ -106,15 +194,7 @@ def interaction_energy(
     With ``unit_mass_energy`` the reduced-mass factor is replaced by 1,
     which makes the field mass-free.
     """
-    c = params.C_default if C is None else C
-    k = params.k_of(other.kind.category)
-    dv = ego.velocity - other.velocity
-    rel_sq = float(dv[0] * dv[0] + dv[1] * dv[1])
-    if params.unit_mass_energy:
-        mu = 1.0
-    else:
-        mu = ego.mass * other.mass / (ego.mass + other.mass)
-    return 0.5 * k * c * mu * rel_sq
+    return directional_force(ego, other, params, C).energy
 
 
 def pairwise_force(
@@ -128,9 +208,7 @@ def pairwise_force(
     The distance is floored at the pair's contact distance so the force
     stays finite when bounding boxes touch.
     """
-    d = other.position - ego.position
-    r = max(math.hypot(d[0], d[1]), pair_distance_floor(ego, other, params))
-    return interaction_energy(ego, other, params, C) / r
+    return directional_force(ego, other, params, C).force
 
 
 def doppler_ratio(
@@ -155,17 +233,12 @@ def alpha_lon(
 ) -> float:
     """Longitudinal risk amplification; nonnegative, capped at alpha_cap
     when the ratio degenerates."""
-    try:
-        ratio = doppler_ratio(v_ego, v_other, theta, params)
-    except DegenerateDenominator:
-        return params.alpha_cap
-    return max(0.0, ratio)
+    return float(_alpha_lon(v_ego, v_other, np.cos(theta), params))
 
 
 def alpha_lat(theta: float, params: RiskFieldParams) -> float:
     """Lateral decay exp(-beta * sin^2 theta), in (0, 1]."""
-    s = math.sin(theta)
-    return math.exp(-params.beta * s * s)
+    return float(_alpha_lat(np.cos(theta), params))
 
 
 def directional_force(
@@ -175,28 +248,31 @@ def directional_force(
     C: Optional[float] = None,
 ) -> RiskSample:
     """Directionally corrected pairwise risk."""
-    energy = interaction_energy(ego, other, params, C)
-    force = pairwise_force(ego, other, params, C)
-    theta = velocity_angle(ego.velocity, other.velocity)
-    a_lon = alpha_lon(ego.speed, other.speed, theta, params)
-    a_lat = alpha_lat(theta, params)
+    a = agent_columns([ego], params)
+    b = agent_columns([other], params,
+                      None if C is None else {other.agent_id: C})
+    energy, force, _ = force_terms(a, b, params)
+    a_lon, a_lat, directional = directional_terms(a, b, force, params)
     return RiskSample(
         ego_id=ego.agent_id,
         other_id=other.agent_id,
         frame=ego.frame,
-        energy=energy,
-        force=force,
-        alpha_lon=a_lon,
-        alpha_lat=a_lat,
-        directional_force=a_lon * a_lat * force,
+        energy=float(energy[0]),
+        force=float(force[0]),
+        alpha_lon=float(a_lon[0]),
+        alpha_lat=float(a_lat[0]),
+        directional_force=float(directional[0]),
     )
 
 
-def _c_for(c_of: Optional[Mapping[int, float]], agent_id: int,
-           params: RiskFieldParams) -> float:
-    if c_of is None:
-        return params.C_default
-    return c_of.get(agent_id, params.C_default)
+def _neighbour_columns(ego: AgentState, graph: InteractionGraph,
+                       frame_states: Sequence[AgentState],
+                       params: RiskFieldParams,
+                       c_of: Optional[Mapping[int, float]] = None):
+    """Columns of the ego and of its graph neighbours, ascending by id."""
+    by_id = {s.agent_id: s for s in frame_states}
+    others = [by_id[i] for i in graph.neighbors(ego.agent_id)]
+    return agent_columns([ego], params), agent_columns(others, params, c_of)
 
 
 def total_energy(
@@ -207,12 +283,8 @@ def total_energy(
     c_of: Optional[Mapping[int, float]] = None,
 ) -> float:
     """Sum of pair energies over the ego's graph neighbors (no direction)."""
-    by_id = {s.agent_id: s for s in frame_states}
-    total = 0.0
-    for nid in graph.neighbors(ego.agent_id):
-        other = by_id[nid]
-        total += interaction_energy(ego, other, params, _c_for(c_of, nid, params))
-    return total
+    pairs = _neighbour_columns(ego, graph, frame_states, params, c_of)
+    return float(sum_others(force_terms(*pairs, params)[0]))
 
 
 def total_force(
@@ -224,12 +296,8 @@ def total_force(
 ) -> float:
     """Sum of pair forces over the ego's graph neighbors, without the
     directional correction.  Kept callable on its own for ablations."""
-    by_id = {s.agent_id: s for s in frame_states}
-    total = 0.0
-    for nid in graph.neighbors(ego.agent_id):
-        other = by_id[nid]
-        total += pairwise_force(ego, other, params, _c_for(c_of, nid, params))
-    return total
+    pairs = _neighbour_columns(ego, graph, frame_states, params, c_of)
+    return float(sum_others(force_terms(*pairs, params)[1]))
 
 
 def total_directional_force(
@@ -240,13 +308,9 @@ def total_directional_force(
     c_of: Optional[Mapping[int, float]] = None,
 ) -> float:
     """Sum of directionally corrected pair forces over graph neighbors."""
-    by_id = {s.agent_id: s for s in frame_states}
-    total = 0.0
-    for nid in graph.neighbors(ego.agent_id):
-        other = by_id[nid]
-        sample = directional_force(ego, other, params, _c_for(c_of, nid, params))
-        total += sample.directional_force
-    return total
+    a, b = _neighbour_columns(ego, graph, frame_states, params, c_of)
+    force = force_terms(a, b, params)[1]
+    return float(sum_others(directional_terms(a, b, force, params)[2]))
 
 
 # ==================== rasterization ====================
@@ -279,8 +343,24 @@ class RiskRaster:
     values: np.ndarray  # (height, width), newtons
 
 
-def _probe_at(probe: AgentState, x: float, y: float) -> AgentState:
-    return replace(probe, position=np.array([x, y]))
+def raster_field(probe: AgentState, others: AgentColumns, weights: np.ndarray,
+                 grid: GridSpec, params: RiskFieldParams,
+                 frame: int) -> RiskRaster:
+    """Sum of weight times directional force on the probe at each cell
+    center, over the others within R of it, one grid row per call."""
+    ego = agent_columns([probe], params)
+    xs, ys = grid.center(np.arange(grid.height), np.arange(grid.width))
+    values = np.zeros((grid.height, grid.width))
+    for row, y in enumerate(ys):
+        centers = np.stack([xs, np.full(grid.width, y)], axis=1)
+        placed = ego._replace(position=centers[:, None, :])
+        _, force, r = force_terms(placed, others, params)
+        directional = directional_terms(placed, others, force, params)[2]
+        values[row] = sum_others(
+            np.where(r <= params.R, directional, 0.0) * weights)
+    if not np.isfinite(values).all() or (values < 0).any():
+        raise BadConfig("raster produced non-finite or negative values")
+    return RiskRaster(grid=grid, frame=frame, values=values)
 
 
 def rasterize(
@@ -301,29 +381,11 @@ def rasterize(
     lo, hi = scenario.span()
     if frame < lo or frame > hi:
         raise EmptyFrame(frame)
+    # states_at is ascending by id, the order totals sum in
     others = [s for s in scenario.states_at(frame)
               if s.agent_id != probe.agent_id]
-    values = np.zeros((grid.height, grid.width))
-    for row in range(grid.height):
-        for col in range(grid.width):
-            cx, cy = grid.center(row, col)
-            placed = _probe_at(probe, cx, cy)
-            in_range = [
-                s for s in others
-                if math.hypot(s.position[0] - cx, s.position[1] - cy)
-                <= params.R
-            ]
-            edges = frozenset((probe.agent_id, s.agent_id) for s in in_range)
-            graph = InteractionGraph(
-                ego_id=probe.agent_id, frame=frame,
-                radius=params.R, edges=edges,
-            )
-            values[row, col] = total_directional_force(
-                placed, graph, in_range, params, c_of
-            )
-    if not np.isfinite(values).all() or (values < 0).any():
-        raise BadConfig("raster produced non-finite or negative values")
-    return RiskRaster(grid=grid, frame=frame, values=values)
+    return raster_field(probe, agent_columns(others, params, c_of),
+                        np.ones(len(others)), grid, params, frame)
 
 
 # ---- raster file I/O ----

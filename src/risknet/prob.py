@@ -6,9 +6,8 @@ across modes, summed over interaction neighbors, and aggregated into a
 weighted cumulative score or a spatial raster.
 """
 
-import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -18,7 +17,9 @@ from .field import (
     RiskFieldParams,
     RiskRaster,
     _c_for,
+    agent_columns,
     directional_force,
+    raster_field,
 )
 from .predictor.model import MixturePrediction, PredictionMode
 from .scene import (
@@ -48,12 +49,14 @@ def predicted_angle(v_ego: np.ndarray, v_hat: np.ndarray) -> float:
     return velocity_angle(np.asarray(v_ego, float), np.asarray(v_hat, float))
 
 
-def _require_anchor(pred: MixturePrediction) -> AgentState:
+def _require_anchor(pred: MixturePrediction, p: int) -> AgentState:
     if pred.anchor is None:
         raise BadConfig(
             "prediction lacks an anchor state; risk fusion needs the "
             "agent's current kinematics"
         )
+    if not 1 <= p <= pred.horizon:
+        raise BadConfig(f"step {p} outside prediction horizon {pred.horizon}")
     return pred.anchor
 
 
@@ -78,9 +81,7 @@ def mode_risk(
     extrapolated at constant velocity over the same lead time.  The
     result does not depend on the mode's probability.
     """
-    anchor = _require_anchor(pred)
-    if not 1 <= p <= pred.horizon:
-        raise BadConfig(f"step {p} outside prediction horizon {pred.horizon}")
+    anchor = _require_anchor(pred, p)
     mode = pred.modes[mode_index]
     x_hat = mode.states[p - 1, :2]
     v_hat = estimate_velocity(anchor.position, x_hat, p, pred.dt)
@@ -235,49 +236,6 @@ def expected_risk_series(
     return series
 
 
-SERIES_HEADER = "step,time_s,expected_force_N"
-
-
-def write_series(series: RiskTimeSeries, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(SERIES_HEADER + "\n")
-        for i, value in enumerate(series.values):
-            p = i + 1
-            fh.write(f"{p},{repr(p * series.dt)},{repr(float(value))}\n")
-        fh.write(
-            f"# cumulative={repr(series.cumulative)},"
-            f"weights={series.weights_preset}\n"
-        )
-
-
-def read_series(path: str) -> Tuple[np.ndarray, float, str]:
-    """Read back (values, cumulative, preset) from a series CSV."""
-    values: List[float] = []
-    cumulative = None
-    preset = ""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != SERIES_HEADER:
-            raise BadConfig(f"unexpected series header {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                for part in body.split(","):
-                    key, _, val = part.partition("=")
-                    if key == "cumulative":
-                        cumulative = float(val)
-                    elif key == "weights":
-                        preset = val
-                continue
-            values.append(float(line.split(",")[2]))
-    if cumulative is None:
-        raise BadConfig("series file lacks the cumulative trailer")
-    return np.array(values), cumulative, preset
-
-
 # ==================== replay predictions ====================
 
 def replay_prediction(
@@ -330,34 +288,15 @@ def probabilistic_raster(
     per-mode finite-difference velocities remain the contract of
     mode_risk, where no such degeneracy is required.
     """
-    ghosts: List[Tuple[int, float, AgentState, float]] = []
+    ghosts, weights = [], []
     for agent_id in sorted(predictions.keys()):
         if agent_id == ego.agent_id:
             continue
         pred = predictions[agent_id]
-        anchor = _require_anchor(pred)
-        if not 1 <= p <= pred.horizon:
-            raise BadConfig(
-                f"step {p} outside prediction horizon {pred.horizon}"
-            )
-        c = _c_for(c_of, agent_id, params)
+        anchor = _require_anchor(pred, p)
         for mode in pred.modes:
-            ghost = _ghost(anchor, mode.states[p - 1, :2],
-                           mode.states[p - 1, 2:4])
-            ghosts.append((agent_id, mode.pi, ghost, c))
-    values = np.zeros((grid.height, grid.width))
-    for row in range(grid.height):
-        for col in range(grid.width):
-            cx, cy = grid.center(row, col)
-            placed = replace(ego, position=np.array([cx, cy]))
-            total = 0.0
-            for _, pi, ghost, c in ghosts:
-                dx = ghost.position[0] - cx
-                dy = ghost.position[1] - cy
-                if math.hypot(dx, dy) <= params.R:
-                    sample = directional_force(placed, ghost, params, c)
-                    total += pi * sample.directional_force
-            values[row, col] = total
-    if not np.isfinite(values).all() or (values < 0).any():
-        raise BadConfig("raster produced non-finite or negative values")
-    return RiskRaster(grid=grid, frame=ego.frame + p, values=values)
+            ghosts.append(_ghost(anchor, mode.states[p - 1, :2],
+                                 mode.states[p - 1, 2:4]))
+            weights.append(mode.pi)
+    return raster_field(ego, agent_columns(ghosts, params, c_of),
+                        np.array(weights), grid, params, ego.frame + p)

@@ -23,6 +23,7 @@ from .errors import (
     NonContiguousTrack,
     NonFinite,
     NonIntegral,
+    NonPositive,
 )
 
 # Speeds below this are treated as standing still when angles are needed.
@@ -291,7 +292,9 @@ def load_tracks(
     Each column is parsed once, as a whole.  The first data row with a
     missing, unparseable or non-finite cell raises NonFinite; after that,
     the first row whose ``frame`` or ``id`` is not an integer (``3.0`` is,
-    ``3.5`` is not; magnitudes above 2**53 are refused) raises NonIntegral.
+    ``3.5`` is not; magnitudes above 2**53 are refused) raises NonIntegral,
+    and then the first row whose ``width``, ``height`` or mass (after the
+    kind default fills a blank cell) is not positive raises NonPositive.
     """
     remap = dict(schema or {})
     masses = dict(DEFAULT_MASSES)
@@ -377,6 +380,15 @@ def load_tracks(
         row, col = divmod(int(off[0]), 2)
         raise NonIntegral(row, ("frame", "id")[col], float(keys[row, col]))
     frame, ids = keys.astype(np.int64).T
+
+    body = {"width": values["width"], "height": values["height"],
+            "mass": mass}
+    # masks are built only on failure, so a good file allocates nothing
+    if min(column.min() for column in body.values()) <= 0.0:
+        low = np.logical_or.reduce([c <= 0.0 for c in body.values()])
+        row = int(np.argmax(low))
+        name = next(k for k, c in body.items() if c[row] <= 0.0)
+        raise NonPositive(row, name, float(body[name][row]))
 
     order = np.lexsort((ids, frame))
     zero = np.zeros(n)  # absent accelerations

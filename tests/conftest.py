@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from risknet.field import GridSpec
 from risknet.scene import CAR, CAR_EXTENT, AgentState, scenario_from_states
 
 
@@ -29,6 +30,24 @@ def constant_velocity_scenario(specs, n_frames=20, frame_rate=25.0):
             states.append(make_state(
                 aid, f, (x0 + vx * f * dt, y0 + vy * f * dt), (vx, vy)))
     return scenario_from_states(states, frame_rate)
+
+
+def dense_scenario():
+    """Nine agents around the probe of ``dense_raster``: slow, standing,
+    head-on, faster than wave_speed, on the Doppler pole, and some beyond
+    the interaction radius of part of the grid."""
+    return constant_velocity_scenario(
+        [(1, 10, 3, 20, 0), (2, 25, -2, 15, 1), (3, -30, 4, 33, 0),
+         (4, 40, -6, -28, 0.5), (5, 5, 8, 0.05, 0.02), (6, 35, 0, 30, 0),
+         (7, -40, 1, 22, -1), (8, 120, 3, 25, 0), (9, 15, 0, 0, 0)],
+        n_frames=3)
+
+
+def dense_raster():
+    """Probe and grid for ``dense_scenario`` at frame 1."""
+    probe = make_state(0, 1, (0.0, 0.0), (25.0, 0.0))
+    return probe, GridSpec(origin=(-30.0, -12.0), cell=6.0, width=14,
+                           height=5)
 
 
 @pytest.fixture

@@ -40,6 +40,8 @@ def velocity_angle(va, vb, eps_speed=0.1):
 # with the columnar loader: a missing cell makes its row non-finite (the
 # class and mass cells used to raise AttributeError), and frame and id
 # must be integers of magnitude at most 2**53 (they used to be truncated).
+# A third came later: width, height and the mass, after a blank mass cell
+# takes its kind default, must be positive.
 
 TRACK_REQUIRED = ("frame", "id", "x", "y", "xVelocity", "yVelocity",
                   "width", "height")
@@ -72,6 +74,7 @@ def load_track_rows(path, schema=None, kind_defaults=None):
     """
     from risknet.errors import (
         BadConfig, MissingColumn, NonContiguousTrack, NonFinite, NonIntegral,
+        NonPositive,
     )
 
     remap = dict(schema or {})
@@ -116,11 +119,16 @@ def load_track_rows(path, schema=None, kind_defaults=None):
             mass = float(masses[category])
         parsed.append((values, category, label, mass))
 
-    rows = []
-    for idx, (values, category, label, mass) in enumerate(parsed):
+    for idx, (values, _, _, _) in enumerate(parsed):
         for name, value in zip(("frame", "id"), values[:2]):
             if value != math.trunc(value) or abs(value) > 2.0 ** 53:
                 raise NonIntegral(idx, name, value)
+    rows = []
+    for idx, (values, category, label, mass) in enumerate(parsed):
+        for name, value in zip(("width", "height", "mass"),
+                               (values[6], values[7], mass)):
+            if value <= 0.0:
+                raise NonPositive(idx, name, value)
         frame, aid, x, y, vx, vy, length, width, ax, ay = values
         rows.append((int(frame), int(aid), x, y, vx, vy, ax, ay,
                      length, width, category, label, mass))

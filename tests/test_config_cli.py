@@ -53,7 +53,6 @@ def test_default_config_values():
     assert cfg.detect.nc == "p90"
     assert cfg.io.frame_rate == 25.0
     assert cfg.io.binary_raster is False
-    assert cfg.io.weights == "uniform"
 
 
 def test_load_config_round_trip(tmp_path):
@@ -368,6 +367,30 @@ def test_cli_eval_non_integral_key_exits_2(tmp_path, column):
     path.write_text("\n".join(rows) + "\n")
     ok("eval", "--scenario", path, "--ego-id", "4", "--out",
        tmp_path / "x.csv")
+
+
+@pytest.mark.parametrize("command", ["eval", "compare"])
+@pytest.mark.parametrize("masses, body, column, row", [
+    (("0", "0"), ("4.5", "2"), "mass", 0),
+    (("1500", "-1500"), ("4.5", "2"), "mass", 1),
+    (("1500", "1500"), ("-4.5", "2"), "width", 1),
+    (("1500", "1500"), ("4.5", "0"), "height", 1),
+])
+def test_cli_non_positive_body_exits_2(tmp_path, command, masses, body,
+                                       column, row):
+    path = tmp_path / "tracks.csv"
+    rows = ["frame,id,x,y,xVelocity,yVelocity,width,height,mass"]
+    for f in range(2):
+        rows.append(f"{f},0,{0.4 * f},0,10,0,4.5,2,{masses[0]}")
+        rows.append(f"{f},1,{20 + 0.2 * f},0,5,0,{body[0]},{body[1]},"
+                    f"{masses[1]}")
+    path.write_text("\n".join(rows) + "\n")
+    proc = run_cli(command, "--scenario", path, "--ego-id", "0",
+                   "--out", tmp_path / "x.csv")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("risknet: input error:")
+    assert proc.stderr.count("\n") == 1
+    assert f"{column} in data row {row} must be positive" in proc.stderr
 
 
 def test_cli_eval_bad_override_exits_2(cutin, tmp_path):

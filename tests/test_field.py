@@ -10,16 +10,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import constant_velocity_scenario, make_state
+from conftest import (
+    constant_velocity_scenario,
+    dense_raster,
+    dense_scenario,
+    make_state,
+)
 from risknet.errors import BadConfig, DegenerateDenominator, EmptyFrame
 from risknet.field import (
+    AgentColumns,
     GridSpec,
     RiskFieldParams,
     RiskRaster,
+    agent_columns,
     alpha_lat,
     alpha_lon,
     directional_force,
+    directional_terms,
     doppler_ratio,
+    force_terms,
     interaction_energy,
     pair_distance_floor,
     pairwise_force,
@@ -30,7 +39,7 @@ from risknet.field import (
     total_force,
     write_raster,
 )
-from risknet.scene import InteractionGraph
+from risknet.scene import CAR, PEDESTRIAN, TRUCK, InteractionGraph
 
 PARAMS = RiskFieldParams()
 KC1 = RiskFieldParams(k={k: 1.0 for k in PARAMS.k})
@@ -71,6 +80,11 @@ def test_params_validation():
         RiskFieldParams(r_min=0.0)
     with pytest.raises(BadConfig):
         RiskFieldParams(k={"car": 0.6})
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(BadConfig):
+            RiskFieldParams(k=dict(PARAMS.k, truck=bad))
+        with pytest.raises(BadConfig):
+            RiskFieldParams(C_default=bad)
 
 
 # ---- interaction energy ----
@@ -283,6 +297,96 @@ def test_risk_sample_invariants():
     assert math.isfinite(sample.directional_force)
 
 
+# ---- the broadcasting kernel ----
+
+def _kernel_agent(draw, agent_id, near):
+    """A state with a speed either below EPS_SPEED or between 0.2 and
+    45 m/s (both sides of wave_speed), sometimes at the position ``near``."""
+    speed = draw(st.one_of(st.floats(0.0, 0.09), st.floats(0.2, 45.0)))
+    heading = draw(st.floats(-math.pi, math.pi))
+    position = near if draw(st.booleans()) else (draw(coord), draw(coord))
+    return make_state(
+        agent_id, position=position,
+        velocity=(speed * math.cos(heading), speed * math.sin(heading)),
+        extent=(draw(st.floats(0.5, 15.0)), 2.0), mass=draw(positive_mass),
+        kind=draw(st.sampled_from([CAR, TRUCK, PEDESTRIAN])),
+    )
+
+
+def _oracle_state(s):
+    return {"position": tuple(s.position), "velocity": tuple(s.velocity),
+            "extent": s.extent, "mass": s.mass}
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_kernel_batch_matches_scalar_oracles(data):
+    """Every element of an (M, N) kernel batch, M * N <= 12, equals the
+    scalar oracles to 1e-9 relative, for egos of shape (M, 1) against
+    others with their own C.  Pairs with |wave_speed - v_other cos theta|
+    below 1e-3 are left out of the directional check: that close to the
+    Doppler pole the ratio's conditioning, not the kernel, limits how far
+    two correct evaluations agree."""
+    draw = data.draw
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 12 // m))
+    unit = draw(st.booleans())
+    params = RiskFieldParams(unit_mass_energy=unit)
+    egos = [_kernel_agent(draw, i, (0.0, 0.0)) for i in range(m)]
+    others = [_kernel_agent(draw, 10 + j, tuple(egos[j % m].position))
+              for j in range(n)]
+    c_of = {s.agent_id: draw(st.floats(0.0, 3.0)) for s in others}
+    ego = AgentColumns(*(np.expand_dims(c, 1)
+                         for c in agent_columns(egos, params)))
+    other = agent_columns(others, params, c_of)
+    energy, force, r = force_terms(ego, other, params)
+    a_lon, a_lat, directional = directional_terms(ego, other, force, params)
+    assert directional.shape == (m, n)
+    for i, e in enumerate(egos):
+        for j, o in enumerate(others):
+            k, c = params.k[o.kind.category], c_of[o.agent_id]
+            want_energy = oracles.interaction_energy(
+                e.mass, o.mass, k, c, e.velocity, o.velocity, unit)
+            dist = oracles.distance(e.position, o.position)
+            want_force = oracles.pairwise_force(
+                want_energy, dist,
+                oracles.distance_floor(e.extent[0], o.extent[0]))
+            assert energy[i, j] == pytest.approx(want_energy, rel=1e-9)
+            assert force[i, j] == pytest.approx(want_force, rel=1e-9)
+            assert r[i, j] == pytest.approx(dist, rel=1e-9)
+            theta = oracles.velocity_angle(e.velocity, o.velocity)
+            if abs(30.0 - o.speed * math.cos(theta)) < 1e-3:
+                continue
+            want = oracles.directional_force(
+                _oracle_state(e), _oracle_state(o), k, c, beta=1.0, v0=30.0,
+                unit_mass=unit)
+            assert directional[i, j] == pytest.approx(want, rel=1e-9)
+            assert a_lat[i, j] == pytest.approx(
+                oracles.alpha_lat(theta, 1.0), rel=1e-9)
+
+
+@given(st.floats(0.0, 45.0), st.floats(30.01, 45.0), st.floats(0.2, 45.0),
+       st.floats(-math.pi, math.pi))
+@settings(max_examples=100, deadline=None)
+def test_kernel_pole_caps_and_head_on_zeroes(v_ego, v_fast, v_other,
+                                             heading):
+    """An other at exactly wave_speed along the ego's heading sits on the
+    Doppler pole and gets alpha_cap; an ego faster than wave_speed meeting
+    an other head-on gets alpha_lon 0 and no directional force."""
+    u = np.array([math.cos(heading), math.sin(heading)])
+    egos = [make_state(0, velocity=v_ego * u),
+            make_state(1, velocity=v_fast * u)]
+    others = [make_state(2, position=(30.0, 0.0), velocity=30.0 * u),
+              make_state(3, position=(-20.0, 5.0), velocity=-v_other * u)]
+    ego = AgentColumns(*(np.expand_dims(c, 1)
+                         for c in agent_columns(egos, PARAMS)))
+    other = agent_columns(others, PARAMS)
+    force = force_terms(ego, other, PARAMS)[1]
+    a_lon, _, directional = directional_terms(ego, other, force, PARAMS)
+    assert a_lon[0, 0] == PARAMS.alpha_cap
+    assert a_lon[1, 1] == 0.0 and directional[1, 1] == 0.0
+
+
 # ---- totals ----
 
 def three_neighbor_setup():
@@ -448,6 +552,27 @@ def test_raster_matches_explicit_probe_bitwise():
             )
             expected = total_directional_force(placed, g, others, PARAMS)
             assert raster.values[row, col] == expected
+
+
+def test_dense_raster_cells_equal_totals_bitwise():
+    sc = dense_scenario()
+    probe, grid = dense_raster()
+    raster = rasterize(sc, 1, probe, grid, PARAMS)
+    from dataclasses import replace
+    counts = set()
+    for row in range(grid.height):
+        for col in range(grid.width):
+            cx, cy = grid.center(row, col)
+            placed = replace(probe, position=np.array([cx, cy]))
+            others = [s for s in sc.states_at(1)
+                      if math.hypot(s.position[0] - cx,
+                                    s.position[1] - cy) <= PARAMS.R]
+            counts.add(len(others))
+            expected = total_directional_force(
+                placed, star(0, [s.agent_id for s in others], frame=1),
+                others, PARAMS)
+            assert raster.values[row, col] == expected
+    assert max(counts) >= 8 and min(counts) < max(counts)
 
 
 def test_raster_cell_halving_keeps_coincident_centers():

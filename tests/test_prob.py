@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 
 import oracles
 import risknet.prob as prob_mod
-from conftest import constant_velocity_scenario, make_state
+from conftest import (
+    constant_velocity_scenario,
+    dense_raster,
+    dense_scenario,
+    make_state,
+)
 from risknet.errors import BadConfig
 from risknet.field import (
     GridSpec,
@@ -29,10 +34,8 @@ from risknet.prob import (
     mode_risk,
     predicted_angle,
     probabilistic_raster,
-    read_series,
     replay_prediction,
     total_expected_risk,
-    write_series,
 )
 from risknet.scene import InteractionGraph, build_graph
 
@@ -419,29 +422,6 @@ def test_expected_risk_series_horizon_rules():
     assert empty.cumulative == 0.0
 
 
-def test_series_roundtrip(tmp_path):
-    sc = fused_scenario()
-    predictions = {j: replay_prediction(sc, j, 4, 3) for j in (1, 2)}
-    series = expected_risk_series(sc, 0, 4, predictions, KC1, weights="exp")
-    path = str(tmp_path / "series.csv")
-    write_series(series, path)
-    values, cumulative, preset = read_series(path)
-    assert np.array_equal(values, series.values)
-    assert cumulative == series.cumulative
-    assert preset == "exp"
-
-
-def test_read_series_rejects_malformed(tmp_path):
-    bad_header = tmp_path / "bad.csv"
-    bad_header.write_text("a,b,c\n1,0.2,3.0\n")
-    with pytest.raises(BadConfig):
-        read_series(str(bad_header))
-    no_trailer = tmp_path / "trailerless.csv"
-    no_trailer.write_text("step,time_s,expected_force_N\n1,0.2,3.0\n")
-    with pytest.raises(BadConfig):
-        read_series(str(no_trailer))
-
-
 # ---- recorded-future replay ----
 
 def test_replay_prediction_structure():
@@ -550,6 +530,21 @@ def test_probabilistic_raster_degenerate_equals_deterministic():
     probabilistic = probabilistic_raster(predictions, probe, 1, grid, KC1)
     deterministic = rasterize(sc, frame, probe, grid, KC1)
     assert np.array_equal(probabilistic.values, deterministic.values)
+
+
+def test_dense_sure_mode_raster_equals_deterministic_bitwise():
+    sc = dense_scenario()
+    probe, grid = dense_raster()
+    predictions = {
+        s.agent_id: prediction_of(
+            [(1.0, [(*s.position, *s.velocity)])], anchor=s, dt=sc.dt)
+        for s in sc.states_at(1)
+    }
+    assert len(predictions) >= 8
+    probabilistic = probabilistic_raster(predictions, probe, 1, grid, KC1)
+    deterministic = rasterize(sc, 1, probe, grid, KC1)
+    assert np.array_equal(probabilistic.values, deterministic.values)
+    assert (deterministic.values > 0).all()
 
 
 def test_probabilistic_raster_skips_ego_and_checks_horizon():

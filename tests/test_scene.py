@@ -266,7 +266,7 @@ NUMERIC = ("frame", "id", "x", "y", "xVelocity", "yVelocity", "width",
 LABELS = ("car", "Car", " truck ", "Truck_Bus", "bike", "person",
           "hovercraft", "Van", "", "  ")
 DEFECTS = ("non_finite", "text", "short", "long", "duplicate", "gap",
-           "fraction", "drop_column")
+           "fraction", "drop_column", "non_positive", "default_mass")
 
 
 def _numbers(lo, hi):
@@ -306,7 +306,8 @@ def track_tables(draw):
                          "xAcceleration", "yAcceleration"):
                 cells[name] = draw(_numbers(-500.0, 500.0))
             for name in ("width", "height"):
-                cells[name] = draw(_numbers(0.5, 20.0))
+                # at least 1, so that "{:.0f}" never writes a zero extent
+                cells[name] = draw(_numbers(1.0, 20.0))
             rows.append([(f, aid), [cells[c] for c in columns]])
     rows = draw(st.permutations(rows))
     schema = {}
@@ -338,7 +339,7 @@ def malformed_tables(draw):
                 if defect == "non_finite"
                 else ("abc", "", "1,5", "--1", "0x10")))
         elif defect == "short":
-            del cells[draw(st.integers(0, len(cells) - 1)):]
+            del cells[draw(st.integers(0, max(len(cells) - 1, 0))):]
         elif defect == "long":
             cells.extend(["9"] * draw(st.integers(1, 3)))
         elif defect == "duplicate":
@@ -358,6 +359,14 @@ def malformed_tables(draw):
         elif defect == "drop_column":
             k = draw(st.integers(0, len(header) - 1))
             header[k] = "zz"
+        elif defect == "non_positive":
+            k = columns.index(draw(st.sampled_from(
+                [c for c in ("width", "height", "mass") if c in columns])))
+            if k < len(cells):
+                cells[k] = draw(st.sampled_from(("0", "-0", "-3.5", "0.0")))
+        elif defect == "default_mass":
+            kind_defaults = {draw(st.sampled_from(("car", "other", "truck"))):
+                             draw(st.sampled_from((0.0, -1500.0)))}
     return columns, header, rows, schema, kind_defaults
 
 
