@@ -103,17 +103,12 @@ def _write_run_sidecar(out_path: str, command: str, cfg: RunConfig,
 
 
 def _probe_state(scenario: Scenario, ego_id: int, frame: int):
-    """Ego state at the frame, or its nearest recorded state: the map
-    probe needs kinematics even on frames the ego skips."""
+    """Ego state at the frame, or at the nearest end of its track: the
+    map probe needs kinematics even on frames the ego skips."""
     info = scenario.agents.get(ego_id)
     if info is None:
         raise BadConfig(f"ego {ego_id} not in scenario")
-    if scenario.has_state(ego_id, frame):
-        return scenario.state(ego_id, frame)
-    nearest = min(
-        range(info.first_frame, info.last_frame + 1),
-        key=lambda f: (abs(f - frame), f),
-    )
+    nearest = min(max(frame, info.first_frame), info.last_frame)
     return scenario.state(ego_id, nearest)
 
 
@@ -178,16 +173,13 @@ def cmd_map(args, cfg: RunConfig) -> int:
         if not args.model:
             raise BadConfig("--probabilistic requires --model")
         cell_params, dec_params, hyper = load_model(args.model)
-        predictions = {}
-        for agent_id in sorted(scenario.agents):
-            if agent_id == args.ego_id:
-                continue
-            if not scenario.has_state(agent_id, args.frame):
-                continue
-            predictions[agent_id] = predict_for_agent(
-                cell_params, dec_params, scenario, agent_id, args.frame,
-                radius=params.R, t_h=hyper.t_h,
-            )
+        predictions = {
+            s.agent_id: predict_for_agent(
+                cell_params, dec_params, scenario, s.agent_id, args.frame,
+                radius=params.R, t_h=hyper.t_h)
+            for s in scenario.states_at(args.frame)
+            if s.agent_id != args.ego_id
+        }
         raster = probabilistic_raster(
             predictions, probe, args.step, grid, params
         )
@@ -425,16 +417,12 @@ def cmd_metrics(args, cfg: RunConfig) -> int:
         pred = predict_for_agent(cell_params, dec_params, scenario,
                                  args.ego_id, frame, radius=cfg.risk.R,
                                  t_h=hyper.t_h)
-    horizon = pred.horizon
-    truth = []
-    for p in range(1, horizon + 1):
-        f = frame + p
-        if not scenario.has_state(args.ego_id, f):
-            raise BadConfig(
-                f"agent {args.ego_id} absent at frame {f}; cannot score "
-                "the prediction"
-            )
-        truth.append(scenario.state(args.ego_id, f).position)
+    frames = range(frame + 1, frame + pred.horizon + 1)
+    absent = [f for f in frames if not scenario.has_state(args.ego_id, f)]
+    if absent:
+        raise BadConfig(f"agent {args.ego_id} absent at frame {absent[0]}; "
+                        "cannot score the prediction")
+    truth = [scenario.state(args.ego_id, f).position for f in frames]
     values = prediction_metrics(pred, np.stack(truth))
     for name in METRIC_ORDER:
         print(f"{name}={values[name]:.4f}")

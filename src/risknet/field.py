@@ -9,13 +9,12 @@ formula appears once, in a kernel that broadcasts over agent columns.
 
 import json
 import math
-import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BadConfig, DegenerateDenominator, EmptyFrame
+from .errors import BadConfig, DegenerateDenominator, EmptyFrame, NumericError
 from .scene import EPS_SPEED, AgentState, InteractionGraph, Scenario
 
 # Doppler denominators closer to zero than this raise DegenerateDenominator.
@@ -99,7 +98,11 @@ def _c_for(c_of: Optional[Mapping[int, float]], agent_id: int,
            params: RiskFieldParams) -> float:
     if c_of is None:
         return params.C_default
-    return c_of.get(agent_id, params.C_default)
+    c = c_of.get(agent_id, params.C_default)
+    if not 0.0 <= c < math.inf:
+        raise BadConfig(f"road condition C of agent {agent_id} must be "
+                        f"finite and nonnegative, got {c!r}")
+    return c
 
 
 def agent_columns(states: Sequence[AgentState], params: RiskFieldParams,
@@ -393,6 +396,9 @@ def rasterize(
 # A raster on disk is a JSON sidecar describing the grid plus a payload
 # that is either a CSV grid or raw little-endian float32, row-major.
 
+F32 = "<f4"  # the model store's payload codec
+
+
 def write_raster(
     raster: RiskRaster,
     base_path: str,
@@ -406,9 +412,13 @@ def write_raster(
     payload_path = base_path + (".f32" if binary else ".csv")
     sidecar_path = base_path + ".json"
     if binary:
-        flat = np.ascontiguousarray(raster.values, dtype=np.float32).ravel()
+        with np.errstate(over="ignore"):
+            payload = raster.values.astype(F32)
+        if np.isinf(payload).any():
+            raise NumericError("raster value beyond the float32 range: "
+                               f"{float(np.abs(raster.values).max())!r} N")
         with open(payload_path, "wb") as fh:
-            fh.write(struct.pack("<" + "f" * flat.size, *flat))
+            fh.write(payload.tobytes())
     else:
         with open(payload_path, "w", newline="") as fh:
             for row in raster.values:
@@ -465,17 +475,12 @@ def read_raster(sidecar_path: str) -> RiskRaster:
                 f"raster payload holds {len(raw)} bytes, expected "
                 f"{4 * count} for a {grid.width}x{grid.height} grid"
             )
-        values = np.array(
-            struct.unpack("<" + "f" * count, raw), dtype=float
-        ).reshape(grid.height, grid.width)
+        values = np.frombuffer(raw, F32).astype(float).reshape(
+            grid.height, grid.width)
     else:
-        rows: List[List[float]] = []
         with open(payload_path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    rows.append([float(v) for v in line.split(",")])
-        values = np.array(rows, dtype=float)
+            values = np.array([[float(v) for v in line.split(",")]
+                               for line in fh if line.strip()], dtype=float)
         if values.shape != (grid.height, grid.width):
             raise BadConfig("raster payload shape disagrees with sidecar")
     return RiskRaster(grid=grid, frame=int(sidecar["frame"]), values=values)

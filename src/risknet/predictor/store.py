@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 from typing import Tuple
 
@@ -65,6 +66,8 @@ def load_model(
             manifest = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ModelFormatError(f"unreadable model manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ModelFormatError("model manifest is not a JSON object")
     if manifest.get("format") != FORMAT_NAME:
         raise ModelFormatError(
             f"not a model manifest: format={manifest.get('format')!r}"
@@ -78,9 +81,15 @@ def load_model(
         raise ModelFormatError(f"unsupported dtype {manifest.get('dtype')!r}")
 
     hyper_dict = manifest.get("hyper")
-    field_names = {f.name for f in dataclasses.fields(TrainHyper)}
-    if not isinstance(hyper_dict, dict) or set(hyper_dict) != field_names:
+    fields = dataclasses.fields(TrainHyper)
+    if (not isinstance(hyper_dict, dict)
+            or set(hyper_dict) != {f.name for f in fields}):
         raise ModelFormatError("manifest hyperparameters malformed")
+    for f in fields:
+        value = hyper_dict[f.name]
+        if type(value) not in (int, f.type) or not abs(value) < math.inf:
+            raise ModelFormatError(f"hyperparameter {f.name} must be a "
+                                   f"finite {f.type.__name__}: {value!r}")
     hyper = TrainHyper(**hyper_dict)
 
     cell, dec = init_model(hyper)
@@ -89,18 +98,22 @@ def load_model(
     if not isinstance(declared, list) or len(declared) != len(items):
         raise ModelFormatError("manifest parameter list malformed")
     for entry, (name, t) in zip(declared, items):
+        if not isinstance(entry, dict):
+            raise ModelFormatError(f"parameter entry for {name} malformed")
         if entry.get("name") != name:
             raise ModelFormatError(
                 f"parameter order mismatch: {entry.get('name')!r} != {name!r}"
             )
-        if tuple(entry.get("shape", ())) != t.data.shape:
+        if entry.get("shape") != list(t.data.shape):
             raise ModelFormatError(
                 f"shape mismatch for {name}: manifest {entry.get('shape')} "
                 f"!= expected {list(t.data.shape)}"
             )
 
-    directory = os.path.dirname(manifest_path)
-    payload_path = os.path.join(directory, manifest["payload"])
+    payload = manifest.get("payload")
+    if not isinstance(payload, str):
+        raise ModelFormatError("manifest names no payload file")
+    payload_path = os.path.join(os.path.dirname(manifest_path), payload)
     try:
         with open(payload_path, "rb") as fh:
             raw = fh.read()

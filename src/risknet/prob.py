@@ -248,19 +248,15 @@ def replay_prediction(
     """
     if t_f < 1:
         raise BadConfig("horizon must be >= 1")
-    states = []
-    for p in range(1, t_f + 1):
-        f = frame + p
-        if not scenario.has_state(agent_id, f):
-            raise BadConfig(
-                f"agent {agent_id} absent at frame {f}; cannot replay"
-            )
-        s = scenario.state(agent_id, f)
-        states.append([s.position[0], s.position[1],
-                       s.velocity[0], s.velocity[1]])
+    frames = range(frame + 1, frame + t_f + 1)
+    absent = [f for f in frames if not scenario.has_state(agent_id, f)]
+    if absent:
+        raise BadConfig(
+            f"agent {agent_id} absent at frame {absent[0]}; cannot replay")
+    states = [scenario.state(agent_id, f) for f in frames]
     mode = PredictionMode(
         pi=1.0,
-        states=np.array(states, float),
+        states=np.array([[*s.position, *s.velocity] for s in states], float),
         covariances=np.zeros((t_f, 4, 4)),
     )
     return MixturePrediction(

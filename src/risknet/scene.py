@@ -8,6 +8,7 @@ Coordinate convention: x is longitudinal, y is lateral, both in meters.
 Velocities are m/s, accelerations m/s^2, masses kg.
 """
 
+import bisect
 import csv
 import itertools
 import math
@@ -111,6 +112,7 @@ class AgentState:
         return float(np.hypot(self.velocity[0], self.velocity[1]))
 
 
+
 @dataclass
 class AgentInfo:
     """Per-agent constants plus the frame interval the agent covers."""
@@ -124,49 +126,118 @@ class AgentInfo:
 
 @dataclass
 class Scenario:
-    """A recorded or generated traffic scene on a uniform frame grid."""
+    """A recorded or generated traffic scene on a uniform frame grid,
+    stored as one table of rows sorted by (frame, id).
+
+    Construction refuses an agent twice in a frame or a track with a
+    frame gap, and derives ``agents``, ``bounds`` and each frame's rows.
+    A frame's AgentStates are built on first use and kept, so every
+    lookup hands out the same objects; their position, velocity and
+    acceleration are views into ``motion``.
+    """
 
     frame_rate: float  # Hz
-    frames: Dict[int, List[AgentState]]
-    agents: Dict[int, AgentInfo]
-    bounds: Tuple[float, float, float, float]  # x_min, y_min, x_max, y_max
+    frame: np.ndarray  # (n,) int64
+    agent_id: np.ndarray  # (n,) int64
+    motion: np.ndarray  # (n, 6) m, m/s, m/s^2
+    extent: np.ndarray  # (n, 2) length, width in m
+    mass: np.ndarray  # (n,) kg
+    kind: np.ndarray  # (n,) index into kinds
+    kinds: Sequence[AgentKind]
     source: str
     # Shift added to source coordinates at load time; subtracted on export.
     offset: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    _by_agent: Dict[int, Dict[int, AgentState]] = field(
-        default_factory=dict, repr=False
-    )
+    agents: Dict[int, AgentInfo] = field(init=False)
+    bounds: Tuple[float, float, float, float] = field(init=False)
+    _rows: Dict[int, Tuple[int, int]] = field(init=False, repr=False)
+    _states: Dict[int, Tuple[List[AgentState], List[int]]] = field(
+        init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         self.offset = np.asarray(self.offset, dtype=float)
-        if not self._by_agent:
-            for states in self.frames.values():
-                for s in states:
-                    self._by_agent.setdefault(s.agent_id, {})[s.frame] = s
+        frame, ids = self.frame, self.agent_id
+        new_frame = np.concatenate(([True], frame[1:] != frame[:-1]))
+        dup = np.flatnonzero(~new_frame[1:] & (ids[1:] == ids[:-1]))
+        if dup.size:
+            k = dup[0]
+            raise BadConfig(
+                f"agent {ids[k]} appears twice at frame {frame[k]}")
+
+        by_agent = np.argsort(ids, kind="stable")  # (id, frame) order
+        f_agent, i_agent = frame[by_agent], ids[by_agent]
+        new_agent = np.concatenate(([True], i_agent[1:] != i_agent[:-1]))
+        step = f_agent[1:] != f_agent[:-1] + 1
+        gap = np.flatnonzero(~new_agent[1:] & step)
+        if gap.size:
+            k = gap[0]
+            raise NonContiguousTrack(int(i_agent[k]), int(f_agent[k]) + 1)
+
+        heads = by_agent[new_agent]
+        tails = by_agent[np.concatenate((new_agent[1:], [True]))]
+        self.agents = {
+            a: AgentInfo(self.kinds[k], m, tuple(e), first, last)
+            for a, k, m, e, first, last in zip(
+                ids[heads].tolist(), self.kind[heads].tolist(),
+                self.mass[heads].tolist(), self.extent[heads].tolist(),
+                frame[heads].tolist(), frame[tails].tolist())
+        }
+        pos = self.motion[:, 0:2]
+        self.bounds = (*pos.min(axis=0), *pos.max(axis=0))
+        starts = np.flatnonzero(new_frame).tolist()
+        self._rows = dict(zip(frame[starts].tolist(),
+                              zip(starts, starts[1:] + [frame.size])))
 
     @property
     def dt(self) -> float:
         return 1.0 / self.frame_rate
 
     @property
+    def frames(self) -> Dict[int, List[AgentState]]:
+        """Every frame's states, ascending by frame (builds them all)."""
+        return {f: self.states_at(f) for f in self._rows}
+
+    @property
     def frame_list(self) -> List[int]:
-        return sorted(self.frames.keys())
+        return list(self._rows)
 
     def span(self) -> Tuple[int, int]:
-        fl = self.frame_list
-        return fl[0], fl[-1]
+        return int(self.frame[0]), int(self.frame[-1])
+
+    def _frame(self, frame: int) -> Tuple[List[AgentState], List[int]]:
+        """(states, ids) of the frame ascending by id, built on first use."""
+        cached = self._states.get(frame)
+        if cached is None:
+            rows = self._rows.get(frame)
+            if rows is None:
+                return [], []
+            a, b = rows
+            ids = self.agent_id[a:b].tolist()
+            states = [
+                AgentState(i, int(frame), m[0:2], m[2:4], m[4:6], tuple(e),
+                           mass, self.kinds[k])
+                for i, m, e, mass, k in zip(
+                    ids, self.motion[a:b], self.extent[a:b].tolist(),
+                    self.mass[a:b].tolist(), self.kind[a:b].tolist())
+            ]
+            cached = self._states[frame] = (states, ids)
+        return cached
 
     def states_at(self, frame: int) -> List[AgentState]:
-        return self.frames.get(frame, [])
+        """The frame's states ascending by id; [] off the table."""
+        return self._frame(frame)[0]
 
     def state(self, agent_id: int, frame: int) -> AgentState:
-        try:
-            return self._by_agent[agent_id][frame]
-        except KeyError:
-            raise EgoAbsent(agent_id, frame) from None
+        states, ids = self._frame(frame)
+        k = bisect.bisect_left(ids, agent_id)
+        if k == len(ids) or ids[k] != agent_id:
+            raise EgoAbsent(agent_id, frame)
+        return states[k]
 
     def has_state(self, agent_id: int, frame: int) -> bool:
-        return frame in self._by_agent.get(agent_id, {})
+        # exact: construction refuses a track with a frame gap
+        info = self.agents.get(agent_id)
+        return (info is not None
+                and info.first_frame <= frame <= info.last_frame)
 
 
 def scenario_from_states(
@@ -175,67 +246,25 @@ def scenario_from_states(
     source: str = "memory",
     offset: Optional[np.ndarray] = None,
 ) -> Scenario:
-    """Assemble a Scenario, enforcing per-frame uniqueness and per-agent
-    frame contiguity.
-
-    The checks run on whole columns: one sort by (frame, id) finds
-    duplicates and groups the frames, one by (id, frame) finds gaps and
-    each agent's first and last rows.
-    """
+    """Assemble a Scenario whose table rows are the given states."""
     states = list(states)
     if not states:
         raise BadConfig("scenario has no states")
     n = len(states)
     frame = np.fromiter((s.frame for s in states), np.int64, n)
     ids = np.fromiter((s.agent_id for s in states), np.int64, n)
-
-    by_frame = np.lexsort((ids, frame))
-    f_sorted, i_sorted = frame[by_frame], ids[by_frame]
-    dup = np.flatnonzero((f_sorted[1:] == f_sorted[:-1])
-                         & (i_sorted[1:] == i_sorted[:-1]))
-    if dup.size:
-        k = dup[0]
-        raise BadConfig(
-            f"agent {i_sorted[k]} appears twice at frame {f_sorted[k]}"
-        )
-
-    by_agent = np.lexsort((frame, ids))
-    f_agent, i_agent = frame[by_agent], ids[by_agent]
-    same_agent = i_agent[1:] == i_agent[:-1]
-    gap = np.flatnonzero(same_agent & (f_agent[1:] != f_agent[:-1] + 1))
-    if gap.size:
-        k = gap[0]
-        raise NonContiguousTrack(int(i_agent[k]), int(f_agent[k]) + 1)
-
-    positions = np.array([s.position for s in states], dtype=float)
-    lo, hi = positions.min(axis=0), positions.max(axis=0)
-
-    ordered = [states[i] for i in by_frame.tolist()]
-    cuts = (np.flatnonzero(f_sorted[1:] != f_sorted[:-1]) + 1).tolist()
-    frames = {ordered[a].frame: ordered[a:b]
-              for a, b in zip([0] + cuts, cuts + [n])}
-
-    cuts = (np.flatnonzero(~same_agent) + 1).tolist()
-    heads = by_agent[[0] + cuts].tolist()
-    tails = by_agent[[c - 1 for c in cuts] + [n - 1]].tolist()
-    agents: Dict[int, AgentInfo] = {}
-    for a, b in zip(heads, tails):
-        head = states[a]
-        agents[head.agent_id] = AgentInfo(
-            kind=head.kind,
-            mass=head.mass,
-            extent=head.extent,
-            first_frame=head.frame,
-            last_frame=states[b].frame,
-        )
-
+    code_of: Dict[AgentKind, int] = {}
+    kind = np.fromiter((code_of.setdefault(s.kind, len(code_of))
+                        for s in states), np.intp, n)
+    motion = np.array([(s.position, s.velocity, s.acceleration)
+                       for s in states], dtype=float).reshape(n, 6)
+    extent = np.array([s.extent for s in states], dtype=float)
+    mass = np.fromiter((s.mass for s in states), float, n)
+    order = np.lexsort((ids, frame))
     return Scenario(
-        frame_rate=frame_rate,
-        frames=frames,
-        agents=agents,
-        bounds=(lo[0], lo[1], hi[0], hi[1]),
-        source=source,
-        offset=np.zeros(2) if offset is None else np.asarray(offset, float),
+        frame_rate, frame[order], ids[order], motion[order], extent[order],
+        mass[order], kind[order], tuple(code_of), source,
+        offset=np.zeros(2) if offset is None else offset,
     )
 
 
@@ -346,16 +375,13 @@ def load_tracks(
     bad |= ~np.isfinite(table).all(axis=0)
     values = dict(zip(numeric, table))
 
-    if "class" in resolved:
-        labels = columns["class"]
-        kind_of = {raw: AgentKind.of(raw) if raw and raw.strip() else CAR
-                   for raw in set(labels)}
-        kinds = [kind_of[raw] for raw in labels]
-        default_mass = np.fromiter(
-            (masses[kind.category] for kind in kinds), float, n)
-    else:
-        kinds = [CAR] * n
-        default_mass = np.full(n, float(masses[CAR.category]))
+    labels = columns.get("class", [None] * n)
+    code_of = {raw: k for k, raw in enumerate(dict.fromkeys(labels))}
+    kinds = [AgentKind.of(raw) if raw and raw.strip() else CAR
+             for raw in code_of]
+    kind = np.fromiter(map(code_of.__getitem__, labels), np.intp, n)
+    default_mass = np.array([masses[k.category] for k in kinds],
+                            dtype=float)[kind]
 
     if "mass" in resolved:
         cells = columns["mass"]
@@ -395,23 +421,13 @@ def load_tracks(
     motion = np.column_stack([values.get(name, zero) for name in (
         "x", "y", "xVelocity", "yVelocity", "xAcceleration", "yAcceleration",
     )])[order]
-    pos, vel, acc = motion[:, 0:2], motion[:, 2:4], motion[:, 4:6]
+    pos = motion[:, 0:2]
     shift = np.array([max(0.0, -pos[:, 0].min()), max(0.0, -pos[:, 1].min())])
     if shift[0] > 0.0 or shift[1] > 0.0:
         pos += shift
-
-    states = [
-        AgentState(agent_id, f, p, v, a, extent, m, kind)
-        for agent_id, f, p, v, a, extent, m, kind in zip(
-            ids[order].tolist(), frame[order].tolist(),
-            pos, vel, acc,
-            zip(values["width"][order].tolist(),
-                values["height"][order].tolist()),
-            mass[order].tolist(),
-            [kinds[i] for i in order.tolist()],
-        )
-    ]
-    return scenario_from_states(states, frame_rate, source=path, offset=shift)
+    extent = np.column_stack([values["width"], values["height"]])[order]
+    return Scenario(frame_rate, frame[order], ids[order], motion, extent,
+                    mass[order], kind[order], kinds, path, offset=shift)
 
 
 def export_tracks(scenario: Scenario, path: str) -> None:
@@ -421,19 +437,13 @@ def export_tracks(scenario: Scenario, path: str) -> None:
     of a loaded file are reproduced exactly (floats are written as their
     ``repr``).
     """
-    states = [s for f in scenario.frame_list for s in scenario.frames[f]]
-
-    def block(attr: str) -> np.ndarray:
-        return np.array([getattr(s, attr) for s in states],
-                        dtype=float).reshape(-1, 2)
-
+    motion = scenario.motion
+    labels = [kind.label for kind in scenario.kinds]
     columns = [
-        [s.frame for s in states], [s.agent_id for s in states],
-        *(block("position") - scenario.offset).T.tolist(),
-        *block("velocity").T.tolist(), *block("acceleration").T.tolist(),
-        *block("extent").T.tolist(),
-        [s.kind.label for s in states],
-        [float(s.mass) for s in states],
+        scenario.frame.tolist(), scenario.agent_id.tolist(),
+        *(motion[:, 0:2] - scenario.offset).T.tolist(),
+        *motion[:, 2:6].T.tolist(), *scenario.extent.T.tolist(),
+        [labels[k] for k in scenario.kind.tolist()], scenario.mass.tolist(),
     ]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -454,13 +464,8 @@ class InteractionGraph:
 
     def neighbors(self, agent_id: int) -> List[int]:
         """Agents adjacent to ``agent_id``, ascending by id."""
-        out = set()
-        for a, b in self.edges:
-            if a == agent_id:
-                out.add(b)
-            elif b == agent_id:
-                out.add(a)
-        return sorted(out)
+        return sorted({b if a == agent_id else a for a, b in self.edges
+                       if agent_id in (a, b)})
 
 
 def build_graph(
@@ -468,19 +473,13 @@ def build_graph(
 ) -> InteractionGraph:
     """Connect the ego to every other agent within ``radius`` (inclusive)
     at ``frame``."""
-    if not scenario.has_state(ego_id, frame):
-        raise EgoAbsent(ego_id, frame)
-    ego = scenario.state(ego_id, frame)
+    ex, ey = scenario.state(ego_id, frame).position.tolist()
     edges = set()
     for s in scenario.states_at(frame):
-        if s.agent_id == ego_id:
-            continue
-        d = s.position - ego.position
-        if math.hypot(d[0], d[1]) <= radius:
+        x, y = s.position.tolist()
+        if s.agent_id != ego_id and math.hypot(x - ex, y - ey) <= radius:
             edges.add((ego_id, s.agent_id))
-    return InteractionGraph(
-        ego_id=ego_id, frame=frame, radius=radius, edges=frozenset(edges)
-    )
+    return InteractionGraph(ego_id, frame, radius, frozenset(edges))
 
 
 def velocity_angle(
@@ -502,9 +501,7 @@ def velocity_angle(
 def relative_geometry(a: AgentState, b: AgentState) -> Tuple[float, float]:
     """Center distance r and velocity angle theta between two agents."""
     d = b.position - a.position
-    r = math.hypot(d[0], d[1])
-    theta = velocity_angle(a.velocity, b.velocity)
-    return r, theta
+    return math.hypot(d[0], d[1]), velocity_angle(a.velocity, b.velocity)
 
 
 # ==================== synthetic archetypes ====================

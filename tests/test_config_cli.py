@@ -26,7 +26,12 @@ from risknet.config import (
 )
 from risknet.cli import read_prediction
 from risknet.errors import BadConfig
-from risknet.field import read_raster, total_directional_force
+from risknet.field import (
+    GridSpec,
+    rasterize,
+    read_raster,
+    total_directional_force,
+)
 from risknet.predictor.model import MixturePrediction, PredictionMode
 from risknet.predictor.store import load_model, save_model
 from risknet.predictor.train import TrainHyper, init_model, predict_for_agent
@@ -448,6 +453,49 @@ def test_cli_map_spanned_empty_frame_is_zero_raster(tmp_path):
     assert "outside the scenario" in proc.stderr
 
 
+def test_cli_map_probe_outside_ego_track_takes_nearest_end(tmp_path):
+    # the ego covers frames 3-6 of a 0-9 scene and speeds up every frame,
+    # so its first and last states give different rasters
+    states = [make_state(0, f, (2.0 * f, 0.0), (5.0 + f, 0.0))
+              for f in range(3, 7)]
+    states += [make_state(1, f, (12.0 + 0.5 * f, 3.0), (5.0, 0.0))
+               for f in range(10)]
+    csv_path = tmp_path / "late_ego.csv"
+    export_tracks(scenario_from_states(states, 10.0), str(csv_path))
+    scenario = load_tracks(str(csv_path), frame_rate=10.0)
+    params = RunConfig().risk
+    grid = GridSpec(origin=(0.0, 0.0), cell=2.0, width=10, height=5)
+    rasters = {}
+    for frame, end in ((0, 3), (2, 3), (3, 3), (5, 5), (8, 6), (9, 6)):
+        out = tmp_path / f"map{frame}"
+        ok("map", "--scenario", csv_path, "--ego-id", "0", "--frame",
+           str(frame), "--cell", "2.0", "--bounds", "0,0,20,10",
+           "--set", "io.frame_rate=10", "--out", out)
+        got = read_raster(str(out) + ".json").values
+        want = rasterize(scenario, frame, scenario.state(0, end), grid,
+                         params).values
+        assert got.tolist() == want.tolist(), frame
+        rasters[frame] = got
+    assert not np.array_equal(rasters[0], rasters[9])
+
+
+def test_cli_map_binary_beyond_float32_exits_3(tmp_path):
+    csv_path = export_cv(
+        tmp_path / "fast.csv",
+        [(0, 0.0, 0.0, 1e20, 0.0), (1, 10.0, 0.0, 0.0, 0.0)],
+        n_frames=2, frame_rate=5.0,
+    )
+    common = ("map", "--scenario", csv_path, "--ego-id", "0", "--frame",
+              "0", "--cell", "2.0", "--bounds", "0,-4,20,4",
+              "--set", "io.frame_rate=5")
+    proc = run_cli(*common, "--binary", "--out", tmp_path / "b")
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("risknet: numeric error:")
+    assert "float32" in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    ok(*common, "--out", tmp_path / "c")  # the csv payload holds float64
+
+
 def test_cli_map_bad_bounds_exit_2(cutin, tmp_path):
     proc = run_cli("map", "--scenario", cutin, "--ego-id", "0", "--frame", "0",
                    "--bounds", "1,2,3", "--set", "io.frame_rate=10",
@@ -797,6 +845,25 @@ def test_cli_predict_malformed_model_exits_2(tmp_path):
                    "--out", tmp_path / "p.json")
     assert proc.returncode == 2
     assert proc.stderr.startswith("risknet: input error:")
+
+
+def test_cli_predict_manifest_without_payload_exits_2(tmp_path):
+    csv_path = export_cv(
+        tmp_path / "cv.csv", [(0, 0.0, 0.0, 5.0, 0.0)],
+        n_frames=10, frame_rate=5.0,
+    )
+    manifest = small_model(tmp_path)
+    with open(manifest) as fh:
+        data = json.load(fh)
+    del data["payload"]
+    with open(manifest, "w") as fh:
+        json.dump(data, fh)
+    proc = run_cli("predict", "--scenario", csv_path, "--ego-id", "0",
+                   "--model", manifest, "--set", "io.frame_rate=5",
+                   "--out", tmp_path / "p.json")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("risknet: input error:")
+    assert len(proc.stderr.splitlines()) == 1
 
 
 def test_cli_metrics_needs_model_or_prediction(tmp_path):

@@ -3,6 +3,7 @@ corrections, totals, and rasterization."""
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -16,7 +17,12 @@ from conftest import (
     dense_scenario,
     make_state,
 )
-from risknet.errors import BadConfig, DegenerateDenominator, EmptyFrame
+from risknet.errors import (
+    BadConfig,
+    DegenerateDenominator,
+    EmptyFrame,
+    NumericError,
+)
 from risknet.field import (
     AgentColumns,
     GridSpec,
@@ -483,6 +489,21 @@ def test_per_agent_C_override():
     assert doubled == pytest.approx(2.0 * base, rel=1e-12)
 
 
+@pytest.mark.parametrize("c", [-2.0, -0.5, math.nan, math.inf])
+def test_per_agent_C_must_be_finite_and_nonnegative(c):
+    ego, others = three_neighbor_setup()
+    states = [ego, others[0]]
+    with pytest.raises(BadConfig, match="agent 1"):
+        total_directional_force(ego, star(0, [1]), states, PARAMS,
+                                c_of={1: c})
+    sc = constant_velocity_scenario([(1, 6, 2, 18, 0)], n_frames=1)
+    grid = GridSpec(origin=(0.0, 0.0), cell=2.0, width=3, height=2)
+    with pytest.raises(BadConfig, match="agent 1"):
+        rasterize(sc, 0, ego, grid, PARAMS, c_of={1: c})
+    assert total_directional_force(ego, star(0, [1]), states, PARAMS,
+                                   c_of={1: 0.0}) == 0.0
+
+
 def test_total_force_is_undirected_sum():
     ego, others = three_neighbor_setup()
     got = total_force(ego, star(0, [1, 2, 3]), [ego] + others, PARAMS)
@@ -617,6 +638,29 @@ def test_raster_write_read_roundtrip_csv_and_binary(tmp_path):
     again_b = read_raster(sidecar_b)
     assert np.allclose(again_b.values, raster.values, rtol=1e-6, atol=1e-4)
     assert again_b.values.shape == raster.values.shape
+
+
+def test_binary_raster_is_float32_and_refuses_overflow(tmp_path):
+    grid = GridSpec(origin=(0.0, 0.0), cell=2.0, width=5, height=3)
+    f32_max = float(np.finfo(np.float32).max)
+    values = np.array([0.0, 1e-45, 0.1, 1.0 / 3.0, 12345.678, 1e30, f32_max,
+                       2.5, 7.0, 1e-3, 3e38, 0.5, 1e10, 9.75, 42.0])
+    raster = RiskRaster(grid=grid, frame=2, values=values.reshape(3, 5))
+    _, payload = write_raster(raster, str(tmp_path / "ok"), binary=True)
+    with open(payload, "rb") as fh:
+        raw = fh.read()
+    assert raw == struct.pack("<15f", *values)
+    again = read_raster(str(tmp_path / "ok.json"))
+    assert again.values.dtype == np.float64
+    assert again.values.tolist() == np.float32(values).reshape(3, 5).tolist()
+
+    for big in (1e39, 2.0 * f32_max, 1e300):
+        beyond = RiskRaster(grid=grid, frame=2,
+                            values=np.where(values > 1e29, big, values)
+                            .reshape(3, 5))
+        with pytest.raises(NumericError, match="float32"):
+            write_raster(beyond, str(tmp_path / "big"), binary=True)
+        write_raster(beyond, str(tmp_path / "big_csv"))  # csv holds float64
 
 
 def test_read_raster_rejects_wrong_size_binary_payload(tmp_path):

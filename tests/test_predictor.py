@@ -620,6 +620,35 @@ def test_load_model_rejects_malformed(tmp_path):
         load_model(base + ".json")
 
 
+MANIFEST_DEFECTS = {
+    "not_an_object": lambda m: [m],
+    "no_payload": lambda m: {k: v for k, v in m.items() if k != "payload"},
+    "payload_not_text": lambda m: dict(m, payload=7),
+    "param_entry_not_object": lambda m: dict(
+        m, params=[e["name"] for e in m["params"]]),
+    "shape_not_list": lambda m: dict(
+        m, params=[dict(e, shape=3) for e in m["params"]]),
+    "hyper_not_numeric": lambda m: dict(m, hyper=dict(m["hyper"], d_h="4")),
+    "hyper_fraction": lambda m: dict(m, hyper=dict(m["hyper"], t_h=2.5)),
+    "hyper_bool": lambda m: dict(m, hyper=dict(m["hyper"], modes=True)),
+    "hyper_nan": lambda m: dict(m, hyper=dict(m["hyper"], dt=math.nan)),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(MANIFEST_DEFECTS))
+def test_load_model_rejects_malformed_manifest_fields(tmp_path, defect):
+    import json
+    hyper = small_hyper()
+    cell, dec = init_model(hyper)
+    manifest_path, _ = save_model(str(tmp_path / "model"), cell, dec, hyper)
+    with open(manifest_path) as fh:
+        manifest = json.load(fh)
+    with open(manifest_path, "w") as fh:
+        json.dump(MANIFEST_DEFECTS[defect](manifest), fh)
+    with pytest.raises(ModelFormatError):
+        load_model(manifest_path)
+
+
 # ---- windows and corpus ----
 
 def test_extract_windows_centering_and_shapes():

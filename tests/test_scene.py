@@ -428,6 +428,86 @@ def test_columnar_ingest_rejects_like_reference_loader(table):
         assert_same_scene(got, want)
 
 
+# ---- lookups against a brute-force row oracle ----
+
+RADIUS = 10.0
+
+
+@st.composite
+def multi_agent_rows(draw):
+    """(frame, id, x, y) rows of a scene whose agents enter and leave at
+    different frames, starting anywhere in -3..12.  Positions are small
+    integers, so one agent can sit exactly RADIUS from another (a 6-8-10
+    triangle), at a distance that math.hypot rounds to RADIUS while the
+    squared sum exceeds RADIUS**2, or just beyond it."""
+    tracks = draw(st.lists(
+        st.tuples(st.integers(-5, 40), st.integers(-3, 12),
+                  st.integers(1, 6)),
+        min_size=1, max_size=6, unique_by=lambda t: t[0]))
+    coord = st.integers(-30, 30).map(float)
+    rows = {(f, aid): (draw(coord), draw(coord))
+            for aid, first, length in tracks
+            for f in range(first, first + length)}
+    shared = sorted({(f, a, b) for (f, a) in rows for (g, b) in rows
+                     if f == g and a != b})
+    if shared:
+        f, a, b = draw(st.sampled_from(shared))
+        x, y = rows[(f, a)]
+        rows[(f, b)] = draw(st.sampled_from(
+            ((x + 6.0, y + 8.0), (x - 8.0, y + 6.0), (x, y - 10.0),
+             (x + 6.06325662225845, y + 7.952164430684206),
+             (x + 10.0, y + 1e-6))))
+    return [(f, aid, x, y) for (f, aid), (x, y) in rows.items()]
+
+
+def check_lookups(sc, rows):
+    """Every lookup of ``sc`` against the (frame, id, x, y) rows."""
+    at = {(f, aid): (x, y) for f, aid, x, y in rows}
+    frames = sorted({f for f, _ in at})
+    ids = sorted({aid for _, aid in at})
+    assert sc.frame_list == frames and list(sc.frames) == frames
+    assert len(sc.frames) == len(frames)
+    assert sc.span() == (frames[0], frames[-1])
+    for f in range(frames[0] - 1, frames[-1] + 2):
+        states = sc.states_at(f)
+        assert [(s.frame, s.agent_id) for s in states] == sorted(
+            (f, aid) for g, aid in at if g == f)
+        assert [tuple(s.position.tolist()) for s in states] == [
+            at[(f, s.agent_id)] for s in states]
+        assert sc.states_at(f) is states or not states
+        if f in frames:
+            assert sc.frames[f] is states
+        for aid in ids:
+            present = (f, aid) in at
+            assert sc.has_state(aid, f) == present
+            if not present:
+                with pytest.raises(EgoAbsent):
+                    sc.state(aid, f)
+                with pytest.raises(EgoAbsent):
+                    build_graph(sc, aid, f, RADIUS)
+                continue
+            assert sc.state(aid, f) is next(
+                s for s in states if s.agent_id == aid)
+            x, y = at[(f, aid)]
+            near = {(aid, b) for (g, b), (bx, by) in at.items()
+                    if g == f and b != aid
+                    and math.hypot(bx - x, by - y) <= RADIUS}
+            assert build_graph(sc, aid, f, RADIUS).edges == near
+
+
+@given(rows=multi_agent_rows())
+@settings(max_examples=100, deadline=None)
+def test_lookups_match_row_oracle(rows, tmp_path_factory):
+    states = [make_state(aid, f, (x, y), (1.0, 0.0)) for f, aid, x, y in rows]
+    sc = scenario_from_states(states[::-1], 25.0)
+    check_lookups(sc, rows)
+    # the loaded copy against the reference loader's shifted rows
+    path = str(tmp_path_factory.mktemp("lookups") / "tracks.csv")
+    export_tracks(sc, path)
+    ref_rows = oracles.load_track_rows(path)[0]
+    check_lookups(load_tracks(path), [r[:4] for r in ref_rows])
+
+
 # ---- interaction graph ----
 
 def test_graph_ego_alone():
