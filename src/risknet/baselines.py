@@ -6,9 +6,10 @@ frame against the same scenario the interaction field sees.
 """
 
 import csv
-import math
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .errors import BadConfig
 from .field import RiskFieldParams, total_directional_force, total_force
@@ -173,21 +174,21 @@ class ComparisonRow:
 
 
 def _pick_lead(
-    ego: AgentState, frame_states: Sequence[AgentState],
-    cfg: BaselineConfig,
+    scenario: Scenario, ego: AgentState, cfg: BaselineConfig,
 ) -> Optional[AgentState]:
-    """Nearest in-band agent ahead of the ego, by bumper gap."""
-    best = None
-    best_gap = math.inf
-    for s in frame_states:
-        if s.agent_id == ego.agent_id:
-            continue
-        if not _leads(ego, s, cfg.lane_half_width):
-            continue
-        gap = bumper_gap(ego, s)
-        if gap < best_gap:
-            best, best_gap = s, gap
-    return best
+    """Nearest in-band agent ahead of the ego, by bumper gap (the first
+    by id on a tie), read from the frame's table rows."""
+    a, b = scenario.frame_rows(ego.frame)
+    x, y = scenario.motion[a:b, 0:2].T
+    # bumper_gap and _leads over every row of the frame
+    gap = (_heading_sign(ego) * (x - ego.position[0])
+           - 0.5 * (ego.extent[0] + scenario.extent[a:b, 0]))
+    leads = (np.abs(y - ego.position[1]) < cfg.lane_half_width) & (gap >= 0.0)
+    leads[scenario.row(ego.agent_id, ego.frame) - a] = False
+    if not leads.any():
+        return None
+    rows = np.flatnonzero(leads)
+    return scenario.row_state(a + int(rows[np.argmin(gap[rows])]))
 
 
 def evaluate_all(
@@ -210,9 +211,10 @@ def evaluate_all(
     rows: List[ComparisonRow] = []
     for frame in range(info.first_frame, info.last_frame + 1):
         ego = scenario.state(ego_id, frame)
-        frame_states = scenario.states_at(frame)
         graph = build_graph(scenario, ego_id, frame, params.R)
-        lead = _pick_lead(ego, frame_states, cfg)
+        # the field terms read only the graph neighbours' states
+        others = [scenario.state(n, frame) for n in graph.neighbors(ego_id)]
+        lead = _pick_lead(scenario, ego, cfg)
         t = h = m = None
         if lead is not None:
             t = ttc(ego, lead, cfg)
@@ -225,10 +227,8 @@ def evaluate_all(
             ttc=t,
             thw=h,
             rss_margin=m,
-            nc_field=nc_field_risk(ego, graph, frame_states, params),
-            risknet_force=total_directional_force(
-                ego, graph, frame_states, params
-            ),
+            nc_field=nc_field_risk(ego, graph, others, params),
+            risknet_force=total_directional_force(ego, graph, others, params),
         ))
     return rows
 

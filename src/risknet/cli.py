@@ -149,9 +149,10 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         for frame in range(info.first_frame, info.last_frame + 1):
             ego = scenario.state(args.ego_id, frame)
             graph = build_graph(scenario, args.ego_id, frame, params.R)
-            force = total_directional_force(
-                ego, graph, scenario.states_at(frame), params
-            )
+            # the field reads only the graph neighbours' states
+            others = [scenario.state(n, frame)
+                      for n in graph.neighbors(args.ego_id)]
+            force = total_directional_force(ego, graph, others, params)
             fh.write(
                 f"{frame},{repr(frame / scenario.frame_rate)},{repr(force)}\n"
             )
@@ -557,6 +558,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = _effective_config(args)
         return args.func(args, cfg)
     except InputError as exc:
+        print(f"risknet: input error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a path that cannot be opened, e.g. --out
         print(f"risknet: input error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

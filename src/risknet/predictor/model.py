@@ -471,12 +471,16 @@ class MixturePrediction:
         if abs(total - 1.0) > 1e-9 or any(m.pi < 0 for m in self.modes):
             raise ValueError("mode probabilities must be nonnegative, sum 1")
         for m in self.modes:
-            for p in range(m.states.shape[0]):
-                cov = m.covariances[p]
-                if not np.allclose(cov, cov.T, atol=1e-9, rtol=0.0):
-                    raise ValueError("covariance not symmetric")
-                if np.linalg.eigvalsh(cov).min() < -1e-9:
-                    raise ValueError("covariance not PSD")
+            # one symmetry test and one batched eigvalsh per mode; the
+            # first failing step names the failure, as a per-step loop would
+            covs = m.covariances[:m.states.shape[0]]
+            asym = ~np.isclose(covs, covs.swapaxes(-1, -2), rtol=0.0,
+                               atol=1e-9).all(axis=(-2, -1))
+            first = int(np.argmax(asym)) if asym.any() else len(covs)
+            if (np.linalg.eigvalsh(covs[:first]).min(axis=-1) < -1e-9).any():
+                raise ValueError("covariance not PSD")
+            if first < len(covs):
+                raise ValueError("covariance not symmetric")
 
 
 def _fused_heads(ctx: Tensor, heads: Sequence[ModeHead]) -> Tensor:

@@ -10,6 +10,7 @@ Velocities are m/s, accelerations m/s^2, masses kg.
 
 import bisect
 import csv
+import io
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -131,9 +132,9 @@ class Scenario:
 
     Construction refuses an agent twice in a frame or a track with a
     frame gap, and derives ``agents``, ``bounds`` and each frame's rows.
-    A frame's AgentStates are built on first use and kept, so every
-    lookup hands out the same objects; their position, velocity and
-    acceleration are views into ``motion``.
+    A row's AgentState is built on first use and kept, so every lookup
+    hands out the same object; its position, velocity and acceleration
+    are views into ``motion``.
     """
 
     frame_rate: float  # Hz
@@ -150,8 +151,11 @@ class Scenario:
     agents: Dict[int, AgentInfo] = field(init=False)
     bounds: Tuple[float, float, float, float] = field(init=False)
     _rows: Dict[int, Tuple[int, int]] = field(init=False, repr=False)
-    _states: Dict[int, Tuple[List[AgentState], List[int]]] = field(
+    _ids: Dict[int, List[int]] = field(
         init=False, repr=False, default_factory=dict)
+    _lists: Dict[int, List[AgentState]] = field(
+        init=False, repr=False, default_factory=dict)
+    _objs: List[Optional[AgentState]] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.offset = np.asarray(self.offset, dtype=float)
@@ -186,6 +190,7 @@ class Scenario:
         starts = np.flatnonzero(new_frame).tolist()
         self._rows = dict(zip(frame[starts].tolist(),
                               zip(starts, starts[1:] + [frame.size])))
+        self._objs = [None] * frame.size
 
     @property
     def dt(self) -> float:
@@ -203,35 +208,51 @@ class Scenario:
     def span(self) -> Tuple[int, int]:
         return int(self.frame[0]), int(self.frame[-1])
 
-    def _frame(self, frame: int) -> Tuple[List[AgentState], List[int]]:
-        """(states, ids) of the frame ascending by id, built on first use."""
-        cached = self._states.get(frame)
-        if cached is None:
-            rows = self._rows.get(frame)
-            if rows is None:
-                return [], []
-            a, b = rows
-            ids = self.agent_id[a:b].tolist()
-            states = [
-                AgentState(i, int(frame), m[0:2], m[2:4], m[4:6], tuple(e),
-                           mass, self.kinds[k])
-                for i, m, e, mass, k in zip(
-                    ids, self.motion[a:b], self.extent[a:b].tolist(),
-                    self.mass[a:b].tolist(), self.kind[a:b].tolist())
-            ]
-            cached = self._states[frame] = (states, ids)
-        return cached
+    def frame_rows(self, frame: int) -> Tuple[int, int]:
+        """The frame's table rows as a half-open range; (0, 0) off the
+        table."""
+        return self._rows.get(frame, (0, 0))
 
-    def states_at(self, frame: int) -> List[AgentState]:
-        """The frame's states ascending by id; [] off the table."""
-        return self._frame(frame)[0]
+    def frame_ids(self, frame: int) -> List[int]:
+        """The frame's agent ids, ascending (the list is kept)."""
+        ids = self._ids.get(frame)
+        if ids is None:
+            ids = self._ids[frame] = self.agent_id[
+                slice(*self.frame_rows(frame))].tolist()
+        return ids
 
-    def state(self, agent_id: int, frame: int) -> AgentState:
-        states, ids = self._frame(frame)
+    def row(self, agent_id: int, frame: int) -> int:
+        """Table row of the agent at the frame; EgoAbsent if it has none."""
+        ids = self.frame_ids(frame)
         k = bisect.bisect_left(ids, agent_id)
         if k == len(ids) or ids[k] != agent_id:
             raise EgoAbsent(agent_id, frame)
-        return states[k]
+        return self.frame_rows(frame)[0] + k
+
+    def row_state(self, i: int) -> AgentState:
+        """The AgentState of table row i, built on first use and kept."""
+        state = self._objs[i]
+        if state is None:
+            m = self.motion[i]
+            state = self._objs[i] = AgentState(
+                int(self.agent_id[i]), int(self.frame[i]), m[0:2], m[2:4],
+                m[4:6], tuple(self.extent[i].tolist()), float(self.mass[i]),
+                self.kinds[self.kind[i]])
+        return state
+
+    def states_at(self, frame: int) -> List[AgentState]:
+        """The frame's states ascending by id; [] off the table."""
+        states = self._lists.get(frame)
+        if states is None:
+            rows = self._rows.get(frame)
+            if rows is None:
+                return []
+            states = self._lists[frame] = list(
+                map(self.row_state, range(*rows)))
+        return states
+
+    def state(self, agent_id: int, frame: int) -> AgentState:
+        return self.row_state(self.row(agent_id, frame))
 
     def has_state(self, agent_id: int, frame: int) -> bool:
         # exact: construction refuses a track with a frame gap
@@ -299,58 +320,77 @@ def _floats(cells: Sequence[Optional[str]]) -> np.ndarray:
         return np.fromiter(map(_float_or_nan, cells), float, len(cells))
 
 
-def load_tracks(
-    path: str,
-    frame_rate: float = 25.0,
-    schema: Optional[Mapping[str, str]] = None,
-    kind_defaults: Optional[Mapping[str, float]] = None,
-) -> Scenario:
-    """Load a track CSV into a Scenario.
+# Parsed track columns: numeric columns by canonical name (a blank mass
+# cell reads as nan), each row's code into the distinct class cells, and
+# those cells in order of first appearance (None when there is no class
+# column).
+Columns = Tuple[Dict[str, np.ndarray], np.ndarray, List[Optional[str]]]
 
-    The canonical schema expects columns frame, id, x, y, xVelocity,
-    yVelocity, width, height, with optional xAcceleration, yAcceleration,
-    class, and mass.  ``schema`` remaps canonical names to the actual
-    column names of the file.  The ``width`` column is the bounding-box
-    extent along x (vehicle length) and ``height`` the extent along y.
+# np.loadtxt strips \x1c-\x1f around a number as whitespace ("1\x1c" reads
+# as 1.0) where float() refuses the cell, and it does not unquote.
+_LOADTXT_TRAPS = ('"', "\x1c", "\x1d", "\x1e", "\x1f")
 
-    Missing accelerations are zero-filled, missing classes default to the
-    car kind, and masses fall back to ``kind_defaults`` (keyed by kind
-    category).  Positions are shifted so the scenario bounds have a
-    nonnegative origin; the shift is remembered and undone on export.
 
-    Each column is parsed once, as a whole.  The first data row with a
-    missing, unparseable or non-finite cell raises NonFinite; after that,
-    the first row whose ``frame`` or ``id`` is not an integer (``3.0`` is,
-    ``3.5`` is not; magnitudes above 2**53 are refused) raises NonIntegral,
-    and then the first row whose ``width``, ``height`` or mass (after the
-    kind default fills a blank cell) is not positive raises NonPositive.
+def _read(path: str) -> Tuple[List[str], str]:
+    """The header cells and the text of the data rows, read once."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return next(csv.reader(fh), []), fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise BadConfig(f"cannot read track file {path}: {exc}")
+
+
+def _parse_text(body: str, resolved: Mapping[str, int],
+                numeric: Sequence[str]) -> Optional[Columns]:
+    r"""Columns through one ``np.loadtxt`` call, or None when the data
+    text does not qualify or loadtxt refuses it.
+
+    The text qualifies when it holds none of ``_LOADTXT_TRAPS`` and no
+    ``\r`` outside ``\r\n``; loadtxt then splits rows and cells as
+    csv.reader does and accepts only cells that Python's float reads the
+    same.  A non-finite value also returns None, so that the csv path
+    names the first bad row.
     """
-    remap = dict(schema or {})
-    masses = dict(DEFAULT_MASSES)
-    if kind_defaults:
-        masses.update(kind_defaults)
+    if (not body or body.isspace()
+            or any(c in body for c in _LOADTXT_TRAPS)
+            or body.count("\r") != body.count("\r\n")):
+        return None
+    usecols = [resolved[name] for name in numeric]
+    labels: Dict[str, int] = {}
+    converters = None
+    if "class" in resolved:
+        if resolved["class"] in usecols:  # one column read two ways
+            return None
+        usecols.append(resolved["class"])
+        converters = {resolved["class"]:
+                      lambda cell: labels.setdefault(cell, len(labels))}
+    try:
+        table = np.loadtxt(body.split("\n"), delimiter=",", comments=None,
+                           usecols=usecols, converters=converters, ndmin=2)
+    except ValueError:
+        return None
+    if not np.isfinite(table).all():
+        return None
+    values = dict(zip(numeric, table.T))
+    if converters is None:
+        return values, np.zeros(len(table), np.intp), [None]
+    return values, table[:, -1].astype(np.intp), list(labels)
 
+
+def _parse_cells(path: str, rows: Iterable[List[str]], header: List[str],
+                 resolved: Mapping[str, int],
+                 numeric: Sequence[str]) -> Columns:
+    """Columns from csv.reader rows, each cell parsed with Python's float;
+    the first data row with a missing, unparseable or non-finite cell
+    raises NonFinite (a blank mass cell is not one)."""
     lengths: List[int] = []
 
     def counted(row: List[str]) -> List[str]:
         lengths.append(len(row))
         return row
 
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        # The cells of every row in one list; the row lists are not kept.
-        flat = list(itertools.chain.from_iterable(map(counted, reader)))
-
-    # A repeated column name resolves to its last column.
-    index = {name: i for i, name in enumerate(header)}
-    resolved: Dict[str, int] = {}
-    for name in REQUIRED_COLUMNS + OPTIONAL_COLUMNS:
-        actual = remap.get(name, name)
-        if actual in index:
-            resolved[name] = index[actual]
-        elif name in REQUIRED_COLUMNS:
-            raise MissingColumn(actual)
+    # The cells of every row in one list; the row lists are not kept.
+    flat = list(itertools.chain.from_iterable(map(counted, rows)))
     sizes = np.array(lengths, dtype=np.intp)
     sizes = sizes[sizes > 0]  # a blank line carries no row
     n = sizes.size
@@ -369,35 +409,90 @@ def load_tracks(
     columns = {name: flat[i::width] for name, i in resolved.items()}
     del flat
 
-    numeric = [name for name in resolved if name not in ("class", "mass")]
+    floats = [name for name in numeric if name != "mass"]
     table = _floats(list(itertools.chain.from_iterable(
-        columns[name] for name in numeric))).reshape(len(numeric), n)
+        columns[name] for name in floats))).reshape(len(floats), n)
     bad |= ~np.isfinite(table).all(axis=0)
-    values = dict(zip(numeric, table))
-
-    labels = columns.get("class", [None] * n)
-    code_of = {raw: k for k, raw in enumerate(dict.fromkeys(labels))}
-    kinds = [AgentKind.of(raw) if raw and raw.strip() else CAR
-             for raw in code_of]
-    kind = np.fromiter(map(code_of.__getitem__, labels), np.intp, n)
-    default_mass = np.array([masses[k.category] for k in kinds],
-                            dtype=float)[kind]
-
+    values = dict(zip(floats, table))
     if "mass" in resolved:
         cells = columns["mass"]
-        mass = _floats(cells)
+        mass = values["mass"] = _floats(cells)
         unset = ~np.isfinite(mass)
         if unset.any():
             blank = np.fromiter((not (c or "").strip() for c in cells),
                                 bool, n)
-            bad |= unset & ~blank
-            mass = np.where(blank, default_mass, mass)
-    else:
-        mass = default_mass
+            bad |= unset & ~blank  # a blank cell stays nan
 
     first_bad = np.flatnonzero(bad)
     if first_bad.size:
         raise NonFinite(int(first_bad[0]))
+    labels = columns.get("class", [None] * n)
+    code_of = {raw: k for k, raw in enumerate(dict.fromkeys(labels))}
+    kind = np.fromiter(map(code_of.__getitem__, labels), np.intp, n)
+    return values, kind, list(code_of)
+
+
+def load_tracks(
+    path: str,
+    frame_rate: float = 25.0,
+    schema: Optional[Mapping[str, str]] = None,
+    kind_defaults: Optional[Mapping[str, float]] = None,
+) -> Scenario:
+    """Load a UTF-8 track CSV into a Scenario.
+
+    The canonical schema expects columns frame, id, x, y, xVelocity,
+    yVelocity, width, height, with optional xAcceleration, yAcceleration,
+    class, and mass.  ``schema`` remaps canonical names to the actual
+    column names of the file.  The ``width`` column is the bounding-box
+    extent along x (vehicle length) and ``height`` the extent along y.
+
+    Missing accelerations are zero-filled, missing classes default to the
+    car kind, and masses fall back to ``kind_defaults`` (keyed by kind
+    category).  Positions are shifted so the scenario bounds have a
+    nonnegative origin; the shift is remembered and undone on export.
+
+    The file is read once.  A qualifying text is parsed by one
+    ``np.loadtxt`` call (``_parse_text``); any other, or one that call
+    refuses, goes through csv.reader and Python's float (``_parse_cells``),
+    which decides every error.  The first data row with a missing,
+    unparseable or non-finite cell raises NonFinite; after that, the
+    first row whose ``frame`` or ``id`` is not an integer (``3.0`` is,
+    ``3.5`` is not; magnitudes above 2**53 are refused) raises
+    NonIntegral, and then the first row whose ``width``, ``height`` or
+    mass (after the kind default fills a blank cell) is not positive
+    raises NonPositive.  An unreadable or non-UTF-8 file is BadConfig.
+    """
+    remap = dict(schema or {})
+    masses = dict(DEFAULT_MASSES)
+    if kind_defaults:
+        masses.update(kind_defaults)
+
+    header, body = _read(path)
+    # A repeated column name resolves to its last column.
+    index = {name: i for i, name in enumerate(header)}
+    resolved: Dict[str, int] = {}
+    for name in REQUIRED_COLUMNS + OPTIONAL_COLUMNS:
+        actual = remap.get(name, name)
+        if actual in index:
+            resolved[name] = index[actual]
+        elif name in REQUIRED_COLUMNS:
+            raise MissingColumn(actual)
+    numeric = [name for name in resolved if name != "class"]
+    columns = _parse_text(body, resolved, numeric)
+    if columns is None:
+        rows = csv.reader(io.StringIO(body, newline=""))
+        columns = _parse_cells(path, rows, header, resolved, numeric)
+    del body
+    values, kind, raws = columns
+
+    kinds = [AgentKind.of(raw) if raw and raw.strip() else CAR
+             for raw in raws]
+    default_mass = np.array([masses[k.category] for k in kinds],
+                            dtype=float)[kind]
+    mass = values.get("mass", default_mass)
+    blank = np.isnan(mass)
+    if blank.any():
+        mass = np.where(blank, default_mass, mass)
 
     keys = np.column_stack([values["frame"], values["id"]])
     off = np.flatnonzero((keys != np.trunc(keys))
@@ -417,7 +512,7 @@ def load_tracks(
         raise NonPositive(row, name, float(body[name][row]))
 
     order = np.lexsort((ids, frame))
-    zero = np.zeros(n)  # absent accelerations
+    zero = np.zeros(len(order))  # absent accelerations
     motion = np.column_stack([values.get(name, zero) for name in (
         "x", "y", "xVelocity", "yVelocity", "xAcceleration", "yAcceleration",
     )])[order]
@@ -472,14 +567,14 @@ def build_graph(
     scenario: Scenario, ego_id: int, frame: int, radius: float
 ) -> InteractionGraph:
     """Connect the ego to every other agent within ``radius`` (inclusive)
-    at ``frame``."""
-    ex, ey = scenario.state(ego_id, frame).position.tolist()
-    edges = set()
-    for s in scenario.states_at(frame):
-        x, y = s.position.tolist()
-        if s.agent_id != ego_id and math.hypot(x - ex, y - ey) <= radius:
-            edges.add((ego_id, s.agent_id))
-    return InteractionGraph(ego_id, frame, radius, frozenset(edges))
+    at ``frame``, reading positions from the frame's table rows."""
+    e = scenario.row(ego_id, frame)
+    a, b = scenario.frame_rows(frame)
+    xy = scenario.motion[a:b, 0:2].tolist()
+    ex, ey = xy[e - a]
+    return InteractionGraph(ego_id, frame, radius, frozenset(
+        (ego_id, aid) for aid, (x, y) in zip(scenario.frame_ids(frame), xy)
+        if aid != ego_id and math.hypot(x - ex, y - ey) <= radius))
 
 
 def velocity_angle(

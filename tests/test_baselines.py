@@ -24,7 +24,11 @@ from risknet.baselines import (
 )
 from risknet.errors import BadConfig
 from risknet.field import RiskFieldParams, pairwise_force
-from risknet.scene import InteractionGraph, make_archetype
+from risknet.scene import (
+    InteractionGraph,
+    make_archetype,
+    scenario_from_states,
+)
 
 CFG = BaselineConfig()
 PARAMS = RiskFieldParams()
@@ -230,6 +234,38 @@ def test_evaluate_all_constant_gap_following():
     headways = {round(r.thw, 12) for r in rows}
     assert all(r.ttc is None for r in rows)
     assert len(headways) == 1
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_evaluate_all_lead_matches_scalar_pick(data):
+    """ttc, thw and rss use the in-band agent ahead with the smallest
+    bumper gap, the first by id on a tie, as a loop over the frame's
+    states picks it; the ego heads +x, -x or stands."""
+    xs = st.sampled_from((-30.0, -10.0, -4.5, 0.0, 4.5, 10.0, 25.0))
+    ys = st.sampled_from((0.0, 1.0, -1.75, 1.75, 3.5))
+    states = [make_state(0, velocity=(
+        data.draw(st.sampled_from((20.0, -20.0, 0.05))), 0.0))]
+    for aid in range(1, data.draw(st.integers(1, 6)) + 1):
+        states.append(make_state(
+            aid, position=(data.draw(xs), data.draw(ys)),
+            velocity=(data.draw(st.sampled_from((-10.0, 15.0, 25.0))), 0.0),
+            extent=(data.draw(st.sampled_from((4.5, 12.0))), 2.0)))
+    sc = scenario_from_states(states, 25.0)
+    (row,) = evaluate_all(sc, 0, CFG, PARAMS)
+    ego, lead = sc.state(0, 0), None
+    for s in sc.states_at(0):
+        gap = bumper_gap(ego, s)
+        if (s.agent_id != 0 and gap >= 0.0
+                and abs(s.position[1] - ego.position[1]) < CFG.lane_half_width
+                and (lead is None or gap < bumper_gap(ego, lead))):
+            lead = s
+    if lead is None:
+        assert (row.ttc, row.thw, row.rss_margin) == (None, None, None)
+    else:
+        assert row.ttc == ttc(ego, lead, CFG)
+        assert row.thw == thw(ego, lead, CFG)
+        assert row.rss_margin == rss_longitudinal_violation(ego, lead, CFG)[1]
 
 
 def test_rear_overtake_rear_phase_visible_only_to_field():

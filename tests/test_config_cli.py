@@ -398,6 +398,28 @@ def test_cli_non_positive_body_exits_2(tmp_path, command, masses, body,
     assert f"{column} in data row {row} must be positive" in proc.stderr
 
 
+@pytest.mark.parametrize("case", ["missing", "directory", "not_utf8",
+                                  "out_dir_missing"])
+def test_cli_eval_unreadable_path_exits_2(cutin, tmp_path, case):
+    scenario, out = cutin, tmp_path / "eval.csv"
+    if case == "missing":
+        scenario = tmp_path / "absent.csv"
+    elif case == "directory":
+        scenario = tmp_path
+    elif case == "not_utf8":
+        scenario = tmp_path / "latin1.csv"
+        scenario.write_bytes(cutin.read_bytes().replace(b"car", b"c\xe4r"))
+    else:
+        out = tmp_path / "no_such_dir" / "eval.csv"
+    proc = run_cli("eval", "--scenario", scenario, "--ego-id", "0",
+                   "--out", out)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("risknet: input error:")
+    assert proc.stderr.count("\n") == 1
+    named = out if case == "out_dir_missing" else scenario
+    assert str(named) in proc.stderr
+
+
 def test_cli_eval_bad_override_exits_2(cutin, tmp_path):
     proc = run_cli("eval", "--scenario", cutin, "--ego-id", "0",
                    "--set", "risk.nope=1", "--out", tmp_path / "x.csv")

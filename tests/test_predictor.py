@@ -436,6 +436,27 @@ def single_mode_prediction(positions, cov_scale=1.0, pi=1.0, dt=0.2):
     return PredictionMode(pi=pi, states=states, covariances=covs)
 
 
+@pytest.mark.parametrize("defects, message", [
+    ({3: "asymmetric"}, "not symmetric"),
+    ({3: "negative"}, "not PSD"),
+    ({1: "negative", 3: "asymmetric"}, "not PSD"),
+    ({1: "asymmetric", 3: "negative"}, "not symmetric"),
+])
+def test_validate_names_first_bad_covariance_step(defects, message):
+    """The last step is checked, and the first failing step decides the
+    message, in the second mode of two."""
+    good = single_mode_prediction(np.zeros((4, 2)), pi=0.5)
+    bad = single_mode_prediction(np.zeros((4, 2)), pi=0.5)
+    MixturePrediction(modes=[good, bad], dt=0.2).validate()
+    for step, defect in defects.items():
+        if defect == "asymmetric":
+            bad.covariances[step, 0, 1] += 1e-6
+        else:
+            bad.covariances[step, 2, 2] = -1e-6
+    with pytest.raises(ValueError, match=message):
+        MixturePrediction(modes=[good, bad], dt=0.2).validate()
+
+
 def test_nll_identity_case():
     truth = np.array([[3.0, -1.0]])
     mode = single_mode_prediction(truth)

@@ -41,9 +41,9 @@ HEADER = ["frame", "id", "x", "y", "xVelocity", "yVelocity",
           "width", "height"]
 
 
-def write_csv(path, rows, header=HEADER):
+def write_csv(path, rows, header=HEADER, lineterminator="\r\n"):
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator=lineterminator)
         writer.writerow(header)
         writer.writerows(rows)
 
@@ -265,49 +265,73 @@ NUMERIC = ("frame", "id", "x", "y", "xVelocity", "yVelocity", "width",
            "height", "xAcceleration", "yAcceleration", "mass")
 LABELS = ("car", "Car", " truck ", "Truck_Bus", "bike", "person",
           "hovercraft", "Van", "", "  ")
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663"
+                             "\u0664\u0665\u0666\u0667\u0668\u0669")
+SPELLINGS = tuple(style.format for style in (
+    "{!r}", "{:.3f}", " {!r} ", " {!r}", "{:.0f}", "{:e}"))
+# Cells that Python's float reads but np.loadtxt refuses: a table holding
+# one takes the csv.reader path.
+EXOTIC_SPELLINGS = ("{:_.3f}".format,
+                    lambda v: repr(v).translate(ARABIC_INDIC))
+EXOTIC_CELLS = ("1_000", "\u0661")
 DEFECTS = ("non_finite", "text", "short", "long", "duplicate", "gap",
            "fraction", "drop_column", "non_positive", "default_mass")
 
 
-def _numbers(lo, hi):
-    """Float cells in several spellings, including -0 and padding."""
-    return st.builds(
-        lambda v, style: style.format(v),
+def _numbers(lo, hi, exotic=False):
+    """Float cells in several spellings, including -0 and padding; with
+    ``exotic``, also underscores, Arabic-Indic digits and fixed cells."""
+    cells = st.builds(
+        lambda v, spell: spell(v),
         st.floats(lo, hi, allow_nan=False),
-        st.sampled_from(("{!r}", "{:.3f}", " {!r} ", "{:.0f}", "{:e}")),
+        st.sampled_from(SPELLINGS + (EXOTIC_SPELLINGS if exotic else ())),
     )
+    return st.one_of(cells, st.sampled_from(EXOTIC_CELLS)) if exotic else cells
 
 
-def _integral(value):
+def _integral(value, exotic=False):
     return st.sampled_from((str(value), f"{value}.0", f" {value} ",
-                            f"{value}e0"))
+                            f"{value}e0")
+                           + ((str(value).translate(ARABIC_INDIC),)
+                              if exotic else ()))
 
 
 @st.composite
 def track_tables(draw):
     """A well-formed track table: canonical column names, the header as
-    written, [(frame, id), cells] rows, the schema and kind defaults."""
+    written, [(frame, id), cells] rows, the schema, kind defaults and the
+    line ending.  A third of the tables hold exotic cells (blank masses,
+    spellings np.loadtxt refuses), a third may hold labels that
+    csv.writer quotes, and the rest qualify for np.loadtxt."""
+    style = draw(st.sampled_from(("plain", "exotic", "quoted")))
+    exotic = style == "exotic"
+    labels = st.sampled_from(LABELS)
+    if style == "quoted":
+        labels = st.one_of(labels, st.sampled_from(("van, blue",
+                                                    'van "blue"')))
     columns = list(HEADER) + draw(st.lists(st.sampled_from(OPTIONAL),
                                            unique=True))
     if draw(st.booleans()):
         columns.append("lane")  # a column nothing reads
     columns = draw(st.permutations(columns))
+    mass = _numbers(50.0, 4e4, exotic)
+    if exotic:
+        mass = st.one_of(st.sampled_from(("", " ")), mass)
     rows = []
     for aid in draw(st.lists(st.integers(-30, 60), min_size=1, max_size=4,
                              unique=True)):
         first = draw(st.integers(-3, 6))
         for f in range(first, first + draw(st.integers(1, 5))):
-            cells = {"frame": draw(_integral(f)),
-                     "id": draw(_integral(aid)), "lane": "2",
-                     "class": draw(st.sampled_from(LABELS)),
-                     "mass": draw(st.one_of(st.sampled_from(("", " ")),
-                                            _numbers(50.0, 4e4)))}
+            cells = {"frame": draw(_integral(f, exotic)),
+                     "id": draw(_integral(aid, exotic)), "lane": "2",
+                     "class": draw(labels),
+                     "mass": draw(mass)}
             for name in ("x", "y", "xVelocity", "yVelocity",
                          "xAcceleration", "yAcceleration"):
-                cells[name] = draw(_numbers(-500.0, 500.0))
+                cells[name] = draw(_numbers(-500.0, 500.0, exotic))
             for name in ("width", "height"):
                 # at least 1, so that "{:.0f}" never writes a zero extent
-                cells[name] = draw(_numbers(1.0, 20.0))
+                cells[name] = draw(_numbers(1.0, 20.0, exotic))
             rows.append([(f, aid), [cells[c] for c in columns]])
     rows = draw(st.permutations(rows))
     schema = {}
@@ -318,13 +342,15 @@ def track_tables(draw):
     header = [schema.get(c, c) for c in columns]
     kind_defaults = draw(st.sampled_from((None, {"car": 999.5},
                                           {"other": 42.0, "truck": 9e3})))
-    return columns, header, rows, schema, kind_defaults
+    newline = draw(st.sampled_from(("\r\n", "\n")))
+    return columns, header, rows, schema, kind_defaults, newline
 
 
 @st.composite
 def malformed_tables(draw):
     """A track table with one to three defects applied in turn."""
-    columns, header, rows, schema, kind_defaults = draw(track_tables())
+    columns, header, rows, schema, kind_defaults, newline = draw(
+        track_tables())
     header = list(header)
     rows = [[key, list(cells)] for key, cells in rows]
     numeric = [k for k, c in enumerate(columns) if c in NUMERIC]
@@ -337,7 +363,8 @@ def malformed_tables(draw):
             cells[draw(st.sampled_from(present))] = draw(st.sampled_from(
                 ("nan", "NaN", " -inf", "inf", "1e999")
                 if defect == "non_finite"
-                else ("abc", "", "1,5", "--1", "0x10")))
+                else ("abc", "", "1,5", "--1", "0x10", "1\x1c", "\x1f2",
+                      "1.5\r")))
         elif defect == "short":
             del cells[draw(st.integers(0, max(len(cells) - 1, 0))):]
         elif defect == "long":
@@ -367,14 +394,15 @@ def malformed_tables(draw):
         elif defect == "default_mass":
             kind_defaults = {draw(st.sampled_from(("car", "other", "truck"))):
                              draw(st.sampled_from((0.0, -1500.0)))}
-    return columns, header, rows, schema, kind_defaults
+    return columns, header, rows, schema, kind_defaults, newline
 
 
 def _outcome(load, table):
-    _, header, rows, schema, kind_defaults = table
+    _, header, rows, schema, kind_defaults, newline = table
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "tracks.csv")
-        write_csv(path, [cells for _, cells in rows], header=header)
+        write_csv(path, [cells for _, cells in rows], header=header,
+                  lineterminator=newline)
         try:
             return load(path, schema=schema or None,
                         kind_defaults=kind_defaults)
@@ -495,12 +523,19 @@ def check_lookups(sc, rows):
             assert build_graph(sc, aid, f, RADIUS).edges == near
 
 
-@given(rows=multi_agent_rows())
+@given(rows=multi_agent_rows(), early=st.data())
 @settings(max_examples=100, deadline=None)
-def test_lookups_match_row_oracle(rows, tmp_path_factory):
+def test_lookups_match_row_oracle(rows, early, tmp_path_factory):
     states = [make_state(aid, f, (x, y), (1.0, 0.0)) for f, aid, x, y in rows]
     sc = scenario_from_states(states[::-1], 25.0)
     check_lookups(sc, rows)
+    # state(a, f) before states_at(f): the frame list holds that object
+    sc = scenario_from_states(states, 25.0)
+    picked = early.draw(st.lists(st.sampled_from(rows), unique=True))
+    first = {(f, aid): sc.state(aid, f) for f, aid, _, _ in picked}
+    check_lookups(sc, rows)
+    assert all(first[key] is next(s for s in sc.states_at(key[0])
+                                  if s.agent_id == key[1]) for key in first)
     # the loaded copy against the reference loader's shifted rows
     path = str(tmp_path_factory.mktemp("lookups") / "tracks.csv")
     export_tracks(sc, path)
