@@ -59,19 +59,28 @@ def _heading_sign(ego: AgentState) -> float:
     return -1.0 if ego.velocity[0] < -EPS_SPEED else 1.0
 
 
+def _gap(ego: AgentState, x, length):
+    """Bumper-to-bumper gap along the ego's travel axis to agents centred
+    at ``x`` with extent ``length`` along x, negative on overlap; floats
+    or arrays alike."""
+    center = _heading_sign(ego) * (x - ego.position[0])
+    return center - 0.5 * (ego.extent[0] + length)
+
+
+def _lead_gate(ego: AgentState, gap, y, half_width: float):
+    """Gate shared by ttc/thw/rss and the lead pick: ahead (nonnegative
+    gap) and inside the ego's lane band; floats or arrays alike."""
+    return (abs(y - ego.position[1]) < half_width) & (gap >= 0.0)
+
+
 def bumper_gap(ego: AgentState, lead: AgentState) -> float:
     """Bumper-to-bumper gap along the travel axis, negative on overlap."""
-    sign = _heading_sign(ego)
-    center = sign * (lead.position[0] - ego.position[0])
-    return center - 0.5 * (ego.extent[0] + lead.extent[0])
+    return _gap(ego, lead.position[0], lead.extent[0])
 
 
 def _leads(ego: AgentState, lead: AgentState, half_width: float) -> bool:
-    """Gate shared by ttc/thw/rss: lead ahead (nonnegative gap) and inside
-    the ego's lane band."""
-    if abs(lead.position[1] - ego.position[1]) >= half_width:
-        return False
-    return bumper_gap(ego, lead) >= 0.0
+    return bool(_lead_gate(ego, bumper_gap(ego, lead), lead.position[1],
+                           half_width))
 
 
 def ttc(
@@ -180,10 +189,8 @@ def _pick_lead(
     by id on a tie), read from the frame's table rows."""
     a, b = scenario.frame_rows(ego.frame)
     x, y = scenario.motion[a:b, 0:2].T
-    # bumper_gap and _leads over every row of the frame
-    gap = (_heading_sign(ego) * (x - ego.position[0])
-           - 0.5 * (ego.extent[0] + scenario.extent[a:b, 0]))
-    leads = (np.abs(y - ego.position[1]) < cfg.lane_half_width) & (gap >= 0.0)
+    gap = _gap(ego, x, scenario.extent[a:b, 0])
+    leads = _lead_gate(ego, gap, y, cfg.lane_half_width)
     leads[scenario.row(ego.agent_id, ego.frame) - a] = False
     if not leads.any():
         return None

@@ -86,8 +86,17 @@ def _load_scenario(args, cfg: RunConfig) -> Scenario:
                        schema=_schema_of(args, cfg))
 
 
+def _open_out(path: str, **kwargs):
+    """Open an output path for writing; a missing directory, a directory
+    or a refused permission is an input error naming the path."""
+    try:
+        return open(path, "w", **kwargs)
+    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+        raise BadConfig(f"cannot write {path}: {exc.strerror}")
+
+
 def _dump_json(path: str, payload: dict) -> None:
-    with open(path, "w") as fh:
+    with _open_out(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -144,7 +153,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     if info is None:
         raise BadConfig(f"ego {args.ego_id} not in scenario")
     params = cfg.risk
-    with open(args.out, "w", newline="") as fh:
+    with _open_out(args.out, newline="") as fh:
         fh.write(EVAL_HEADER + "\n")
         for frame in range(info.first_frame, info.last_frame + 1):
             ego = scenario.state(args.ego_id, frame)
@@ -558,9 +567,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = _effective_config(args)
         return args.func(args, cfg)
     except InputError as exc:
-        print(f"risknet: input error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:  # a path that cannot be opened, e.g. --out
         print(f"risknet: input error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -342,18 +342,16 @@ def _read(path: str) -> Tuple[List[str], str]:
 
 def _parse_text(body: str, resolved: Mapping[str, int],
                 numeric: Sequence[str]) -> Optional[Columns]:
-    r"""Columns through one ``np.loadtxt`` call, or None when the data
+    """Columns through one ``np.loadtxt`` call, or None when the data
     text does not qualify or loadtxt refuses it.
 
-    The text qualifies when it holds none of ``_LOADTXT_TRAPS`` and no
-    ``\r`` outside ``\r\n``; loadtxt then splits rows and cells as
-    csv.reader does and accepts only cells that Python's float reads the
-    same.  A non-finite value also returns None, so that the csv path
-    names the first bad row.
+    The text qualifies when it holds none of ``_LOADTXT_TRAPS``; loadtxt
+    then splits rows and cells as csv.reader does and accepts only cells
+    that Python's float reads the same.  A non-finite value also returns
+    None, so that the csv path names the first bad row.
     """
     if (not body or body.isspace()
-            or any(c in body for c in _LOADTXT_TRAPS)
-            or body.count("\r") != body.count("\r\n")):
+            or any(c in body for c in _LOADTXT_TRAPS)):
         return None
     usecols = [resolved[name] for name in numeric]
     labels: Dict[str, int] = {}
@@ -365,8 +363,10 @@ def _parse_text(body: str, resolved: Mapping[str, int],
         converters = {resolved["class"]:
                       lambda cell: labels.setdefault(cell, len(labels))}
     try:
+        # encoding=None: before NumPy 2 the default hands converters bytes
         table = np.loadtxt(body.split("\n"), delimiter=",", comments=None,
-                           usecols=usecols, converters=converters, ndmin=2)
+                           usecols=usecols, converters=converters, ndmin=2,
+                           encoding=None)
     except ValueError:
         return None
     if not np.isfinite(table).all():

@@ -130,6 +130,28 @@ def test_kind_mapping_and_unknown_label_roundtrip(tmp_path):
     assert again.agents[3].kind.label == "hovercraft"
 
 
+def test_class_labels_read_as_text_under_bytes_default(tmp_path,
+                                                        monkeypatch):
+    """Before NumPy 2, np.loadtxt defaults to encoding='bytes' and hands
+    converters latin1 bytes; the loadtxt path must still see str labels."""
+    loadtxt, calls = np.loadtxt, []
+
+    def bytes_default(*args, **kwargs):
+        calls.append(kwargs.setdefault("encoding", "bytes"))
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", bytes_default)
+    path = tmp_path / "tracks.csv"
+    write_csv(path, [
+        [0, 1, 0.0, 0.0, 1.0, 0.0, 4.5, 2.0, "car"],
+        [0, 2, 9.0, 0.0, 1.0, 0.0, 12.0, 2.5, "truck"],
+    ], header=HEADER + ["class"])
+    sc = load_tracks(str(path))
+    assert calls  # the loadtxt path ran
+    assert [sc.agents[a].kind.label for a in (1, 2)] == ["car", "truck"]
+    assert [sc.agents[a].kind.category for a in (1, 2)] == ["car", "truck"]
+
+
 def test_mass_override_by_kind(tmp_path):
     path = tmp_path / "tracks.csv"
     write_csv(path, [[0, 1, 0.0, 0.0, 1.0, 0.0, 4.5, 2.0]])
