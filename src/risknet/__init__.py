@@ -27,6 +27,7 @@ from .predictor import (
     gradient_check,
     load_model,
     predict_for_agent,
+    predict_frame,
     save_model,
     train,
 )
@@ -87,6 +88,7 @@ __all__ = [
     "make_archetype",
     "mode_risk",
     "predict_for_agent",
+    "predict_frame",
     "predictor",
     "prob",
     "probabilistic_raster",

@@ -11,6 +11,7 @@ artifact gets the full effective configuration echoed alongside it, as a
 """
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -40,6 +41,7 @@ from .predictor import (
     load_model,
     metrics as prediction_metrics,
     predict_for_agent,
+    predict_frame,
     save_model,
     train as run_training,
 )
@@ -86,13 +88,20 @@ def _load_scenario(args, cfg: RunConfig) -> Scenario:
                        schema=_schema_of(args, cfg))
 
 
-def _open_out(path: str, **kwargs):
-    """Open an output path for writing; a missing directory, a directory
-    or a refused permission is an input error naming the path."""
+@contextlib.contextmanager
+def _writing():
+    """Output files opened inside the block: a missing directory, a
+    directory or a refused permission is an input error naming the
+    file."""
     try:
-        return open(path, "w", **kwargs)
+        yield
     except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        raise BadConfig(f"cannot write {path}: {exc.strerror}")
+        raise BadConfig(f"cannot write {exc.filename}: {exc.strerror}")
+
+
+def _open_out(path: str, **kwargs):
+    with _writing():
+        return open(path, "w", **kwargs)
 
 
 def _dump_json(path: str, payload: dict) -> None:
@@ -183,25 +192,25 @@ def cmd_map(args, cfg: RunConfig) -> int:
         if not args.model:
             raise BadConfig("--probabilistic requires --model")
         cell_params, dec_params, hyper = load_model(args.model)
-        predictions = {
-            s.agent_id: predict_for_agent(
-                cell_params, dec_params, scenario, s.agent_id, args.frame,
-                radius=params.R, t_h=hyper.t_h)
-            for s in scenario.states_at(args.frame)
-            if s.agent_id != args.ego_id
-        }
+        others = [a for a in scenario.frame_ids(args.frame)
+                  if a != args.ego_id]
+        predictions = predict_frame(cell_params, dec_params, scenario,
+                                    others, args.frame, radius=params.R,
+                                    t_h=hyper.t_h)
         raster = probabilistic_raster(
             predictions, probe, args.step, grid, params
         )
     else:
         raster = rasterize(scenario, args.frame, probe, grid, params)
-    write_raster(raster, args.out, binary=binary, extra={
+    extra = {
         "probabilistic": bool(args.probabilistic),
         "step": args.step if args.probabilistic else 0,
         "ego_id": args.ego_id,
         "scenario": os.path.basename(args.scenario),
         "config": config_to_dict(cfg),
-    })
+    }
+    with _writing():
+        write_raster(raster, args.out, binary=binary, extra=extra)
     print(f"wrote {args.out}.json")
     return 0
 
@@ -265,7 +274,8 @@ def detection_summary(
 def cmd_compare(args, cfg: RunConfig) -> int:
     scenario = _load_scenario(args, cfg)
     rows = evaluate_all(scenario, args.ego_id, cfg.baselines, cfg.risk)
-    write_comparison(rows, args.out)
+    with _writing():
+        write_comparison(rows, args.out)
     summary = detection_summary(rows, cfg)
     for name in ("ttc", "thw", "rss", "nc_field", "risknet"):
         frame = summary[name]
@@ -461,7 +471,8 @@ def cmd_gen(args, cfg: RunConfig) -> int:
     frame_rate = args.frame_rate if args.frame_rate else cfg.io.frame_rate
     scenario = make_archetype(args.archetype, params or None,
                               frame_rate=frame_rate, duration=args.duration)
-    export_tracks(scenario, args.out)
+    with _writing():
+        export_tracks(scenario, args.out)
     _write_run_sidecar(args.out, "gen", cfg, {
         "archetype": args.archetype,
         "params": params,

@@ -15,6 +15,7 @@ window or agent is a batch of one, so the training gradients, the
 gradient checker and inference all run the same code.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -163,13 +164,39 @@ def _neighbour_slots(
     n_rows: int, slots: Mapping[int, Sequence[int]]
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Padded (R, K) neighbour rows, their mask, and per-row counts."""
-    k_max = max((len(s) for s in slots.values()), default=0)
-    nbr_rows = np.zeros((n_rows, k_max), dtype=np.intp)
-    nbr_mask = np.zeros((n_rows, k_max))
-    for r, s in slots.items():
-        nbr_rows[r, :len(s)] = s
-        nbr_mask[r, :len(s)] = 1.0
+    lengths = np.zeros(n_rows, dtype=np.intp)
+    order = sorted(slots)
+    lengths[order] = [len(slots[r]) for r in order]
+    used = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    nbr_rows = np.zeros(used.shape, dtype=np.intp)
+    # a boolean mask fills in row-major order: ascending rows, slot order
+    nbr_rows[used] = [w for r in order for w in slots[r]]
+    nbr_mask = used.astype(float)
     return nbr_rows, nbr_mask, np.maximum(nbr_mask.sum(axis=1), 1.0)
+
+
+def _neighbour_means(x: np.ndarray, nbr_rows: np.ndarray,
+                     nbr_mask: np.ndarray,
+                     nbr_count: np.ndarray) -> np.ndarray:
+    """Each row's mean over its neighbour slots of ``x``, summed in slot
+    order as ``_mean`` does; zero for a row without neighbours."""
+    if not nbr_rows.shape[1]:
+        return np.zeros_like(x)
+    used = nbr_mask.astype(bool)[..., None]
+    total = x[nbr_rows[:, 0]]
+    for k in range(1, nbr_rows.shape[1]):
+        total = np.where(used[:, k], total + x[nbr_rows[:, k]], total)
+    return np.where(used[:, 0], total / nbr_count[:, None], 0.0)
+
+
+def _adjacency(graph: InteractionGraph) -> Dict[int, List[int]]:
+    """``graph.neighbors`` of every agent on an edge, from one pass over
+    the edges."""
+    adjacent: Dict[int, set] = {}
+    for a, b in graph.edges:
+        adjacent.setdefault(a, set()).add(b)
+        adjacent.setdefault(b, set()).add(a)
+    return {a: sorted(ids) for a, ids in adjacent.items()}
 
 
 def pack_histories(
@@ -196,21 +223,25 @@ def pack_histories(
     steps = []
     for s in range(n_steps):
         x = np.zeros((n_rows, d_in))
-        x_bar = np.zeros((n_rows, d_in))
         present = np.zeros(n_rows, dtype=bool)
+        filled: List[int] = []
+        values: List[np.ndarray] = []
         slots: Dict[int, List[int]] = {}
         for history, rows in zip(histories, row_maps):
             feats, graph = history[s]
+            adjacent = _adjacency(graph)
             for a, value in feats.items():
-                x[rows[a]] = _feature_vector(value, d_in)
-                present[rows[a]] = True
-            for a in feats:
-                ids = [rows[w] for w in graph.neighbors(a) if w in feats]
+                filled.append(rows[a])
+                values.append(_feature_vector(value, d_in))
+                ids = [rows[w] for w in adjacent.get(a, ()) if w in feats]
                 if ids:
-                    x_bar[rows[a]] = _mean([x[r] for r in ids])
                     slots[rows[a]] = ids
-        steps.append(PackedStep(x, x_bar, present,
-                                *_neighbour_slots(n_rows, slots)))
+        if filled:
+            x[filled] = values
+            present[filled] = True
+        nbr = _neighbour_slots(n_rows, slots)
+        steps.append(PackedStep(x, _neighbour_means(x, *nbr), present,
+                                *nbr))
     return steps, row_maps
 
 
@@ -408,6 +439,17 @@ def kinematic_matrices(dt: float) -> Tuple[np.ndarray, np.ndarray]:
     return F, G
 
 
+@functools.lru_cache(maxsize=8)
+def _filter_matrices(dt: float) -> Tuple[np.ndarray, ...]:
+    """F, G and the control noise maps Mk = outer(G[:,k], G[:,k]) of one
+    step length, built once and read-only."""
+    F, G = kinematic_matrices(dt)
+    out = (F, G, np.outer(G[:, 0], G[:, 0]), np.outer(G[:, 1], G[:, 1]))
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
 def _fused_mean_step(x: Tensor, u: Tensor, F: np.ndarray,
                      G: np.ndarray) -> Tensor:
     out = x.data @ F.T + u.data @ G.T
@@ -467,28 +509,47 @@ class MixturePrediction:
         return self.modes[0].states.shape[0]
 
     def validate(self) -> None:
-        total = sum(m.pi for m in self.modes)
-        if abs(total - 1.0) > 1e-9 or any(m.pi < 0 for m in self.modes):
-            raise ValueError("mode probabilities must be nonnegative, sum 1")
-        for m in self.modes:
-            # one symmetry test and one batched eigvalsh per mode; the
-            # first failing step names the failure, as a per-step loop would
-            covs = m.covariances[:m.states.shape[0]]
-            asym = ~np.isclose(covs, covs.swapaxes(-1, -2), rtol=0.0,
-                               atol=1e-9).all(axis=(-2, -1))
-            first = int(np.argmax(asym)) if asym.any() else len(covs)
-            if (np.linalg.eigvalsh(covs[:first]).min(axis=-1) < -1e-9).any():
-                raise ValueError("covariance not PSD")
-            if first < len(covs):
-                raise ValueError("covariance not symmetric")
+        validate_mixtures([self])
 
 
-def _fused_heads(ctx: Tensor, heads: Sequence[ModeHead]) -> Tensor:
+def validate_mixtures(preds: Sequence[MixturePrediction]) -> None:
+    """Check the mode probabilities and covariances of every prediction
+    at once; the modes of all predictions must share one horizon.
+
+    Raises ValueError for the first failing prediction, with the message
+    a check of that prediction alone gives: its probabilities first, then
+    its modes in order, where a mode's first failing step names the
+    failure (not symmetric, or not PSD).
+    """
+    pis = np.array([[m.pi for m in p.modes] for p in preds])
+    covs = np.stack([m.covariances[:m.states.shape[0]]
+                     for p in preds for m in p.modes])
+    pi_bad = ((np.abs(pis.sum(axis=1) - 1.0) > 1e-9)
+              | (pis < 0).any(axis=1))
+    asym = ~np.isclose(covs, covs.swapaxes(-1, -2), rtol=0.0,
+                       atol=1e-9).all(axis=(-2, -1))  # (modes, steps)
+    first = np.where(asym.any(axis=1), asym.argmax(axis=1), asym.shape[1])
+    checked = np.where(asym[..., None, None], np.eye(covs.shape[-1]), covs)
+    not_psd = ((np.linalg.eigvalsh(checked).min(axis=-1) < -1e-9)
+               & (np.arange(asym.shape[1]) < first[:, None])).any(axis=1)
+    mode_bad = (not_psd | (first < asym.shape[1])).reshape(pis.shape)
+    bad = pi_bad | mode_bad.any(axis=1)
+    if not bad.any():
+        return
+    p = int(bad.argmax())
+    if pi_bad[p]:
+        raise ValueError("mode probabilities must be nonnegative, sum 1")
+    m = p * pis.shape[1] + int(mode_bad[p].argmax())
+    raise ValueError("covariance not PSD" if not_psd[m]
+                     else "covariance not symmetric")
+
+
+def _fused_heads(ctx: Tensor, heads: Sequence[ModeHead], W: np.ndarray,
+                 b: np.ndarray) -> Tensor:
     """Per-mode readout of the contexts (B, M, d_h) as one node: the
     controls in the first two entries of the last axis, the process-noise
-    log-scales in the other two."""
-    W = np.stack([np.concatenate([h.w_u.data, h.w_s.data]) for h in heads])
-    b = np.stack([np.concatenate([h.b_u.data, h.b_s.data]) for h in heads])
+    log-scales in the other two.  ``W`` (M, 4, d_h) and ``b`` (M, 4) are
+    the heads' weights stacked in that order (``_stack_heads``)."""
     cd = ctx.data
     out = np.einsum("bmd,mkd->bmk", cd, W) + b
 
@@ -508,6 +569,31 @@ def _fused_heads(ctx: Tensor, heads: Sequence[ModeHead]) -> Tensor:
     return ad._node(out, tuple(parents), backward)
 
 
+def _stack_heads(heads: Sequence[ModeHead]) -> Tuple[np.ndarray, np.ndarray]:
+    """The heads' readout weights (M, 4, d_h) and biases (M, 4), controls
+    first, then noise scales, as ``_fused_heads`` reads them."""
+    W = np.array([(h.w_u.data, h.w_s.data) for h in heads])
+    b = np.array([(h.b_u.data, h.b_s.data) for h in heads])
+    return W.reshape(len(heads), 4, -1), b.reshape(len(heads), 4)
+
+
+def _fused_logits(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Mode logits ``h @ w.T + b`` as one node, each row computed on its
+    own (``_rows``), so a window's logits do not depend on its batch."""
+    hd, wd = h.data, w.data
+    out = _rows(hd, wd) + b.data
+
+    def backward(g):
+        if h.requires_grad:
+            h._accum(g @ wd)
+        if w.requires_grad:
+            w._accum(g.T @ hd)
+        if b.requires_grad:
+            b._accum(g.sum(axis=0))
+
+    return ad._node(out, (h, w, b), backward)
+
+
 def _decode_graph(
     dec: DecoderParams, H: Tensor, x0: np.ndarray
 ) -> Tuple[Tensor, List[Tensor], List[Tensor]]:
@@ -519,12 +605,11 @@ def _decode_graph(
     at each step is the mode's current state, so modes diverge through
     their own rollouts even though the scoring weights are shared.
     """
-    F, G = kinematic_matrices(dec.dt)
-    M0 = np.outer(G[:, 0], G[:, 0])
-    M1 = np.outer(G[:, 1], G[:, 1])
+    F, G, M0, M1 = _filter_matrices(dec.dt)
     scale = 1.0 / math.sqrt(dec.d_h)
-    h_last = ad.getitem(H, (slice(None), -1))
-    logits = ad.add(ad.matmul(h_last, ad.transpose(dec.w_pi)), dec.b_pi)
+    logits = _fused_logits(ad.getitem(H, (slice(None), -1)), dec.w_pi,
+                           dec.b_pi)
+    W, b = _stack_heads(dec.heads)
     x0 = np.asarray(x0, float)
     x = Tensor(np.repeat(x0[:, None, :], dec.modes, axis=1))
     P = Tensor(np.zeros(x.shape + (STATE_DIM,)))
@@ -532,7 +617,7 @@ def _decode_graph(
     covs: List[Tensor] = []
     for _ in range(dec.horizon):
         context = _fused_attend(H, dec.w_att, x, scale)
-        readout = _fused_heads(context, dec.heads)
+        readout = _fused_heads(context, dec.heads, W, b)
         u = ad.getitem(readout, (Ellipsis, slice(0, 2)))
         q = ad.exp(ad.getitem(readout, (Ellipsis, slice(2, 4))))
         x = _fused_mean_step(x, u, F, G)
@@ -560,18 +645,29 @@ def decode(
         seq = hiddens[graph.ego_id]
     else:
         seq = hiddens
-    H = Tensor(np.stack([ad.as_tensor(h).data for h in seq])[None])
+    H = np.stack([ad.as_tensor(h).data for h in seq])
+    return decode_batch(dec, H[None], np.asarray(x0, float)[None])[0]
+
+
+def decode_batch(dec: DecoderParams, H: np.ndarray,
+                 x0: np.ndarray) -> List[MixturePrediction]:
+    """One forecast per window from hidden sequences H (B, T, d_h) and
+    start states x0 (B, 4), decoded together without a tape.  A window's
+    forecast does not depend on the windows decoded beside it."""
     with ad.no_grad():
-        logits, states_t, covs_t = _decode_graph(
-            dec, H, np.asarray(x0, float)[None]
-        )
-        pis = ad.softmax(Tensor(logits.data[0])).data
-    states = np.stack([s.data[0] for s in states_t], axis=1)
-    covs = np.stack([c.data[0] for c in covs_t], axis=1)
-    modes = [PredictionMode(pi=float(pis[l]), states=states[l],
-                            covariances=covs[l])
-             for l in range(dec.modes)]
-    return MixturePrediction(modes=modes, dt=dec.dt)
+        logits, states, covs = _decode_graph(dec, Tensor(H), x0)
+    lg = logits.data
+    e = np.exp(lg - lg.max(axis=-1, keepdims=True))
+    pis = e / e.sum(axis=-1, keepdims=True)  # row-wise ad.softmax
+    S = np.stack([s.data for s in states], axis=2)  # (B, M, T, 4)
+    C = np.stack([c.data for c in covs], axis=2)  # (B, M, T, 4, 4)
+    return [
+        MixturePrediction(modes=[
+            PredictionMode(pi=float(p), states=s, covariances=c)
+            for p, s, c in zip(pis[w], S[w], C[w])
+        ], dt=dec.dt)
+        for w in range(len(lg))
+    ]
 
 
 # ==================== likelihood ====================

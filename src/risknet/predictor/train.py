@@ -29,12 +29,14 @@ from .model import (
     PackedStep,
     _decode_graph,
     _mixture_nll,
-    decode,
-    encode,
+    decode_batch,
     encode_packed,
     pack_histories,
     parameter_items,
+    validate_mixtures,
 )
+# unused here, kept importable: bench/tracing.py binds these two names
+from .model import decode, encode  # noqa: F401
 
 
 @dataclass
@@ -117,17 +119,23 @@ class TrainingSample:
     dt: float
 
 
-def _feature(state: AgentState, center: np.ndarray) -> np.ndarray:
-    # trailing entry is the lateral lane offset; zero without a lane reference
-    return np.array([
-        state.position[0] - center[0],
-        state.position[1] - center[1],
-        state.velocity[0],
-        state.velocity[1],
-        state.acceleration[0],
-        state.acceleration[1],
-        0.0,
-    ])
+def _step_features(scenario: Scenario, graphs: Sequence[InteractionGraph],
+                   center: np.ndarray) -> List[Dict[int, np.ndarray]]:
+    """Each graph's ego and neighbours (ascending by id) mapped to their
+    features at the graph's frame, read from the table rows: the
+    ``motion`` row with the centre subtracted from its position, then the
+    lateral lane offset, zero without a lane reference."""
+    members = [[g.ego_id] + g.neighbors(g.ego_id) for g in graphs]
+    rows = [scenario.row(a, g.frame)
+            for g, ids in zip(graphs, members) for a in ids]
+    x = np.zeros((len(rows), D_IN))
+    x[:, :6] = scenario.motion[rows]
+    x[:, :2] -= center
+    features, k = [], 0
+    for ids in members:
+        features.append(dict(zip(ids, x[k:k + len(ids)])))
+        k += len(ids)
+    return features
 
 
 def extract_windows(
@@ -167,20 +175,12 @@ def extract_windows(
                 scenario.has_state(a, f) for a in involved for f in frames
             ):
                 continue
-            center = scenario.state(target, t0).position.copy()
-            features = []
-            for g, f in zip(graphs, frames[:t_h]):
-                step_ids = [target] + g.neighbors(target)
-                features.append({
-                    a: _feature(scenario.state(a, f), center)
-                    for a in step_ids
-                })
-            tstate = scenario.state(target, t0)
-            x0 = np.array([0.0, 0.0, tstate.velocity[0], tstate.velocity[1]])
-            truth = np.stack([
-                scenario.state(target, f).position - center
-                for f in frames[t_h:]
-            ])
+            now = scenario.motion[scenario.row(target, t0)]
+            center = now[0:2].copy()
+            features = _step_features(scenario, graphs, center)
+            x0 = np.array([0.0, 0.0, now[2], now[3]])
+            future = [scenario.row(target, f) for f in frames[t_h:]]
+            truth = scenario.motion[future, 0:2] - center
             samples.append(TrainingSample(
                 target_id=target, frame=t0, features=features,
                 graphs=graphs, x0=x0, truth=truth, offset=center,
@@ -393,6 +393,74 @@ def corpus_windows(
 
 # ==================== inference on scenarios ====================
 
+def predict_frame(
+    cell: GraphCellParams,
+    dec: DecoderParams,
+    scenario: Scenario,
+    agent_ids: Sequence[int],
+    frame: int,
+    radius: float = 50.0,
+    t_h: Optional[int] = None,
+) -> Dict[int, MixturePrediction]:
+    """Forecast every given agent from its history window ending at
+    ``frame``, in the order given.
+
+    Each agent is its own window: its star graph at each history frame
+    and the features of it and its neighbours, centred on its position at
+    ``frame``.  ``t_h`` bounds the history length; by default all frames
+    from the agent's first appearance are used.  Windows of equal length
+    are packed, encoded and decoded together, and every computation is
+    row by row, so an agent's forecast equals its forecast alone bit for
+    bit.  Forecasts are in world coordinates and carry the agent's
+    current state as their anchor.
+    """
+    if abs(scenario.dt - dec.dt) > 1e-9:
+        raise BadConfig(
+            f"scenario step {scenario.dt} s does not match decoder step "
+            f"{dec.dt} s"
+        )
+    by_length: Dict[int, List[int]] = {}
+    for agent_id in agent_ids:
+        if agent_id not in scenario.agents:
+            raise BadConfig(f"unknown agent {agent_id}")
+        info = scenario.agents[agent_id]
+        if frame < info.first_frame or frame > info.last_frame:
+            raise BadConfig(f"agent {agent_id} absent at frame {frame}")
+        available = frame - info.first_frame + 1
+        length = available if t_h is None else min(t_h, available)
+        if length < 1:
+            raise BadConfig("history must contain at least one frame")
+        by_length.setdefault(length, []).append(agent_id)
+    preds: Dict[int, MixturePrediction] = {}
+    for length, group in by_length.items():
+        frames = range(frame - length + 1, frame + 1)
+        anchors = [scenario.row(a, frame) for a in group]
+        centers = scenario.motion[anchors, 0:2]
+        histories = []
+        for agent_id, center in zip(group, centers):
+            graphs = [build_graph(scenario, agent_id, f, radius)
+                      for f in frames]
+            features = _step_features(scenario, graphs, center)
+            histories.append(list(zip(features, graphs)))
+        steps, rows = pack_histories(histories, cell.d_in)
+        with ad.no_grad():
+            hiddens = encode_packed(cell, steps)
+        targets = [r[a] for r, a in zip(rows, group)]
+        H = np.stack([h.data[targets] for h in hiddens], axis=1)
+        x0 = np.zeros((len(group), 4))
+        x0[:, 2:] = scenario.motion[anchors, 2:4]
+        for agent_id, center, row, pred in zip(
+                group, centers, anchors, decode_batch(dec, H, x0)):
+            for mode in pred.modes:
+                mode.states[:, :2] += center
+            pred.anchor = scenario.row_state(row)
+            preds[agent_id] = pred
+    preds = {a: preds[a] for a in agent_ids}
+    if preds:
+        validate_mixtures(list(preds.values()))
+    return preds
+
+
 def predict_for_agent(
     cell: GraphCellParams,
     dec: DecoderParams,
@@ -402,43 +470,6 @@ def predict_for_agent(
     radius: float = 50.0,
     t_h: Optional[int] = None,
 ) -> MixturePrediction:
-    """Forecast one agent from the history window ending at ``frame``.
-
-    ``t_h`` bounds the history length; by default all frames from the
-    agent's first appearance are used.  The returned prediction is in
-    world coordinates and carries the agent's current state as its
-    anchor.
-    """
-    if abs(scenario.dt - dec.dt) > 1e-9:
-        raise BadConfig(
-            f"scenario step {scenario.dt} s does not match decoder step "
-            f"{dec.dt} s"
-        )
-    if agent_id not in scenario.agents:
-        raise BadConfig(f"unknown agent {agent_id}")
-    info = scenario.agents[agent_id]
-    if frame < info.first_frame or frame > info.last_frame:
-        raise BadConfig(f"agent {agent_id} absent at frame {frame}")
-    available = frame - info.first_frame + 1
-    length = available if t_h is None else min(t_h, available)
-    if length < 1:
-        raise BadConfig("history must contain at least one frame")
-    center = scenario.state(agent_id, frame).position.copy()
-    history = []
-    for f in range(frame - length + 1, frame + 1):
-        g = build_graph(scenario, agent_id, f, radius)
-        step_ids = [agent_id] + g.neighbors(agent_id)
-        feats = {
-            a: _feature(scenario.state(a, f), center) for a in step_ids
-        }
-        history.append((feats, g))
-    sequences = encode(cell, history)
-    anchor = scenario.state(agent_id, frame)
-    x0 = np.array([0.0, 0.0, anchor.velocity[0], anchor.velocity[1]])
-    pred = decode(dec, sequences[agent_id], None, x0)
-    for mode in pred.modes:
-        mode.states[:, 0] += center[0]
-        mode.states[:, 1] += center[1]
-    pred.anchor = anchor
-    pred.validate()
-    return pred
+    """Forecast one agent: ``predict_frame`` on a batch of one."""
+    return predict_frame(cell, dec, scenario, [agent_id], frame,
+                         radius=radius, t_h=t_h)[agent_id]

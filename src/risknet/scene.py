@@ -336,7 +336,7 @@ def _read(path: str) -> Tuple[List[str], str]:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             return next(csv.reader(fh), []), fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise BadConfig(f"cannot read track file {path}: {exc}")
 
 
@@ -481,7 +481,10 @@ def load_tracks(
     columns = _parse_text(body, resolved, numeric)
     if columns is None:
         rows = csv.reader(io.StringIO(body, newline=""))
-        columns = _parse_cells(path, rows, header, resolved, numeric)
+        try:
+            columns = _parse_cells(path, rows, header, resolved, numeric)
+        except csv.Error as exc:  # e.g. a cell over csv's field size limit
+            raise BadConfig(f"cannot read track file {path}: {exc}")
     del body
     values, kind, raws = columns
 

@@ -420,6 +420,43 @@ def test_cli_eval_unreadable_path_exits_2(cutin, tmp_path, case):
     assert str(named) in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["compare", "map", "gen"])
+def test_cli_out_in_missing_directory_exits_2(cutin, tmp_path, command):
+    # these commands write through baselines, field and scene, not the
+    # CLI's own opener
+    out = tmp_path / "no_such_dir" / "out.csv"
+    args = {
+        "compare": ["--scenario", cutin, "--ego-id", "0"],
+        "map": ["--scenario", cutin, "--ego-id", "0", "--frame", "3"],
+        "gen": ["--archetype", "lateral_cut_in"],
+    }[command]
+    proc = run_cli(command, *args, "--out", out)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("risknet: input error: cannot write")
+    assert proc.stderr.count("\n") == 1
+    assert str(tmp_path / "no_such_dir") in proc.stderr
+    assert not (tmp_path / "no_such_dir").exists()
+
+
+def test_cli_cell_over_csv_field_limit_exits_2(cutin, tmp_path):
+    # loadtxt reads the 200,000-digit cell as inf, so the csv.reader path
+    # runs and meets its field size limit (131,072 by default)
+    lines = cutin.read_text().splitlines()
+    header = lines[0].split(",")
+    cells = lines[1].split(",")
+    cells[header.index("x")] = "1" * 200_000
+    scenario = tmp_path / "long_cell.csv"
+    scenario.write_text("\n".join([lines[0], ",".join(cells)] + lines[2:])
+                        + "\n")
+    proc = run_cli("eval", "--scenario", scenario, "--ego-id", "0",
+                   "--out", tmp_path / "eval.csv")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("risknet: input error:")
+    assert proc.stderr.count("\n") == 1
+    assert str(scenario) in proc.stderr
+    assert "field limit" in proc.stderr
+
+
 def test_cli_eval_bad_override_exits_2(cutin, tmp_path):
     proc = run_cli("eval", "--scenario", cutin, "--ego-id", "0",
                    "--set", "risk.nope=1", "--out", tmp_path / "x.csv")

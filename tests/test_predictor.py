@@ -44,6 +44,7 @@ from risknet.predictor.train import (
     init_model,
     pack_windows,
     predict_for_agent,
+    predict_frame,
     sample_loss,
     train,
 )
@@ -977,6 +978,39 @@ def test_pinned_trajectory_neighbour_churn():
         assert_pinned_forecast(pred, CHURN_PIS[agent_id],
                                CHURN_STATES[agent_id])
 
+
+def churn_scene_with_late_entrant(first_frame):
+    """churn_scene plus agent 4, first seen at ``first_frame`` just behind
+    agent 0 and inside every neighbourhood of it."""
+    from risknet.scene import scenario_from_states
+    sc = churn_scene()
+    states = [s for f in sc.frame_list for s in sc.states_at(f)]
+    states += [make_state(4, f, (2.0 * f - 15.0, 0.5), (11.0, -0.1),
+                          (0.2, 0.0)) for f in range(first_frame, 12)]
+    return scenario_from_states(states, 5.0)
+
+
+@pytest.mark.parametrize("t_h", [None, 5, 2])
+def test_predict_frame_equals_batch_of_one(t_h):
+    # agent 4 has 1 to 4 history frames at frames 8 to 11, the others 9 to
+    # 12 (t_h=None) or 5, so those batches span two history lengths
+    hyper = TrainHyper(d_h=6, modes=3, t_h=5, t_f=4, dt=0.2, seed=11)
+    cell, dec = init_model(hyper)
+    sc = churn_scene_with_late_entrant(first_frame=8)
+    for frame in range(8, 12):
+        agents = sc.frame_ids(frame)
+        assert agents == [0, 1, 2, 3, 4]
+        batch = predict_frame(cell, dec, sc, agents, frame, t_h=t_h)
+        assert list(batch) == agents
+        for agent_id in agents:
+            alone = predict_for_agent(cell, dec, sc, agent_id, frame,
+                                      t_h=t_h)
+            assert batch[agent_id].anchor is sc.state(agent_id, frame)
+            for got, want in zip(batch[agent_id].modes, alone.modes,
+                                 strict=True):
+                assert got.pi == want.pi
+                assert np.array_equal(got.states, want.states)
+                assert np.array_equal(got.covariances, want.covariances)
 
 # ---- packed batches ----
 
