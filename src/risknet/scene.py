@@ -460,7 +460,8 @@ def load_tracks(
     ``3.5`` is not; magnitudes above 2**53 are refused) raises
     NonIntegral, and then the first row whose ``width``, ``height`` or
     mass (after the kind default fills a blank cell) is not positive
-    raises NonPositive.  An unreadable or non-UTF-8 file is BadConfig.
+    raises NonPositive.  An unreadable or non-UTF-8 file, or one with a
+    cell longer than csv's field size limit, is BadConfig.
     """
     remap = dict(schema or {})
     masses = dict(DEFAULT_MASSES)
