@@ -394,6 +394,9 @@ def read_prediction(path: str) -> MixturePrediction:
         raise BadConfig(f"malformed prediction file {path}: {exc}")
     if not modes:
         raise BadConfig(f"prediction file {path} has no modes")
+    if len({m.states.shape for m in modes}) > 1:
+        raise BadConfig(f"prediction file {path} has modes of different "
+                        "lengths")
     return MixturePrediction(modes=modes, dt=dt)
 
 

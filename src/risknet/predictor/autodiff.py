@@ -2,7 +2,7 @@
 
 The predictor's encoder step, attention, filter rollout and step
 density are fused nodes built with ``_node``; the ops here join them:
-elementwise arithmetic, matmul, exp/log, reductions, stacking, and basic
+elementwise arithmetic, exp/log, reductions, stacking, and basic
 indexing.  Gradients are accumulated by walking the recorded tape in
 reverse topological order.
 """
@@ -116,18 +116,6 @@ def neg(a):
     return _node(-a.data, (a,), backward)
 
 
-def mul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(g * a.data, b.data.shape))
-
-    return _node(a.data * b.data, (a, b), backward)
-
-
 def div(a, b):
     a, b = as_tensor(a), as_tensor(b)
 
@@ -139,35 +127,6 @@ def div(a, b):
                                   b.data.shape))
 
     return _node(a.data / b.data, (a, b), backward)
-
-
-def matmul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    an, bn = a.data.ndim, b.data.ndim
-
-    def backward(g):
-        if an == 2 and bn == 2:
-            if a.requires_grad:
-                a._accum(g @ b.data.T)
-            if b.requires_grad:
-                b._accum(a.data.T @ g)
-        elif an == 2 and bn == 1:
-            if a.requires_grad:
-                a._accum(np.outer(g, b.data))
-            if b.requires_grad:
-                b._accum(a.data.T @ g)
-        elif an == 1 and bn == 2:
-            if a.requires_grad:
-                a._accum(b.data @ g)
-            if b.requires_grad:
-                b._accum(np.outer(a.data, g))
-        else:  # 1-D dot product
-            if a.requires_grad:
-                a._accum(g * b.data)
-            if b.requires_grad:
-                b._accum(g * a.data)
-
-    return _node(a.data @ b.data, (a, b), backward)
 
 
 def exp(a):
@@ -222,23 +181,6 @@ def getitem(a, idx):
         np.add.at(a.grad, idx, g)
 
     return _node(a.data[idx], (a,), backward)
-
-
-def transpose(a):
-    a = as_tensor(a)
-
-    def backward(g):
-        a._accum(g.T)
-
-    return _node(a.data.T, (a,), backward)
-
-
-def softmax(a):
-    """Softmax of a 1-D tensor, stabilized by its (detached) maximum."""
-    a = as_tensor(a)
-    shifted = sub(a, float(a.data.max()))
-    e = exp(shifted)
-    return div(e, tsum(e))
 
 
 def logsumexp(a, keepdims=False):

@@ -658,7 +658,7 @@ def decode_batch(dec: DecoderParams, H: np.ndarray,
         logits, states, covs = _decode_graph(dec, Tensor(H), x0)
     lg = logits.data
     e = np.exp(lg - lg.max(axis=-1, keepdims=True))
-    pis = e / e.sum(axis=-1, keepdims=True)  # row-wise ad.softmax
+    pis = e / e.sum(axis=-1, keepdims=True)  # row-wise softmax
     S = np.stack([s.data for s in states], axis=2)  # (B, M, T, 4)
     C = np.stack([c.data for c in covs], axis=2)  # (B, M, T, 4, 4)
     return [

@@ -113,7 +113,6 @@ class AgentState:
         return float(np.hypot(self.velocity[0], self.velocity[1]))
 
 
-
 @dataclass
 class AgentInfo:
     """Per-agent constants plus the frame interval the agent covers."""
@@ -265,7 +264,6 @@ def scenario_from_states(
     states: Iterable[AgentState],
     frame_rate: float,
     source: str = "memory",
-    offset: Optional[np.ndarray] = None,
 ) -> Scenario:
     """Assemble a Scenario whose table rows are the given states."""
     states = list(states)
@@ -284,9 +282,7 @@ def scenario_from_states(
     order = np.lexsort((ids, frame))
     return Scenario(
         frame_rate, frame[order], ids[order], motion[order], extent[order],
-        mass[order], kind[order], tuple(code_of), source,
-        offset=np.zeros(2) if offset is None else offset,
-    )
+        mass[order], kind[order], tuple(code_of), source)
 
 
 # ==================== CSV ingestion / export ====================
@@ -529,25 +525,45 @@ def load_tracks(
                     mass[order], kind[order], kinds, path, offset=shift)
 
 
+def _render(column: np.ndarray) -> List[str]:
+    """Each value's repr, computed once per distinct value (float64
+    values keyed on their bits, so -0.0 keeps its sign)."""
+    keys = column.view(np.int64) if column.dtype == np.float64 else column
+    _, first, inverse = np.unique(keys, return_index=True,
+                                  return_inverse=True)
+    text = np.array(list(map(repr, column[first].tolist())), dtype=object)
+    return text[inverse].tolist()
+
+
 def export_tracks(scenario: Scenario, path: str) -> None:
     """Write the scenario back out in the canonical CSV schema.
 
     Positions are shifted back by the load-time offset so numeric columns
-    of a loaded file are reproduced exactly (floats are written as their
-    ``repr``).
+    of a loaded file are reproduced exactly.  The bytes are csv.writer's
+    (floats as their ``repr``), but each numeric column is rendered once
+    per distinct value and each class label quoted once.
     """
+    labels = []
+    for kind in scenario.kinds:
+        buf = io.StringIO()
+        # beside a second field, as in a row: a lone "" would be quoted
+        csv.writer(buf).writerow((kind.label, ""))
+        labels.append(buf.getvalue()[:-3])  # less ',\r\n'
     motion = scenario.motion
-    labels = [kind.label for kind in scenario.kinds]
     columns = [
-        scenario.frame.tolist(), scenario.agent_id.tolist(),
-        *(motion[:, 0:2] - scenario.offset).T.tolist(),
-        *motion[:, 2:6].T.tolist(), *scenario.extent.T.tolist(),
-        [labels[k] for k in scenario.kind.tolist()], scenario.mass.tolist(),
+        *map(_render, (scenario.frame, scenario.agent_id,
+                       motion[:, 0] - scenario.offset[0],
+                       motion[:, 1] - scenario.offset[1],
+                       *motion[:, 2:6].T, *scenario.extent.T)),
+        np.array(labels, dtype=object)[scenario.kind].tolist(),
+        _render(scenario.mass),
     ]
+    rows = map(",".join, zip(*columns))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EXPORT_HEADER)
-        writer.writerows(zip(*columns))
+        csv.writer(fh).writerow(EXPORT_HEADER)
+        # in blocks of rows, so a long scene is never one string
+        for block in iter(lambda: list(itertools.islice(rows, 4096)), []):
+            fh.write("\r\n".join(block) + "\r\n")
 
 
 # ==================== interaction graph ====================
@@ -649,26 +665,6 @@ _ARCHETYPE_DURATIONS = {
 }
 
 
-def _merge_params(name: str, params: Optional[Mapping[str, float]]):
-    defaults = dict(_ARCHETYPE_DEFAULTS[name])
-    for key, value in (params or {}).items():
-        if key not in defaults:
-            raise BadConfig(f"unknown {name} parameter: {key!r}")
-        defaults[key] = float(value)
-    return defaults
-
-
-def _car(aid, frame, x, y, vx, vy, ax=0.0, ay=0.0, extent=CAR_EXTENT,
-         mass=None, kind=CAR):
-    return AgentState(
-        agent_id=aid, frame=frame,
-        position=np.array([x, y]), velocity=np.array([vx, vy]),
-        acceleration=np.array([ax, ay]), extent=extent,
-        mass=DEFAULT_MASSES[kind.category] if mass is None else mass,
-        kind=kind,
-    )
-
-
 def make_archetype(
     name: str,
     params: Optional[Mapping[str, float]] = None,
@@ -679,69 +675,65 @@ def make_archetype(
 
     All trajectories are piecewise closed-form in time, so generated
     states are exactly reproducible and gaps/speeds encoded in ``params``
-    can be recovered from the states.
+    can be recovered from the states.  Tracks are columns over the frame
+    times, one slice of frames per phase.
     """
     if name not in ARCHETYPES:
         raise BadConfig(f"unknown archetype: {name!r}")
-    p = _merge_params(name, params)
+    p = dict(_ARCHETYPE_DEFAULTS[name])
+    for key, value in (params or {}).items():
+        if key not in p:
+            raise BadConfig(f"unknown {name} parameter: {key!r}")
+        p[key] = float(value)
     if duration is None:
         duration = _ARCHETYPE_DURATIONS[name]
     n_frames = int(round(duration * frame_rate)) + 1
-    dt = 1.0 / frame_rate
-    states: List[AgentState] = []
+    if n_frames < 1:
+        raise BadConfig("scenario has no states")
+    t = np.arange(n_frames) * (1.0 / frame_rate)
+    kinds = [CAR] * (4 if name == "blocked_lane_change" else 2)
+    motion = np.zeros((n_frames, len(kinds), 6))
+    # tracks[a] is agent a's x, y, vx, vy, ax, ay over t (views of motion)
+    tracks = motion.transpose(1, 2, 0)
 
     if name == "blocked_lane_change":
         half = CAR_EXTENT[0]  # two car half-lengths
         x_ego0 = 50.0
-        x_front0 = x_ego0 + p["front_gap"] + half
-        x_rear0 = x_ego0 - p["rear_gap"] - half
-        x_target0 = x_ego0 + p["target_gap"] + half
-        for k in range(n_frames):
-            t = k * dt
-            states.append(_car(0, k, x_ego0 + p["ego_speed"] * t, 0.0,
-                               p["ego_speed"], 0.0))
-            states.append(_car(1, k, x_front0 + p["front_speed"] * t, 0.0,
-                               p["front_speed"], 0.0))
-            states.append(_car(2, k, x_rear0 + p["rear_speed"] * t, 0.0,
-                               p["rear_speed"], 0.0))
-            states.append(_car(3, k, x_target0 + p["target_speed"] * t,
-                               p["lane_width"], p["target_speed"], 0.0))
+        x0 = np.array([[x_ego0 + p["front_gap"] + half],
+                       [x_ego0 - p["rear_gap"] - half],
+                       [x_ego0 + p["target_gap"] + half]])
+        v = np.array([[p["front_speed"]], [p["rear_speed"]],
+                      [p["target_speed"]]])
+        tracks[1:, 0] = x0 + v * t  # front, rear and target-lane cars
+        tracks[1:, 2] = v
+        tracks[3, 1] = p["lane_width"]
 
     elif name == "lateral_cut_in":
+        kinds[0] = TRUCK  # ego truck, lane keeping
         x_ego0 = 30.0
         x_m0 = x_ego0 + p["long_offset"]
         t_entry = p["lateral_offset"] / p["lateral_speed"]
-        # merger kinematics at the moment it reaches the ego lane center
-        v_entry = p["merger_speed"] + p["merger_accel"] * t_entry
+        # merger position at the moment it reaches the ego lane center
         x_entry = (x_m0 + p["merger_speed"] * t_entry
                    + 0.5 * p["merger_accel"] * t_entry ** 2)
+        k = int(np.count_nonzero(t < t_entry))  # frames before the entry
+        pre = t[:k]
+        # t ** 2 on Python floats (libm pow); NumPy's squaring can differ
+        pre_sq = np.array([v ** 2 for v in pre.tolist()])
+        x, y, vx, vy, ax, _ = tracks[1]
+        x[:k] = (x_m0 + p["merger_speed"] * pre
+                 + 0.5 * p["merger_accel"] * pre_sq)
+        y[:k] = p["lateral_offset"] - p["lateral_speed"] * pre
+        vx[:k] = p["merger_speed"] + p["merger_accel"] * pre
+        vy[:k] = -p["lateral_speed"]
+        ax[:k] = p["merger_accel"]
         v_after = p["ego_speed"] - p["cut_speed_drop"]
-        for k in range(n_frames):
-            t = k * dt
-            states.append(_car(
-                0, k, x_ego0 + p["ego_speed"] * t, 0.0,
-                p["ego_speed"], 0.0, extent=TRUCK_EXTENT, kind=TRUCK,
-            ))
-            if t < t_entry:
-                states.append(_car(
-                    1, k,
-                    x_m0 + p["merger_speed"] * t
-                    + 0.5 * p["merger_accel"] * t ** 2,
-                    p["lateral_offset"] - p["lateral_speed"] * t,
-                    p["merger_speed"] + p["merger_accel"] * t,
-                    -p["lateral_speed"],
-                    ax=p["merger_accel"],
-                ))
-            else:
-                states.append(_car(
-                    1, k, x_entry + v_after * (t - t_entry), 0.0,
-                    v_after, 0.0,
-                ))
+        x[k:] = x_entry + v_after * (t[k:] - t_entry)
+        vx[k:] = v_after
 
     else:  # rear_overtake_cut_in
-        half = CAR_EXTENT[0]
         x_ego0 = 60.0
-        x_r0 = x_ego0 - p["rear_gap"] - half
+        x_r0 = x_ego0 - p["rear_gap"] - CAR_EXTENT[0]
         closing = p["rear_speed"] - p["ego_speed"]
         if closing > 0.0:
             # time at which the overtaker leads by cut_in_lead (centers)
@@ -752,24 +744,28 @@ def make_archetype(
         v_after = p["ego_speed"] - p["cut_speed_drop"]
         t_center = (t_cut + p["lane_offset"] / p["lateral_speed"]
                     if math.isfinite(t_cut) else math.inf)
-        for k in range(n_frames):
-            t = k * dt
-            states.append(_car(0, k, x_ego0 + p["ego_speed"] * t, 0.0,
-                               p["ego_speed"], 0.0))
-            if t < t_cut:
-                states.append(_car(
-                    1, k, x_r0 + p["rear_speed"] * t, p["lane_offset"],
-                    p["rear_speed"], 0.0,
-                ))
-            else:
-                y = p["lane_offset"] - p["lateral_speed"] * (t - t_cut)
-                vy = -p["lateral_speed"]
-                if t >= t_center:
-                    y, vy = 0.0, 0.0
-                states.append(_car(
-                    1, k, x_cut + v_after * (t - t_cut), y, v_after, vy,
-                ))
+        k = int(np.count_nonzero(t < t_cut))  # frames before the cut-in
+        x, y, vx, vy, _, _ = tracks[1]
+        x[:k] = x_r0 + p["rear_speed"] * t[:k]
+        y[:k] = p["lane_offset"]
+        vx[:k] = p["rear_speed"]
+        since = t[k:] - t_cut
+        x[k:] = x_cut + v_after * since
+        y[k:] = p["lane_offset"] - p["lateral_speed"] * since
+        vx[k:] = v_after
+        vy[k:] = -p["lateral_speed"]
+        centered = t[k:] >= t_center  # in the ego lane
+        y[k:][centered] = vy[k:][centered] = 0.0
 
-    return scenario_from_states(
-        states, frame_rate, source=f"archetype:{name}"
+    tracks[0, 0] = x_ego0 + p["ego_speed"] * t  # the ego keeps its lane
+    tracks[0, 2] = p["ego_speed"]
+    distinct = tuple(dict.fromkeys(kinds))  # in order of first appearance
+    extent = [TRUCK_EXTENT if kind == TRUCK else CAR_EXTENT for kind in kinds]
+    return Scenario(
+        frame_rate, np.repeat(np.arange(n_frames, dtype=np.int64), len(kinds)),
+        np.tile(np.arange(len(kinds), dtype=np.int64), n_frames),
+        motion.reshape(-1, 6), np.tile(np.array(extent), (n_frames, 1)),
+        np.tile([DEFAULT_MASSES[kind.category] for kind in kinds], n_frames),
+        np.tile([distinct.index(kind) for kind in kinds], n_frames),
+        distinct, f"archetype:{name}",
     )

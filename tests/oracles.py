@@ -160,6 +160,111 @@ def load_track_rows(path, schema=None, kind_defaults=None):
     return sorted(rows, key=lambda r: (r[0], r[1])), agents, bounds, shift
 
 
+def export_track_rows(scenario, path):
+    """Reference export: every cell of the scenario's table through one
+    csv.writer, floats as Python floats (written as their repr)."""
+    motion = np.asarray(scenario.motion, float)
+    labels = [kind.label for kind in scenario.kinds]
+    columns = [
+        scenario.frame.tolist(), scenario.agent_id.tolist(),
+        *(motion[:, 0:2] - scenario.offset).T.tolist(),
+        *motion[:, 2:6].T.tolist(), *scenario.extent.T.tolist(),
+        [labels[k] for k in scenario.kind.tolist()], scenario.mass.tolist(),
+    ]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["frame", "id", "x", "y", "xVelocity", "yVelocity",
+                         "xAcceleration", "yAcceleration", "width", "height",
+                         "class", "mass"])
+        writer.writerows(zip(*columns))
+
+
+# ---- synthetic archetypes ----
+#
+# The per-row generator the columnar one replaced: one row per agent and
+# frame, each coordinate computed with Python floats at t = k * dt.
+
+ARCHETYPE_EXTENTS = {"car": (4.5, 2.0), "truck": (12.0, 2.5)}
+
+
+def archetype_rows(name, p, frame_rate, duration):
+    """Rows (frame, id, x, y, vx, vy, ax, ay, length, width, category,
+    mass) of the named archetype under the complete parameter dict ``p``,
+    in (frame, id) order."""
+    n_frames = int(round(duration * frame_rate)) + 1
+    dt = 1.0 / frame_rate
+    rows = []
+
+    def car(aid, k, x, y, vx, vy, ax=0.0, ay=0.0, category="car"):
+        rows.append((k, aid, x, y, vx, vy, ax, ay,
+                     *ARCHETYPE_EXTENTS[category], category,
+                     TRACK_MASSES[category]))
+
+    if name == "blocked_lane_change":
+        half = 4.5  # two car half-lengths
+        x_ego0 = 50.0
+        x_front0 = x_ego0 + p["front_gap"] + half
+        x_rear0 = x_ego0 - p["rear_gap"] - half
+        x_target0 = x_ego0 + p["target_gap"] + half
+        for k in range(n_frames):
+            t = k * dt
+            car(0, k, x_ego0 + p["ego_speed"] * t, 0.0, p["ego_speed"], 0.0)
+            car(1, k, x_front0 + p["front_speed"] * t, 0.0,
+                p["front_speed"], 0.0)
+            car(2, k, x_rear0 + p["rear_speed"] * t, 0.0,
+                p["rear_speed"], 0.0)
+            car(3, k, x_target0 + p["target_speed"] * t, p["lane_width"],
+                p["target_speed"], 0.0)
+
+    elif name == "lateral_cut_in":
+        x_ego0 = 30.0
+        x_m0 = x_ego0 + p["long_offset"]
+        t_entry = p["lateral_offset"] / p["lateral_speed"]
+        x_entry = (x_m0 + p["merger_speed"] * t_entry
+                   + 0.5 * p["merger_accel"] * t_entry ** 2)
+        v_after = p["ego_speed"] - p["cut_speed_drop"]
+        for k in range(n_frames):
+            t = k * dt
+            car(0, k, x_ego0 + p["ego_speed"] * t, 0.0, p["ego_speed"], 0.0,
+                category="truck")
+            if t < t_entry:
+                car(1, k,
+                    x_m0 + p["merger_speed"] * t
+                    + 0.5 * p["merger_accel"] * t ** 2,
+                    p["lateral_offset"] - p["lateral_speed"] * t,
+                    p["merger_speed"] + p["merger_accel"] * t,
+                    -p["lateral_speed"], ax=p["merger_accel"])
+            else:
+                car(1, k, x_entry + v_after * (t - t_entry), 0.0,
+                    v_after, 0.0)
+
+    else:  # rear_overtake_cut_in
+        x_ego0 = 60.0
+        x_r0 = x_ego0 - p["rear_gap"] - 4.5
+        closing = p["rear_speed"] - p["ego_speed"]
+        if closing > 0.0:
+            t_cut = (p["cut_in_lead"] - (x_r0 - x_ego0)) / closing
+        else:
+            t_cut = math.inf
+        x_cut = x_r0 + p["rear_speed"] * min(t_cut, 1e12)
+        v_after = p["ego_speed"] - p["cut_speed_drop"]
+        t_center = (t_cut + p["lane_offset"] / p["lateral_speed"]
+                    if math.isfinite(t_cut) else math.inf)
+        for k in range(n_frames):
+            t = k * dt
+            car(0, k, x_ego0 + p["ego_speed"] * t, 0.0, p["ego_speed"], 0.0)
+            if t < t_cut:
+                car(1, k, x_r0 + p["rear_speed"] * t, p["lane_offset"],
+                    p["rear_speed"], 0.0)
+            else:
+                y = p["lane_offset"] - p["lateral_speed"] * (t - t_cut)
+                vy = -p["lateral_speed"]
+                if t >= t_center:
+                    y, vy = 0.0, 0.0
+                car(1, k, x_cut + v_after * (t - t_cut), y, v_after, vy)
+    return rows
+
+
 # ---- interaction field ----
 
 def interaction_energy(m_i, m_j, k, C, v_i, v_j, unit_mass=False):

@@ -4,7 +4,7 @@ differences, plus graph-shape and stability edge cases."""
 import numpy as np
 import pytest
 
-from risknet.predictor import autodiff as ad
+import autodiff_ops as ad
 from risknet.predictor.autodiff import Tensor, as_tensor, backward, no_grad, parameter
 
 RNG = np.random.default_rng(1234)

@@ -5,6 +5,7 @@ module entry point through subprocess so exit codes, console text, and
 artifact bytes are all checked end to end.
 """
 
+import hashlib
 import json
 import math
 import subprocess
@@ -267,6 +268,19 @@ def test_cli_gen_is_byte_identical(tmp_path):
     assert side_a["command"] == "gen"
     assert side_a["agents"] == [0, 1, 2, 3]
     assert side_a["config"]["risk"]["wave_speed"] == 30.0
+
+
+# `gen` of the 300 s bench archetype (30,004 rows) as the per-row generator
+# and the csv.writer export wrote it.
+GEN_300_SHA256 = (
+    "1200cd147e1e977c93011ca71ed52b5e72fc6e44fec91f44fc471664e16b8b9b")
+
+
+def test_cli_gen_long_archetype_bytes_are_pinned(tmp_path):
+    out = tmp_path / "long.csv"
+    ok("gen", "--archetype", "blocked_lane_change", "--duration", "300",
+       "--out", out)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GEN_300_SHA256
 
 
 def test_cli_gen_param_override_and_errors(tmp_path):
@@ -889,6 +903,27 @@ def test_cli_metrics_malformed_prediction_exits_2(tmp_path):
                    "--set", "io.frame_rate=5")
     assert proc.returncode == 2
     assert proc.stderr.startswith("risknet: input error:")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_cli_metrics_modes_of_different_lengths_exit_2(tmp_path):
+    csv_path = export_cv(
+        tmp_path / "cv.csv", [(0, 0.0, 0.0, 5.0, 0.0)],
+        n_frames=10, frame_rate=5.0,
+    )
+    payload = prediction_payload()
+    second = json.loads(json.dumps(payload["modes"][0]))
+    second["states"], second["cov_diag"] = (second["states"][:1],
+                                            second["cov_diag"][:1])
+    payload["modes"].append(second)
+    pred_path = tmp_path / "pred.json"
+    pred_path.write_text(json.dumps(payload))
+    proc = run_cli("metrics", "--scenario", csv_path, "--ego-id", "0",
+                   "--frame", "5", "--prediction", pred_path,
+                   "--set", "io.frame_rate=5")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("risknet: input error:")
+    assert "different lengths" in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
 
 

@@ -23,11 +23,14 @@ from risknet.errors import (
     NonIntegral,
 )
 from risknet.scene import (
+    _ARCHETYPE_DEFAULTS,
+    _ARCHETYPE_DURATIONS,
     ARCHETYPES,
     CAR,
     CAR_EXTENT,
     DEFAULT_MASSES,
     AgentKind,
+    Scenario,
     build_graph,
     export_tracks,
     load_tracks,
@@ -723,3 +726,157 @@ def test_rear_overtake_cut_in_narrative():
     other_end = sc.state(1, last)
     assert other_end.position[0] > ego_end.position[0]
     assert abs(other_end.position[1] - ego_end.position[1]) < 1e-9
+
+
+# ---- columnar archetypes and export against the row oracles ----
+
+ARCHETYPE_OVERRIDES = {
+    "blocked_lane_change": [
+        {}, {"front_gap": 3.3, "target_speed": 0.1, "lane_width": -0.0}],
+    "lateral_cut_in": [
+        {}, {"lateral_speed": 0.7, "merger_accel": -1.3,
+             "lateral_offset": 3.1},
+        {"lateral_offset": 0.0}, {"long_offset": -7.7, "merger_accel": 2.9},
+        # x = t ** 2 exactly, where libm pow and squaring can differ
+        {"long_offset": -30.0, "merger_speed": 0.0, "merger_accel": 2.0,
+         "lateral_offset": 40.0}],
+    "rear_overtake_cut_in": [
+        {}, {"rear_speed": 19.0}, {"rear_speed": 20.0},  # never cuts in
+        {"rear_speed": 41.3, "lateral_speed": 0.37, "cut_in_lead": 3.3}],
+}
+
+
+def same_bits(got, want):
+    """Equal shapes and values, floats compared bit for bit (so -0.0 is
+    not 0.0)."""
+    got, want = np.asarray(got), np.asarray(want)
+    if want.dtype.kind == "f":
+        got, want = got.astype(float).view(np.int64), want.view(np.int64)
+    return got.shape == want.shape and np.array_equal(got, want)
+
+
+def assert_archetype_matches_oracle(name, overrides, rate, duration):
+    sc = make_archetype(name, overrides or None, frame_rate=rate,
+                        duration=duration)
+    p = {**_ARCHETYPE_DEFAULTS[name], **overrides}
+    if duration is None:
+        duration = _ARCHETYPE_DURATIONS[name]
+    cols = list(zip(*oracles.archetype_rows(name, p, rate, duration)))
+    categories = list(dict.fromkeys(cols[10]))
+    assert [(k.category, k.label) for k in sc.kinds] == [
+        (c, c) for c in categories]
+    assert same_bits(sc.frame, np.array(cols[0], np.int64))
+    assert same_bits(sc.agent_id, np.array(cols[1], np.int64))
+    assert same_bits(sc.motion, np.array(cols[2:8], float).T)
+    assert same_bits(sc.extent, np.array(cols[8:10], float).T)
+    assert same_bits(sc.mass, np.array(cols[11], float))
+    assert same_bits(sc.kind, [categories.index(c) for c in cols[10]])
+    assert sc.source == f"archetype:{name}"
+    assert same_bits(sc.offset, np.zeros(2))
+
+
+@pytest.mark.parametrize("rate", [5.0, 10.0, 12.5, 25.0, 29.97, 30.0])
+@pytest.mark.parametrize("name", ARCHETYPES)
+def test_archetype_table_matches_row_oracle(name, rate):
+    for overrides in ARCHETYPE_OVERRIDES[name]:
+        for duration in (None, 0.0, 2.3, 37.1):
+            assert_archetype_matches_oracle(name, overrides, rate, duration)
+
+
+@given(name=st.sampled_from(ARCHETYPES), data=st.data(),
+       rate=st.sampled_from([5.0, 10.0, 12.5, 25.0, 29.97, 30.0, 100.0]),
+       duration=st.floats(0.0, 20.0))
+@settings(max_examples=100, deadline=None)
+def test_archetype_random_params_match_row_oracle(name, data, rate,
+                                                  duration):
+    keys = sorted(_ARCHETYPE_DEFAULTS[name])
+    picked = data.draw(st.lists(st.sampled_from(keys), unique=True))
+    overrides = {key: data.draw(
+        st.floats(0.05, 5.0) if key == "lateral_speed"
+        else st.floats(-40.0, 40.0), label=key) for key in picked}
+    assert_archetype_matches_oracle(name, overrides, rate, duration)
+
+
+def test_archetype_without_frames_is_refused():
+    with pytest.raises(BadConfig, match="no states"):
+        make_archetype("lateral_cut_in", duration=-1.0)
+
+
+def assert_export_matches_csv_writer(sc, directory):
+    got, want = directory / "got.csv", directory / "want.csv"
+    export_tracks(sc, str(got))
+    oracles.export_track_rows(sc, str(want))
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_export_matches_csv_writer_bytes(tmp_path):
+    labels = ["car", "a,b", 'say "hi"', "two\r\nlines", "  spaced out ",
+              "cr\ronly", ""]
+    kinds = tuple(AgentKind("other", label) for label in labels)
+    values = [-0.0, 0.0, 1e-05, 1e16, 5e-324, 0.1 + 0.2, 2.0 ** 53 - 1,
+              -1e-05, 1e300, 123.456]
+    top = 2 ** 53
+    n_agents, n_frames = len(labels), 3
+    n = n_agents * n_frames
+    cycle = np.resize(np.array(values), 9 * n)
+    sc = Scenario(
+        25.0,
+        np.repeat(np.arange(top - 3, top, dtype=np.int64), n_agents),
+        np.tile(np.array([-top, -1, 0, 7, top - 2, top - 1, top],
+                         np.int64), n_frames),
+        cycle[:6 * n].reshape(n, 6), cycle[6 * n:8 * n].reshape(n, 2),
+        cycle[8 * n:], np.tile(np.arange(n_agents), n_frames), kinds,
+        "memory", offset=np.array([2.5, -1e-05]))
+    assert_export_matches_csv_writer(sc, tmp_path)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_export_matches_csv_writer_random_tables(data, tmp_path_factory):
+    n_agents = data.draw(st.integers(1, 4), label="agents")
+    n_frames = data.draw(st.integers(1, 3), label="frames")
+    n = n_agents * n_frames
+    values = data.draw(st.lists(st.floats(), min_size=9 * n,
+                                max_size=9 * n), label="values")
+    cells = np.array(values).reshape(9, n)
+    labels = data.draw(st.lists(
+        st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+        min_size=1, max_size=3, unique=True), label="labels")
+    ids = sorted(data.draw(st.lists(
+        st.integers(-2 ** 53, 2 ** 53), min_size=n_agents,
+        max_size=n_agents, unique=True), label="ids"))
+    first = data.draw(st.integers(-2 ** 53, 2 ** 53 - n_frames),
+                      label="first frame")
+    codes = data.draw(st.lists(st.integers(0, len(labels) - 1),
+                               min_size=n_agents, max_size=n_agents),
+                      label="codes")
+    offset = data.draw(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+                       label="offset")
+    sc = Scenario(
+        10.0, np.repeat(np.arange(first, first + n_frames), n_agents),
+        np.tile(np.array(ids, np.int64), n_frames), cells[:6].T.copy(),
+        cells[6:8].T.copy(), cells[8].copy(),
+        np.tile(np.array(codes, np.intp), n_frames),
+        tuple(AgentKind("other", label) for label in labels), "memory",
+        offset=np.array(offset))
+    assert_export_matches_csv_writer(sc, tmp_path_factory.mktemp("export"))
+
+
+def test_export_of_loaded_highway_matches_csv_writer(tmp_path):
+    """A loaded scene: shifted origin, mixed classes and masses."""
+    rng = np.random.default_rng(5)
+    rows = []
+    for aid in range(6):
+        x0, y0 = rng.uniform(-30.0, 80.0), rng.uniform(-5.0, 9.0)
+        vx = rng.uniform(15.0, 35.0)
+        for f in range(40):
+            rows.append([f, aid, x0 + vx * f / 25.0, y0, vx, 0.0,
+                         4.5, 2.0, rng.normal(), 0.0,
+                         ("Car", "truck", "hover craft")[aid % 3],
+                         1500.0 + aid])
+    path = tmp_path / "tracks.csv"
+    write_csv(path, rows, header=HEADER + ["xAcceleration", "yAcceleration",
+                                           "class", "mass"])
+    sc = load_tracks(str(path))
+    assert sc.offset.any()
+    assert_export_matches_csv_writer(sc, tmp_path)
