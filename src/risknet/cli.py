@@ -14,10 +14,11 @@ import argparse
 import contextlib
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,7 +69,6 @@ def _effective_config(args) -> RunConfig:
     if overrides:
         cfg = apply_overrides(cfg, overrides)
     if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
         cfg.predictor = replace(cfg.predictor, seed=args.seed)
     return cfg
 
@@ -215,26 +215,26 @@ def cmd_map(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _first_frame(rows: Sequence[ComparisonRow], column: str,
-                 accept) -> Optional[int]:
+def _first_frame(rows: Sequence[ComparisonRow], column: str, accept,
+                 limit: float) -> Optional[int]:
     for row in rows:
         value = getattr(row, column)
-        if value is not None and accept(value):
+        if value is not None and accept(value, limit):
             return row.frame
     return None
 
 
 def _force_threshold(rows: Sequence[ComparisonRow], column: str,
-                     setting) -> Optional[Tuple[float, bool]]:
-    """Resolve a force threshold setting to (value, strict).  None means
-    detection is disabled."""
+                     setting) -> Optional[Tuple[Callable, float]]:
+    """Resolve a force threshold setting to (comparison, value).  None
+    means detection is disabled."""
     if isinstance(setting, str):
         values = np.array([getattr(r, column) for r in rows])
         # percentile preset: detect strictly above the scenario's p90
-        return float(np.percentile(values, 90.0)), True
+        return operator.gt, float(np.percentile(values, 90.0))
     if math.isinf(setting):
         return None
-    return float(setting), False
+    return operator.ge, float(setting)
 
 
 def detection_summary(
@@ -242,32 +242,20 @@ def detection_summary(
 ) -> Dict[str, Optional[int]]:
     """First frame each metric crosses its configured threshold."""
     summary: Dict[str, Optional[int]] = {}
-    thr = cfg.baselines.ttc_threshold
-    summary["ttc"] = None if math.isinf(thr) else _first_frame(
-        rows, "ttc", lambda v: v <= thr
-    )
-    thr = cfg.baselines.thw_threshold
-    summary["thw"] = None if math.isinf(thr) else _first_frame(
-        rows, "thw", lambda v: v <= thr
-    )
-    margin = cfg.detect.rss_margin
-    summary["rss"] = None if math.isinf(margin) else _first_frame(
-        rows, "rss_margin", lambda v: v >= margin
-    )
+    for name, column, limit, accept in (
+        ("ttc", "ttc", cfg.baselines.ttc_threshold, operator.le),
+        ("thw", "thw", cfg.baselines.thw_threshold, operator.le),
+        ("rss", "rss_margin", cfg.detect.rss_margin, operator.ge),
+    ):
+        summary[name] = None if math.isinf(limit) else _first_frame(
+            rows, column, accept, limit)
     for name, column, setting in (
         ("nc_field", "nc_field", cfg.detect.nc),
         ("risknet", "risknet_force", cfg.detect.field),
     ):
         resolved = _force_threshold(rows, column, setting)
-        if resolved is None:
-            summary[name] = None
-        else:
-            value, strict = resolved
-            summary[name] = _first_frame(
-                rows, column,
-                (lambda v, t=value: v > t) if strict
-                else (lambda v, t=value: v >= t),
-            )
+        summary[name] = None if resolved is None else _first_frame(
+            rows, column, *resolved)
     return summary
 
 
@@ -471,7 +459,8 @@ def cmd_gen(args, cfg: RunConfig) -> int:
             params[key.strip()] = float(value)
         except ValueError:
             raise BadConfig(f"--param {key!r} needs a numeric value")
-    frame_rate = args.frame_rate if args.frame_rate else cfg.io.frame_rate
+    frame_rate = (cfg.io.frame_rate if args.frame_rate is None
+                  else args.frame_rate)
     scenario = make_archetype(args.archetype, params or None,
                               frame_rate=frame_rate, duration=args.duration)
     with _writing():
@@ -494,7 +483,7 @@ def _add_common(sp, scenario: bool = True, ego: bool = False,
     sp.add_argument("--config", help="JSON run configuration")
     sp.add_argument("--set", action="append", metavar="KEY=VALUE",
                     help="override a config entry by dotted path")
-    sp.add_argument("--seed", type=int, help="override the run seed")
+    sp.add_argument("--seed", type=int, help="set predictor.seed")
     sp.add_argument("--out", required=out_required, help="output path")
     if scenario:
         sp.add_argument("--scenario", required=True,

@@ -56,7 +56,6 @@ class RunConfig:
     predictor: TrainHyper = field(default_factory=TrainHyper)
     detect: DetectConfig = field(default_factory=DetectConfig)
     io: IOConfig = field(default_factory=IOConfig)
-    seed: int = 0
 
 
 _NESTED: Dict[type, Dict[str, type]] = {

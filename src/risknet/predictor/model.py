@@ -27,7 +27,7 @@ from ..scene import AgentState, InteractionGraph
 from . import autodiff as ad
 from .autodiff import Tensor
 
-D_IN = 7  # position 2, velocity 2, acceleration 2, lateral lane offset 1
+D_IN = 6  # position 2, velocity 2, acceleration 2
 STATE_DIM = 4  # x, y, vx, vy
 COV_REG = 1e-6  # ridge added to position covariance blocks before inversion
 
@@ -41,8 +41,8 @@ class GateBlock:
     """Weights of one gate: feature-path self/neighbor maps, hidden-path
     self/neighbor maps, and a bias."""
 
-    w_self: Tensor  # (d_h, d_in)
-    w_nbr: Tensor   # (d_h, d_in)
+    w_self: Tensor  # (d_h, D_IN)
+    w_nbr: Tensor   # (d_h, D_IN)
     u_self: Tensor  # (d_h, d_h)
     u_nbr: Tensor   # (d_h, d_h)
     bias: Tensor    # (d_h,)
@@ -50,7 +50,6 @@ class GateBlock:
 
 @dataclass
 class GraphCellParams:
-    d_in: int
     d_h: int
     reset: GateBlock
     update: GateBlock
@@ -132,8 +131,8 @@ class PackedStep:
     a row without neighbours has a zero mean.
     """
 
-    x: np.ndarray          # (R, d_in) features
-    x_bar: np.ndarray      # (R, d_in) neighbour feature means
+    x: np.ndarray          # (R, D_IN) features
+    x_bar: np.ndarray      # (R, D_IN) neighbour feature means
     present: np.ndarray    # (R,) bool
     nbr_rows: np.ndarray   # (R, K) int
     nbr_mask: np.ndarray   # (R, K) 1.0 in used slots
@@ -144,20 +143,13 @@ HistoryStep = Tuple[Mapping[int, Union[Tensor, np.ndarray]],
                     InteractionGraph]
 
 
-def _feature_vector(value, d_in: int) -> np.ndarray:
+def _feature_vector(value) -> np.ndarray:
     v = value.data if isinstance(value, Tensor) else np.asarray(value, float)
-    if v.shape != (d_in,):
+    if v.shape != (D_IN,):
         raise ShapeMismatch(
-            f"feature dim {v.shape} does not match d_in={d_in}"
+            f"feature dim {v.shape} does not match D_IN={D_IN}"
         )
     return v
-
-
-def _mean(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    total = vectors[0]
-    for v in vectors[1:]:
-        total = total + v
-    return total / float(len(vectors))
 
 
 def _neighbour_slots(
@@ -179,7 +171,7 @@ def _neighbour_means(x: np.ndarray, nbr_rows: np.ndarray,
                      nbr_mask: np.ndarray,
                      nbr_count: np.ndarray) -> np.ndarray:
     """Each row's mean over its neighbour slots of ``x``, summed in slot
-    order as ``_mean`` does; zero for a row without neighbours."""
+    order, first slot first; zero for a row without neighbours."""
     if not nbr_rows.shape[1]:
         return np.zeros_like(x)
     used = nbr_mask.astype(bool)[..., None]
@@ -200,7 +192,7 @@ def _adjacency(graph: InteractionGraph) -> Dict[int, List[int]]:
 
 
 def pack_histories(
-    histories: Sequence[Sequence[HistoryStep]], d_in: int
+    histories: Sequence[Sequence[HistoryStep]]
 ) -> Tuple[List[PackedStep], List[Dict[int, int]]]:
     """Pack equal-length histories into rows, one per (window, agent)
     pair, agents ascending by id within each window.
@@ -222,7 +214,7 @@ def pack_histories(
         n_rows += len(ids)
     steps = []
     for s in range(n_steps):
-        x = np.zeros((n_rows, d_in))
+        x = np.zeros((n_rows, D_IN))
         present = np.zeros(n_rows, dtype=bool)
         filled: List[int] = []
         values: List[np.ndarray] = []
@@ -232,7 +224,7 @@ def pack_histories(
             adjacent = _adjacency(graph)
             for a, value in feats.items():
                 filled.append(rows[a])
-                values.append(_feature_vector(value, d_in))
+                values.append(_feature_vector(value))
                 ids = [rows[w] for w in adjacent.get(a, ()) if w in feats]
                 if ids:
                     slots[rows[a]] = ids
@@ -349,7 +341,7 @@ def cell_step(
     """
     if agent_id not in features or agent_id not in hiddens:
         raise ShapeMismatch(f"agent {agent_id} missing from features/hiddens")
-    psi = _feature_vector(features[agent_id], params.d_in)
+    psi = _feature_vector(features[agent_id])
     h_prev = ad.as_tensor(hiddens[agent_id])
     if h_prev.shape != (params.d_h,):
         raise ShapeMismatch(
@@ -359,12 +351,12 @@ def cell_step(
     h_ids = [w for w in nbr_ids if w in hiddens]
     # row 0 is the agent; the rows after it only lend their hidden states
     n = 1 + len(h_ids)
-    x = np.zeros((n, params.d_in))
+    x = np.zeros((n, D_IN))
     x[0] = psi
-    x_bar = np.zeros((n, params.d_in))
+    x_bar = np.zeros((n, D_IN))
     if nbr_ids:
-        x_bar[0] = _mean([_feature_vector(features[w], params.d_in)
-                          for w in nbr_ids])
+        vectors = [_feature_vector(features[w]) for w in nbr_ids]
+        x_bar[0] = functools.reduce(np.add, vectors) / len(vectors)
     step = PackedStep(x, x_bar, np.arange(n) == 0,
                       *_neighbour_slots(n, {0: list(range(1, n))}))
     h = ad.stack([h_prev] + [ad.as_tensor(hiddens[w]) for w in h_ids])
@@ -381,7 +373,7 @@ def encode(
     hidden state.  Returns each agent's hidden sequence over the steps it
     was present.
     """
-    steps, (rows,) = pack_histories([history], params.d_in)
+    steps, (rows,) = pack_histories([history])
     hs = encode_packed(params, steps)
     sequences: Dict[int, List[Tensor]] = {}
     for (features, _), h in zip(history, hs):

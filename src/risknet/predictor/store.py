@@ -13,7 +13,7 @@ from .model import DecoderParams, GraphCellParams, parameter_items
 from .train import TrainHyper
 
 FORMAT_NAME = "risknet-model"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 DTYPE = "<f4"  # little-endian float32
 
 

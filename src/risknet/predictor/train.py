@@ -52,7 +52,6 @@ class TrainHyper:
     epochs: int = 100
     seed: int = 0
     clip_norm: float = 5.0
-    d_in: int = D_IN
 
     def __post_init__(self):
         if self.d_h < 1 or self.modes < 1 or self.t_h < 1 or self.t_f < 1:
@@ -73,15 +72,15 @@ def init_model(hyper: TrainHyper) -> Tuple[GraphCellParams, DecoderParams]:
 
     def gate() -> GateBlock:
         return GateBlock(
-            w_self=draw(hyper.d_h, hyper.d_in),
-            w_nbr=draw(hyper.d_h, hyper.d_in),
+            w_self=draw(hyper.d_h, D_IN),
+            w_nbr=draw(hyper.d_h, D_IN),
             u_self=draw(hyper.d_h, hyper.d_h),
             u_nbr=draw(hyper.d_h, hyper.d_h),
             bias=draw(hyper.d_h),
         )
 
-    cell = GraphCellParams(d_in=hyper.d_in, d_h=hyper.d_h,
-                           reset=gate(), update=gate(), cand=gate())
+    cell = GraphCellParams(d_h=hyper.d_h, reset=gate(), update=gate(),
+                           cand=gate())
     dec = DecoderParams(
         d_h=hyper.d_h,
         modes=hyper.modes,
@@ -111,7 +110,7 @@ class TrainingSample:
 
     target_id: int
     frame: int  # last history frame (prediction time)
-    features: List[Dict[int, np.ndarray]]  # t_h maps agent -> (d_in,)
+    features: List[Dict[int, np.ndarray]]  # t_h maps agent -> (D_IN,)
     graphs: List[InteractionGraph]  # t_h graphs, oldest first
     x0: np.ndarray  # (4,) centered state at `frame`
     truth: np.ndarray  # (t_f, 2) centered future positions
@@ -123,13 +122,11 @@ def _step_features(scenario: Scenario, graphs: Sequence[InteractionGraph],
                    center: np.ndarray) -> List[Dict[int, np.ndarray]]:
     """Each graph's ego and neighbours (ascending by id) mapped to their
     features at the graph's frame, read from the table rows: the
-    ``motion`` row with the centre subtracted from its position, then the
-    lateral lane offset, zero without a lane reference."""
+    ``motion`` row with the centre subtracted from its position."""
     members = [[g.ego_id] + g.neighbors(g.ego_id) for g in graphs]
     rows = [scenario.row(a, g.frame)
             for g, ids in zip(graphs, members) for a in ids]
-    x = np.zeros((len(rows), D_IN))
-    x[:, :6] = scenario.motion[rows]
+    x = scenario.motion[rows]
     x[:, :2] -= center
     features, k = [], 0
     for ids in members:
@@ -142,7 +139,6 @@ def extract_windows(
     scenario: Scenario,
     hyper: TrainHyper,
     radius: float = 50.0,
-    stride: int = 1,
     targets: Optional[Sequence[int]] = None,
 ) -> List[TrainingSample]:
     """Slide (t_h history, t_f future) windows over every target agent.
@@ -151,8 +147,6 @@ def extract_windows(
     neighbor appearing in a history graph) is absent from any frame of
     the window.
     """
-    if stride < 1:
-        raise BadConfig("stride must be >= 1")
     t_h, t_f = hyper.t_h, hyper.t_f
     samples: List[TrainingSample] = []
     agent_ids = sorted(targets) if targets is not None else sorted(
@@ -164,7 +158,7 @@ def extract_windows(
         info = scenario.agents[target]
         first = info.first_frame + (t_h - 1)
         last = info.last_frame - t_f
-        for t0 in range(first, last + 1, stride):
+        for t0 in range(first, last + 1):
             frames = list(range(t0 - t_h + 1, t0 + t_f + 1))
             graphs = [build_graph(scenario, target, f, radius)
                       for f in frames[:t_h]]
@@ -201,13 +195,12 @@ class WindowBatch:
     truth: np.ndarray  # (B, t_f, 2)
 
 
-def pack_windows(samples: Sequence[TrainingSample],
-                 d_in: int) -> WindowBatch:
+def pack_windows(samples: Sequence[TrainingSample]) -> WindowBatch:
     """Pack windows of equal history and horizon length into one batch."""
     if len({(len(s.features), s.truth.shape) for s in samples}) != 1:
         raise BadConfig("windows of one batch must share t_h and t_f")
     steps, rows = pack_histories(
-        [list(zip(s.features, s.graphs)) for s in samples], d_in
+        [list(zip(s.features, s.graphs)) for s in samples]
     )
     return WindowBatch(
         steps=steps,
@@ -225,7 +218,7 @@ def _window_loss(
     """Mean mixture NLL over a packed batch; a single window is a batch
     of one."""
     batch = sample if isinstance(sample, WindowBatch) else pack_windows(
-        [sample], cell.d_in)
+        [sample])
     hiddens = encode_packed(cell, batch.steps)
     H = ad.stack([ad.getitem(h, batch.target_rows) for h in hiddens],
                  axis=1)
@@ -248,7 +241,8 @@ def train(
     dataset: Sequence[TrainingSample],
     hyper: TrainHyper,
 ) -> Tuple[GraphCellParams, DecoderParams, List[float]]:
-    """Full-batch gradient descent on the mean window loss.
+    """Full-batch gradient descent on the mean window loss; every
+    window's frame step must be the decoder step ``hyper.dt``.
 
     The windows are packed once; each epoch records one tape over all of
     them.  Returns the trained parameters and the loss curve: entry 0 is
@@ -258,7 +252,11 @@ def train(
     """
     if not dataset:
         raise BadConfig("training dataset is empty")
-    batch = pack_windows(dataset, hyper.d_in)
+    step = next((s.dt for s in dataset if abs(s.dt - hyper.dt) > 1e-9), None)
+    if step is not None:
+        raise BadConfig(f"training window step {step} s does not match "
+                        f"decoder step {hyper.dt} s")
+    batch = pack_windows(dataset)
     cell, dec = init_model(hyper)
     params = parameter_items(cell, dec)
     curve: List[float] = []
@@ -303,7 +301,7 @@ def gradient_check(
     params = parameter_items(cell, dec)
     for _, p in params:
         p.grad = None
-    batch = pack_windows([sample], cell.d_in)
+    batch = pack_windows([sample])
     loss = _window_loss(cell, dec, batch)
     ad.backward(loss)
     analytic = [
@@ -442,7 +440,7 @@ def predict_frame(
                       for f in frames]
             features = _step_features(scenario, graphs, center)
             histories.append(list(zip(features, graphs)))
-        steps, rows = pack_histories(histories, cell.d_in)
+        steps, rows = pack_histories(histories)
         with ad.no_grad():
             hiddens = encode_packed(cell, steps)
         targets = [r[a] for r, a in zip(rows, group)]

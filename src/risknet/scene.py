@@ -676,7 +676,8 @@ def make_archetype(
     All trajectories are piecewise closed-form in time, so generated
     states are exactly reproducible and gaps/speeds encoded in ``params``
     can be recovered from the states.  Tracks are columns over the frame
-    times, one slice of frames per phase.
+    times, one slice of frames per phase.  Non-finite parameters,
+    durations or tracks and a rate that is not positive are refused.
     """
     if name not in ARCHETYPES:
         raise BadConfig(f"unknown archetype: {name!r}")
@@ -685,17 +686,46 @@ def make_archetype(
         if key not in p:
             raise BadConfig(f"unknown {name} parameter: {key!r}")
         p[key] = float(value)
+        if not math.isfinite(p[key]):
+            raise BadConfig(f"{name} parameter {key!r} must be finite")
     if duration is None:
         duration = _ARCHETYPE_DURATIONS[name]
-    n_frames = int(round(duration * frame_rate)) + 1
+    span = duration * frame_rate
+    if not (frame_rate > 0.0 and abs(span) < math.inf):
+        raise BadConfig(f"duration {duration!r} s at {frame_rate!r} Hz: both "
+                        "must be finite and the rate positive")
+    n_frames = int(round(span)) + 1
     if n_frames < 1:
         raise BadConfig("scenario has no states")
     t = np.arange(n_frames) * (1.0 / frame_rate)
     kinds = [CAR] * (4 if name == "blocked_lane_change" else 2)
     motion = np.zeros((n_frames, len(kinds), 6))
-    # tracks[a] is agent a's x, y, vx, vy, ax, ay over t (views of motion)
-    tracks = motion.transpose(1, 2, 0)
+    try:  # tracks[a] is a view of agent a's motion columns
+        _closed_form_tracks(name, p, t, motion.transpose(1, 2, 0), kinds)
+    except ArithmeticError as exc:
+        raise BadConfig(f"{name} parameters give no finite track: "
+                        f"{exc.args[-1]}")
+    if not np.isfinite(motion).all():
+        raise BadConfig(f"{name} parameters give a non-finite track")
+    distinct = tuple(dict.fromkeys(kinds))  # in order of first appearance
+    extent = [TRUCK_EXTENT if kind == TRUCK else CAR_EXTENT for kind in kinds]
+    return Scenario(
+        frame_rate, np.repeat(np.arange(n_frames, dtype=np.int64), len(kinds)),
+        np.tile(np.arange(len(kinds), dtype=np.int64), n_frames),
+        motion.reshape(-1, 6), np.tile(np.array(extent), (n_frames, 1)),
+        np.tile([DEFAULT_MASSES[kind.category] for kind in kinds], n_frames),
+        np.tile([distinct.index(kind) for kind in kinds], n_frames),
+        distinct, f"archetype:{name}",
+    )
 
+
+@np.errstate(over="raise", divide="raise", invalid="raise")
+def _closed_form_tracks(name: str, p: Mapping[str, float], t: np.ndarray,
+                        tracks: np.ndarray, kinds: List[AgentKind]) -> None:
+    """Write each agent's x, y, vx, vy, ax, ay over the times ``t`` into
+    ``tracks[a]`` and mark a truck ego in ``kinds``.  Where a closed form
+    has no finite value, Python floats and (here) NumPy raise
+    ``ArithmeticError``."""
     if name == "blocked_lane_change":
         half = CAR_EXTENT[0]  # two car half-lengths
         x_ego0 = 50.0
@@ -759,13 +789,3 @@ def make_archetype(
 
     tracks[0, 0] = x_ego0 + p["ego_speed"] * t  # the ego keeps its lane
     tracks[0, 2] = p["ego_speed"]
-    distinct = tuple(dict.fromkeys(kinds))  # in order of first appearance
-    extent = [TRUCK_EXTENT if kind == TRUCK else CAR_EXTENT for kind in kinds]
-    return Scenario(
-        frame_rate, np.repeat(np.arange(n_frames, dtype=np.int64), len(kinds)),
-        np.tile(np.arange(len(kinds), dtype=np.int64), n_frames),
-        motion.reshape(-1, 6), np.tile(np.array(extent), (n_frames, 1)),
-        np.tile([DEFAULT_MASSES[kind.category] for kind in kinds], n_frames),
-        np.tile([distinct.index(kind) for kind in kinds], n_frames),
-        distinct, f"archetype:{name}",
-    )

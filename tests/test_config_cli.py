@@ -49,7 +49,7 @@ from risknet.scene import (
 
 def test_default_config_values():
     cfg = RunConfig()
-    assert cfg.seed == 0
+    assert cfg.predictor.seed == 0
     assert cfg.risk.wave_speed == 30.0
     assert cfg.risk.R == 50.0
     assert cfg.baselines.ttc_threshold == 3.0
@@ -64,14 +64,14 @@ def test_default_config_values():
 def test_load_config_round_trip(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({
-        "seed": 7,
+        "predictor": {"seed": 7},
         "risk": {"beta": 2.0, "R": 35.0},
         "baselines": {"ttc_threshold": 2.5, "rss": {"rho": 0.8}},
         "detect": {"field": 120.0},
         "io": {"frame_rate": 10.0},
     }))
     cfg = load_config(str(path))
-    assert cfg.seed == 7
+    assert cfg.predictor.seed == 7
     assert cfg.risk.beta == 2.0
     assert cfg.risk.R == 35.0
     assert cfg.baselines.ttc_threshold == 2.5
@@ -116,12 +116,12 @@ def test_apply_overrides_coerces_types():
         ("risk.beta", "2.5"),
         ("predictor.epochs", "12"),
         ("io.binary_raster", "true"),
-        ("seed", "3"),
+        ("predictor.seed", "3"),
     ])
     assert cfg.risk.beta == 2.5
     assert cfg.predictor.epochs == 12 and isinstance(cfg.predictor.epochs, int)
     assert cfg.io.binary_raster is True
-    assert cfg.seed == 3
+    assert cfg.predictor.seed == 3
     cfg = apply_overrides(cfg, [("io.binary_raster", "no")])
     assert cfg.io.binary_raster is False
 
@@ -297,6 +297,28 @@ def test_cli_gen_param_override_and_errors(tmp_path):
     assert "input error" in proc.stderr
     proc = run_cli("gen", "--archetype", "no_such", "--out", tmp_path / "u.csv")
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("archetype, flags", [
+    ("lateral_cut_in", ["--param", "lateral_speed=0"]),
+    ("rear_overtake_cut_in", ["--param", "lateral_speed=0"]),
+    ("lateral_cut_in", ["--param", "lateral_speed=1e-300"]),
+    ("blocked_lane_change", ["--param", "ego_speed=1e308"]),
+    ("blocked_lane_change", ["--duration", "nan"]),
+    ("blocked_lane_change", ["--duration", "inf"]),
+    ("blocked_lane_change", ["--frame-rate", "nan"]),
+    ("blocked_lane_change", ["--frame-rate", "inf"]),
+    ("blocked_lane_change", ["--frame-rate", "0"]),
+    ("lateral_cut_in", ["--param", "ego_speed=nan"]),
+    ("lateral_cut_in", ["--param", "ego_speed=inf"]),
+])
+def test_cli_gen_without_finite_track_exits_2(tmp_path, archetype, flags):
+    out = tmp_path / "g.csv"
+    proc = run_cli("gen", "--archetype", archetype, *flags, "--out", out)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("risknet: input error:")
+    assert len(proc.stderr.splitlines()) == 1
+    assert not out.exists()
 
 
 # ==================== eval ====================
@@ -761,6 +783,21 @@ def test_cli_train_same_seed_is_byte_identical(tmp_path):
     assert len(lines) == 4  # header + initial loss + one row per epoch
 
 
+def test_cli_train_step_mismatch_exits_2(tmp_path):
+    data = train_dataset(tmp_path)  # 5 Hz tracks, read at 25 Hz below
+    out = tmp_path / "run"
+    proc = run_cli("train", "--dataset", data, *TRAIN_SETTINGS,
+                   "--set", "io.frame_rate=25", "--out", out)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("risknet: input error:")
+    assert "does not match decoder step 0.2 s" in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert not out.exists()
+    ok("train", "--dataset", data, *TRAIN_SETTINGS, "--set",
+       "io.frame_rate=25", "--set", "predictor.dt=0.04", "--epochs", "0",
+       "--out", out)
+
+
 def test_cli_train_empty_dataset_exits_2(tmp_path):
     data = tmp_path / "empty"
     data.mkdir()
@@ -939,6 +976,36 @@ def test_cli_predict_malformed_model_exits_2(tmp_path):
                    "--out", tmp_path / "p.json")
     assert proc.returncode == 2
     assert proc.stderr.startswith("risknet: input error:")
+
+
+@pytest.mark.parametrize("case", ["model_version_1", "set_d_in",
+                                  "top_level_seed"])
+def test_cli_removed_model_format_and_keys_exit_2(tmp_path, case):
+    csv_path = export_cv(
+        tmp_path / "cv.csv", [(0, 0.0, 0.0, 5.0, 0.0)],
+        n_frames=10, frame_rate=5.0,
+    )
+    manifest = small_model(tmp_path)
+    extra = []
+    if case == "model_version_1":
+        with open(manifest) as fh:
+            data = json.load(fh)
+        data["version"] = 1
+        with open(manifest, "w") as fh:
+            json.dump(data, fh)
+    elif case == "set_d_in":
+        extra = ["--set", "predictor.d_in=7"]
+    else:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"seed": 3}))
+        extra = ["--config", config]
+    proc = run_cli("predict", "--scenario", csv_path, "--ego-id", "0",
+                   "--model", manifest, "--set", "io.frame_rate=5",
+                   *extra, "--out", tmp_path / "p.json")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("risknet: input error:")
+    assert len(proc.stderr.splitlines()) == 1
+    assert not (tmp_path / "p.json").exists()
 
 
 def test_cli_predict_manifest_without_payload_exits_2(tmp_path):
