@@ -75,20 +75,10 @@ class BadConfig(InputError):
     """Configuration file or override rejected."""
 
 
-# ---- risk field ----
-
-class DegenerateDenominator(NumericError):
-    """Doppler denominator within epsilon of zero."""
-
-
 # ---- predictor ----
 
 class ShapeMismatch(InputError):
     """Parameter or input dimensions disagree."""
-
-
-class NotPSD(NumericError):
-    """A covariance input is not symmetric positive semidefinite."""
 
 
 class DegenerateCovariance(NumericError):

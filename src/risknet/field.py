@@ -14,10 +14,11 @@ from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BadConfig, DegenerateDenominator, EmptyFrame, NumericError
+from .errors import BadConfig, EmptyFrame, NumericError
 from .scene import EPS_SPEED, AgentState, InteractionGraph, Scenario
 
-# Doppler denominators closer to zero than this raise DegenerateDenominator.
+# alpha_lon takes alpha_cap where its Doppler denominator is closer to
+# zero than this, in place of the ratio's pole.
 EPS_DENOM = 1e-6  # m/s
 
 DEFAULT_K: Dict[str, float] = {
@@ -115,14 +116,11 @@ def agent_columns(states: Sequence[AgentState], params: RiskFieldParams,
     return AgentColumns(table[:, 0:2], table[:, 2:4], *table[:, 4:].T)
 
 
-def _contact_floor(len_a, len_b, params: RiskFieldParams) -> np.ndarray:
-    return np.maximum(params.r_min, 0.5 * (len_a + len_b))
-
-
 def force_terms(ego: AgentColumns, other: AgentColumns,
                 params: RiskFieldParams) -> Tuple[np.ndarray, ...]:
     """Energy (J), force (N) and center distance r (m) of every pair;
-    the force divides the energy by r floored at the contact distance."""
+    the force divides the energy by r floored at the contact distance,
+    half the summed lengths and at least r_min."""
     dv = ego.velocity - other.velocity
     rel_sq = dv[..., 0] * dv[..., 0] + dv[..., 1] * dv[..., 1]
     if params.unit_mass_energy:
@@ -132,31 +130,20 @@ def force_terms(ego: AgentColumns, other: AgentColumns,
     energy = 0.5 * other.k * other.C * mu * rel_sq
     d = other.position - ego.position
     r = np.hypot(d[..., 0], d[..., 1])
-    floor = _contact_floor(ego.length, other.length, params)
+    floor = np.maximum(params.r_min, 0.5 * (ego.length + other.length))
     return energy, energy / np.maximum(r, floor), r
-
-
-def _alpha_lon(v_ego, v_other, cos_theta,
-               params: RiskFieldParams) -> np.ndarray:
-    """Doppler ratio floored at 0; alpha_cap where its denominator is
-    within EPS_DENOM of zero."""
-    denom = params.wave_speed - v_other * cos_theta
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = (params.wave_speed + v_ego * cos_theta) / denom
-    return np.where(np.abs(denom) < EPS_DENOM, params.alpha_cap,
-                    np.maximum(0.0, ratio))
-
-
-def _alpha_lat(cos_theta, params: RiskFieldParams) -> np.ndarray:
-    """exp(-beta * sin^2 theta), with sin^2 theta = 1 - cos^2 theta."""
-    return np.exp(-params.beta * (1.0 - cos_theta * cos_theta))
 
 
 def directional_terms(ego: AgentColumns, other: AgentColumns,
                       force: np.ndarray,
                       params: RiskFieldParams) -> Tuple[np.ndarray, ...]:
-    """alpha_lon, alpha_lat and directional force of every pair; cos theta
-    is 1 when either speed is below EPS_SPEED, where it means nothing."""
+    """alpha_lon, alpha_lat and directional force of every pair.
+
+    cos theta is 1 when either speed is below EPS_SPEED, where it means
+    nothing.  alpha_lon is the Doppler ratio floored at 0, and alpha_cap
+    where its denominator is within EPS_DENOM of zero.  alpha_lat is
+    exp(-beta * sin^2 theta), with sin^2 theta = 1 - cos^2 theta.
+    """
     v_ego = np.hypot(ego.velocity[..., 0], ego.velocity[..., 1])
     v_other = np.hypot(other.velocity[..., 0], other.velocity[..., 1])
     dot = np.sum(ego.velocity * other.velocity, axis=-1)
@@ -164,8 +151,11 @@ def directional_terms(ego: AgentColumns, other: AgentColumns,
     with np.errstate(divide="ignore", invalid="ignore"):
         cos_theta = np.where(slow, 1.0,
                              np.clip(dot / (v_ego * v_other), -1.0, 1.0))
-    a_lon = _alpha_lon(v_ego, v_other, cos_theta, params)
-    a_lat = _alpha_lat(cos_theta, params)
+        denom = params.wave_speed - v_other * cos_theta
+        ratio = (params.wave_speed + v_ego * cos_theta) / denom
+    a_lon = np.where(np.abs(denom) < EPS_DENOM, params.alpha_cap,
+                     np.maximum(0.0, ratio))
+    a_lat = np.exp(-params.beta * (1.0 - cos_theta * cos_theta))
     return a_lon, a_lat, a_lon * a_lat * force
 
 
@@ -176,72 +166,6 @@ def sum_others(values: np.ndarray):
     for column in values.T:
         total = total + column
     return total
-
-
-def pair_distance_floor(a: AgentState, b: AgentState,
-                        params: RiskFieldParams) -> float:
-    """Distance floor for a pair: half the summed lengths, at least r_min."""
-    return float(_contact_floor(a.extent[0], b.extent[0], params))
-
-
-def interaction_energy(
-    ego: AgentState,
-    other: AgentState,
-    params: RiskFieldParams,
-    C: Optional[float] = None,
-) -> float:
-    """Virtual collision energy of a pair, in joules.
-
-    Half the reduced mass of the pair times the squared relative speed,
-    scaled by the other agent's severity factor k and road condition C.
-    With ``unit_mass_energy`` the reduced-mass factor is replaced by 1,
-    which makes the field mass-free.
-    """
-    return directional_force(ego, other, params, C).energy
-
-
-def pairwise_force(
-    ego: AgentState,
-    other: AgentState,
-    params: RiskFieldParams,
-    C: Optional[float] = None,
-) -> float:
-    """Interaction energy spread over the pair distance, in newtons.
-
-    The distance is floored at the pair's contact distance so the force
-    stays finite when bounding boxes touch.
-    """
-    return directional_force(ego, other, params, C).force
-
-
-def doppler_ratio(
-    v_ego: float, v_other: float, theta: float, params: RiskFieldParams
-) -> float:
-    """Directional frequency-shift ratio for approach speeds v_ego and
-    v_other at relative heading angle theta.
-
-    Raises DegenerateDenominator when the receding term cancels the wave
-    speed to within EPS_DENOM.
-    """
-    denom = params.wave_speed - v_other * math.cos(theta)
-    if abs(denom) < EPS_DENOM:
-        raise DegenerateDenominator(
-            f"wave speed {params.wave_speed} m/s cancelled at theta={theta}"
-        )
-    return (params.wave_speed + v_ego * math.cos(theta)) / denom
-
-
-def alpha_lon(
-    v_ego: float, v_other: float, theta: float, params: RiskFieldParams
-) -> float:
-    """Longitudinal risk amplification; nonnegative, capped at alpha_cap
-    when the ratio degenerates."""
-    return float(_alpha_lon(v_ego, v_other, np.cos(theta), params))
-
-
-def alpha_lat(theta: float, params: RiskFieldParams) -> float:
-    """Lateral decay exp(-beta * sin^2 theta), in (0, 1]."""
-    return float(_alpha_lat(np.cos(theta), params))
 
 
 def directional_force(
@@ -278,18 +202,18 @@ def _neighbour_columns(ego: AgentState, graph: InteractionGraph,
     return agent_columns([ego], params), agent_columns(others, params, c_of)
 
 
-def total_energy(
-    ego: AgentState,
-    graph: InteractionGraph,
-    frame_states: Sequence[AgentState],
-    params: RiskFieldParams,
-    c_of: Optional[Mapping[int, float]] = None,
-) -> float:
-    """Sum of pair energies over the ego's graph neighbors (no direction)."""
-    pairs = _neighbour_columns(ego, graph, frame_states, params, c_of)
-    return float(sum_others(force_terms(*pairs, params)[0]))
+def _finite_total(values: np.ndarray, ego: AgentState) -> float:
+    """Sum of an ego's pair terms.  Speeds large enough to overflow the
+    terms leave the sum non-finite, and such a total is refused."""
+    total = float(sum_others(values))
+    if not math.isfinite(total):
+        raise BadConfig(f"field total of ego {ego.agent_id} at frame "
+                        f"{ego.frame} is not finite: its pair terms "
+                        "overflow")
+    return total
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def total_force(
     ego: AgentState,
     graph: InteractionGraph,
@@ -300,9 +224,10 @@ def total_force(
     """Sum of pair forces over the ego's graph neighbors, without the
     directional correction.  Kept callable on its own for ablations."""
     pairs = _neighbour_columns(ego, graph, frame_states, params, c_of)
-    return float(sum_others(force_terms(*pairs, params)[1]))
+    return _finite_total(force_terms(*pairs, params)[1], ego)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def total_directional_force(
     ego: AgentState,
     graph: InteractionGraph,
@@ -313,7 +238,7 @@ def total_directional_force(
     """Sum of directionally corrected pair forces over graph neighbors."""
     a, b = _neighbour_columns(ego, graph, frame_states, params, c_of)
     force = force_terms(a, b, params)[1]
-    return float(sum_others(directional_terms(a, b, force, params)[2]))
+    return _finite_total(directional_terms(a, b, force, params)[2], ego)
 
 
 # ==================== rasterization ====================
@@ -346,6 +271,7 @@ class RiskRaster:
     values: np.ndarray  # (height, width), newtons
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def raster_field(probe: AgentState, others: AgentColumns, weights: np.ndarray,
                  grid: GridSpec, params: RiskFieldParams,
                  frame: int) -> RiskRaster:

@@ -22,13 +22,7 @@ from .field import (
     raster_field,
 )
 from .predictor.model import MixturePrediction, PredictionMode
-from .scene import (
-    AgentState,
-    InteractionGraph,
-    Scenario,
-    build_graph,
-    velocity_angle,
-)
+from .scene import AgentState, InteractionGraph, Scenario, build_graph
 
 
 def estimate_velocity(
@@ -41,12 +35,6 @@ def estimate_velocity(
     if dt <= 0:
         raise BadConfig("dt must be positive")
     return (np.asarray(x_hat, float) - np.asarray(x_now, float)) / (p * dt)
-
-
-def predicted_angle(v_ego: np.ndarray, v_hat: np.ndarray) -> float:
-    """Angle between the ego velocity and a predicted velocity, in
-    [0, pi], with the same slow-speed fallback as recorded kinematics."""
-    return velocity_angle(np.asarray(v_ego, float), np.asarray(v_hat, float))
 
 
 def _require_anchor(pred: MixturePrediction, p: int) -> AgentState:

@@ -597,28 +597,6 @@ def build_graph(
         if aid != ego_id and math.hypot(x - ex, y - ey) <= radius))
 
 
-def velocity_angle(
-    v_a: np.ndarray, v_b: np.ndarray, eps_speed: float = EPS_SPEED
-) -> float:
-    """Angle in [0, pi] between two velocity vectors.
-
-    Falls back to 0 when either speed is below ``eps_speed``, where a
-    direction is not meaningful.
-    """
-    sa = math.hypot(v_a[0], v_a[1])
-    sb = math.hypot(v_b[0], v_b[1])
-    if sa < eps_speed or sb < eps_speed:
-        return 0.0
-    c = (v_a[0] * v_b[0] + v_a[1] * v_b[1]) / (sa * sb)
-    return math.acos(min(1.0, max(-1.0, c)))
-
-
-def relative_geometry(a: AgentState, b: AgentState) -> Tuple[float, float]:
-    """Center distance r and velocity angle theta between two agents."""
-    d = b.position - a.position
-    return math.hypot(d[0], d[1]), velocity_angle(a.velocity, b.velocity)
-
-
 # ==================== synthetic archetypes ====================
 #
 # Closed-form kinematic scenes for the three evaluation narratives:

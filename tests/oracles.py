@@ -442,9 +442,11 @@ def attend(dec, hiddens, query):
     return attention_weights(dec, hiddens, query) @ H
 
 
-def _check_psd(mat, name):
-    from risknet.errors import NotPSD
+class NotPSD(ValueError):
+    """A covariance input is not symmetric positive semidefinite."""
 
+
+def _check_psd(mat, name):
     if not np.all(np.isfinite(mat)):
         raise NotPSD(f"{name} has non-finite entries")
     if not np.allclose(mat, mat.T, atol=1e-9, rtol=0.0):

@@ -29,12 +29,7 @@ from risknet.baselines import (
 from risknet.field import (
     GridSpec,
     RiskFieldParams,
-    alpha_lat,
-    alpha_lon,
     directional_force,
-    doppler_ratio,
-    interaction_energy,
-    pairwise_force,
     rasterize,
     total_directional_force,
 )
@@ -74,6 +69,14 @@ def rel_err(got: float, want: float) -> float:
     return abs(got - want) / max(abs(want), 1e-30)
 
 
+def pair(v_ego, v_other):
+    """directional_force of an ego at the origin and an other 20 m
+    ahead, under the default parameters."""
+    return directional_force(
+        make_state(0, velocity=v_ego),
+        make_state(1, position=(20.0, 0.0), velocity=v_other), PARAMS)
+
+
 def test_criterion_1_formula_oracles_agree():
     """Hand-value formula cases match independent oracles to 1e-9 relative within 1 s."""
     start = time.perf_counter()
@@ -83,23 +86,25 @@ def test_criterion_1_formula_oracles_agree():
     ego = make_state(0, velocity=(30.0, 0.0), mass=1500.0)
     other = make_state(1, position=(50.0, 0.0), velocity=(20.0, 0.0),
                        mass=1500.0)
-    checks.append(("energy", interaction_energy(ego, other, KC1),
+    sample = directional_force(ego, other, KC1)
+    checks.append(("energy", sample.energy,
                    oracles.interaction_energy(1500.0, 1500.0, 1.0, 1.0,
                                               (30.0, 0.0), (20.0, 0.0))))
-    checks.append(("energy_value", interaction_energy(ego, other, KC1),
-                   37500.0))
-    checks.append(("force", pairwise_force(ego, other, KC1),
+    checks.append(("energy_value", sample.energy, 37500.0))
+    checks.append(("force", sample.force,
                    oracles.pairwise_force(37500.0, 50.0, 4.5)))
-    checks.append(("force_value", pairwise_force(ego, other, KC1), 750.0))
-    checks.append(("doppler", doppler_ratio(20.0, 10.0, 0.0, PARAMS),
+    checks.append(("force_value", sample.force, 750.0))
+    # same heading at 20 and 10 m/s: the Doppler ratio, neither floored
+    # nor capped, is alpha_lon
+    doppler = pair((20.0, 0.0), (10.0, 0.0)).alpha_lon
+    checks.append(("doppler", doppler,
                    oracles.doppler_ratio(30.0, 20.0, 10.0, 0.0)))
-    checks.append(("doppler_value", doppler_ratio(20.0, 10.0, 0.0, PARAMS),
-                   2.5))
-    checks.append(("alpha_lon", alpha_lon(20.0, 10.0, 0.0, PARAMS),
+    checks.append(("doppler_value", doppler, 2.5))
+    checks.append(("alpha_lon", doppler,
                    oracles.alpha_lon(30.0, 20.0, 10.0, 0.0)))
-    checks.append(("alpha_lon_cap", alpha_lon(20.0, 30.0, 0.0, PARAMS),
+    checks.append(("alpha_lon_cap", pair((20.0, 0.0), (30.0, 0.0)).alpha_lon,
                    oracles.alpha_lon(30.0, 20.0, 30.0, 0.0)))
-    checks.append(("alpha_lat", alpha_lat(math.pi / 2.0, PARAMS),
+    checks.append(("alpha_lat", pair((20.0, 0.0), (0.0, 10.0)).alpha_lat,
                    oracles.alpha_lat(math.pi / 2.0, 1.0)))
     head_on = make_state(1, position=(50.0, 0.0), velocity=(-20.0, 0.0),
                          mass=1500.0)
@@ -206,38 +211,39 @@ def test_criterion_2_field_properties_random_states():
                           velocity=tuple(v_j), mass=m_j)
         far = make_state(1, position=tuple(pos + r2 * direction),
                          velocity=tuple(v_j), mass=m_j)
-        if interaction_energy(ego, near, PARAMS) > 0.0:
-            assert (pairwise_force(ego, near, PARAMS)
-                    > pairwise_force(ego, far, PARAMS))
+        sample = directional_force(ego, near, PARAMS)
+        if sample.energy > 0.0:
+            assert sample.force > directional_force(ego, far, PARAMS).force
 
         # doubling the relative velocity quadruples the energy
         doubled = make_state(1, position=tuple(pos + r1 * direction),
                              velocity=tuple(v_i - 2.0 * (v_i - v_j)),
                              mass=m_j)
-        assert rel_err(interaction_energy(ego, doubled, PARAMS),
-                       4.0 * interaction_energy(ego, near, PARAMS)) <= 1e-9 \
-            or interaction_energy(ego, near, PARAMS) == 0.0
+        assert rel_err(directional_force(ego, doubled, PARAMS).energy,
+                       4.0 * sample.energy) <= 1e-9 \
+            or sample.energy == 0.0
 
         # reduced mass is symmetric under exchanging the pair
         swapped_ego = make_state(1, position=tuple(pos + r1 * direction),
                                  velocity=tuple(v_j), mass=m_j)
         swapped_other = make_state(0, position=tuple(pos),
                                    velocity=tuple(v_i), mass=m_i)
-        assert rel_err(interaction_energy(ego, near, PARAMS),
-                       interaction_energy(swapped_ego, swapped_other,
-                                          PARAMS)) <= 1e-12 \
-            or interaction_energy(ego, near, PARAMS) == 0.0
+        assert rel_err(sample.energy,
+                       directional_force(swapped_ego, swapped_other,
+                                         PARAMS).energy) <= 1e-12 \
+            or sample.energy == 0.0
 
         # direction factors stay inside their ranges
-        sample = directional_force(ego, near, PARAMS)
         assert 0.0 < sample.alpha_lat <= 1.0
         assert sample.alpha_lon >= 0.0
         assert math.isfinite(sample.alpha_lon)
 
     # lateral extrema: aligned, perpendicular, opposed
-    assert alpha_lat(0.0, PARAMS) == 1.0
-    assert rel_err(alpha_lat(math.pi / 2.0, PARAMS), math.exp(-1.0)) <= 1e-12
-    assert alpha_lat(math.pi, PARAMS) == pytest.approx(1.0, abs=1e-12)
+    assert pair((20.0, 0.0), (10.0, 0.0)).alpha_lat == 1.0
+    assert rel_err(pair((20.0, 0.0), (0.0, 10.0)).alpha_lat,
+                   math.exp(-1.0)) <= 1e-12
+    assert pair((20.0, 0.0), (-10.0, 0.0)).alpha_lat == pytest.approx(
+        1.0, abs=1e-12)
 
     # longitudinal clamping exactly at the degenerate denominator
     for speed in np.linspace(0.5, 25.0, 32):

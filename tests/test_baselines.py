@@ -23,7 +23,7 @@ from risknet.baselines import (
     write_comparison,
 )
 from risknet.errors import BadConfig
-from risknet.field import RiskFieldParams, pairwise_force
+from risknet.field import RiskFieldParams, directional_force
 from risknet.scene import (
     InteractionGraph,
     make_archetype,
@@ -185,7 +185,7 @@ def test_nc_single_forward_equals_pairwise_force():
     ego = make_state(0, velocity=(25.0, 0.0))
     front = make_state(1, position=(18, 3), velocity=(20.0, 0.0))
     got = nc_field_risk(ego, star(0, [1]), [ego, front], PARAMS)
-    assert got == pairwise_force(ego, front, PARAMS)
+    assert got == directional_force(ego, front, PARAMS).force
 
 
 def test_nc_mixed_set_sums_forward_only():

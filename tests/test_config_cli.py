@@ -500,6 +500,26 @@ def test_cli_eval_bad_override_exits_2(cutin, tmp_path):
     assert "unknown config key" in proc.stderr
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("eval", []),
+    ("compare", []),
+    ("map", ["--frame", "0"]),
+])
+def test_cli_overflowing_field_total_exits_2(tmp_path, command, flags):
+    """A rear car at 1e308 m/s is finite input, but its pair terms with
+    the ego overflow at frame 0: the command refuses the total in one
+    line instead of writing nan or printing overflow warnings."""
+    scenario = tmp_path / "fast.csv"
+    ok("gen", "--archetype", "rear_overtake_cut_in",
+       "--param", "rear_speed=1e308", "--out", scenario)
+    proc = run_cli(command, "--scenario", scenario, "--ego-id", "0", *flags,
+                   "--out", tmp_path / "out.csv")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("risknet: input error:")
+    assert len(proc.stderr.splitlines()) == 1
+    assert not list(tmp_path.glob("out.csv*.json"))
+
+
 def test_cli_config_file_and_set_precedence(cutin, tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(

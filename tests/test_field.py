@@ -17,31 +17,20 @@ from conftest import (
     dense_scenario,
     make_state,
 )
-from risknet.errors import (
-    BadConfig,
-    DegenerateDenominator,
-    EmptyFrame,
-    NumericError,
-)
+from risknet.errors import BadConfig, EmptyFrame, NumericError
 from risknet.field import (
     AgentColumns,
     GridSpec,
     RiskFieldParams,
     RiskRaster,
     agent_columns,
-    alpha_lat,
-    alpha_lon,
     directional_force,
     directional_terms,
-    doppler_ratio,
     force_terms,
-    interaction_energy,
-    pair_distance_floor,
-    pairwise_force,
     rasterize,
     read_raster,
+    sum_others,
     total_directional_force,
-    total_energy,
     total_force,
     write_raster,
 )
@@ -75,6 +64,17 @@ pair_strategy = st.tuples(coord, coord, coord, coord, finite_speed,
                           positive_mass, positive_mass)
 
 
+def heading_pair(v_ego, v_other, theta, params=PARAMS):
+    """directional_force of an ego moving along +x at v_ego and an other
+    20 m ahead moving at v_other, theta radians off the ego's heading."""
+    return directional_force(
+        make_state(0, velocity=(v_ego, 0.0)),
+        make_state(1, position=(20.0, 0.0),
+                   velocity=(v_other * math.cos(theta),
+                             v_other * math.sin(theta))),
+        params)
+
+
 # ---- parameter validation ----
 
 def test_params_validation():
@@ -98,22 +98,22 @@ def test_params_validation():
 def test_energy_zero_relative_velocity():
     ego = make_state(0, velocity=(17.0, -2.0))
     other = make_state(1, position=(10, 0), velocity=(17.0, -2.0))
-    assert interaction_energy(ego, other, PARAMS) == 0.0
+    assert directional_force(ego, other, PARAMS).energy == 0.0
 
 
 def test_energy_hand_case():
     ego = make_state(0, velocity=(30, 0), mass=1500.0)
     other = make_state(1, position=(50, 0), velocity=(20, 0), mass=1500.0)
-    assert interaction_energy(ego, other, KC1) == pytest.approx(
+    assert directional_force(ego, other, KC1).energy == pytest.approx(
         37500.0, rel=1e-12)
 
 
 def test_energy_linear_in_C():
     ego = make_state(0, velocity=(30, 0))
     other = make_state(1, position=(50, 0), velocity=(20, 0))
-    one = interaction_energy(ego, other, PARAMS, C=1.0)
-    assert interaction_energy(ego, other, PARAMS, C=2.0) == pytest.approx(
-        2.0 * one, rel=1e-12)
+    one = directional_force(ego, other, PARAMS, C=1.0).energy
+    assert directional_force(ego, other, PARAMS, C=2.0).energy == \
+        pytest.approx(2.0 * one, rel=1e-12)
 
 
 def test_energy_unit_mass_variant():
@@ -121,7 +121,7 @@ def test_energy_unit_mass_variant():
     other = make_state(1, position=(50, 0), velocity=(20, 0), mass=9000.0)
     unit = RiskFieldParams(k={k: 1.0 for k in PARAMS.k},
                            unit_mass_energy=True)
-    assert interaction_energy(ego, other, unit) == pytest.approx(
+    assert directional_force(ego, other, unit).energy == pytest.approx(
         50.0, rel=1e-12)
 
 
@@ -133,8 +133,8 @@ def test_energy_reduced_mass_symmetry(draw):
                              velocity=tuple(ego.velocity), mass=other.mass)
     swapped_other = make_state(1, position=tuple(other.position),
                                velocity=tuple(other.velocity), mass=ego.mass)
-    a = interaction_energy(ego, other, PARAMS)
-    b = interaction_energy(swapped_ego, swapped_other, PARAMS)
+    a = directional_force(ego, other, PARAMS).energy
+    b = directional_force(swapped_ego, swapped_other, PARAMS).energy
     assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
 
 
@@ -142,13 +142,13 @@ def test_energy_reduced_mass_symmetry(draw):
 @settings(max_examples=200, deadline=None)
 def test_energy_quadratic_velocity_scaling(draw, c):
     ego, other = random_pair(draw)
-    base = interaction_energy(ego, other, PARAMS)
+    base = directional_force(ego, other, PARAMS).energy
     scaled_ego = make_state(0, position=tuple(ego.position),
                             velocity=tuple(c * ego.velocity), mass=ego.mass)
     scaled_other = make_state(1, position=tuple(other.position),
                               velocity=tuple(c * other.velocity),
                               mass=other.mass)
-    scaled = interaction_energy(scaled_ego, scaled_other, PARAMS)
+    scaled = directional_force(scaled_ego, scaled_other, PARAMS).energy
     assert scaled == pytest.approx(c * c * base, rel=1e-9, abs=1e-9)
 
 
@@ -157,88 +157,87 @@ def test_energy_quadratic_velocity_scaling(draw, c):
 def test_force_hand_case():
     ego = make_state(0, velocity=(30, 0), mass=1500.0)
     other = make_state(1, position=(50, 0), velocity=(20, 0), mass=1500.0)
-    assert pairwise_force(ego, other, KC1) == pytest.approx(750.0, rel=1e-12)
+    assert directional_force(ego, other, KC1).force == pytest.approx(
+        750.0, rel=1e-12)
 
 
 def test_force_coincident_floor():
     ego = make_state(0, velocity=(30, 0))
     other = make_state(1, position=(0, 0), velocity=(20, 0))
-    energy = interaction_energy(ego, other, PARAMS)
-    floor = pair_distance_floor(ego, other, PARAMS)
-    assert floor == 4.5  # two car half-lengths
-    got = pairwise_force(ego, other, PARAMS)
-    assert math.isfinite(got)
-    assert got == pytest.approx(energy / floor, rel=1e-12)
+    sample = directional_force(ego, other, PARAMS)
+    assert math.isfinite(sample.force)
+    # the floor is two car half-lengths
+    assert sample.force == pytest.approx(sample.energy / 4.5, rel=1e-12)
 
 
 def test_force_zero_energy():
     ego = make_state(0, velocity=(5.0, 0.0))
     other = make_state(1, position=(12, 0), velocity=(5.0, 0.0))
-    assert pairwise_force(ego, other, PARAMS) == 0.0
+    assert directional_force(ego, other, PARAMS).force == 0.0
 
 
 def test_distance_floor_minimum_one_meter():
-    a = make_state(0, extent=(0.5, 0.5))
+    a = make_state(0, velocity=(10.0, 0.0), extent=(0.5, 0.5))
     b = make_state(1, extent=(0.5, 0.5))
-    assert pair_distance_floor(a, b, PARAMS) == 1.0
+    sample = directional_force(a, b, PARAMS)
+    assert sample.energy > 0.0
+    assert sample.force == sample.energy / 1.0
 
 
 @given(pair_strategy, st.floats(1.0, 150.0), st.floats(1.01, 3.0))
 @settings(max_examples=200, deadline=None)
 def test_force_monotone_distance_decay(draw, r, factor):
     ego, other = random_pair(draw)
-    if interaction_energy(ego, other, PARAMS) <= 1e-9:
+    if directional_force(ego, other, PARAMS).energy <= 1e-9:
         return
-    floor = pair_distance_floor(ego, other, PARAMS)
+    floor = oracles.distance_floor(ego.extent[0], other.extent[0])
     near = make_state(1, position=(ego.position[0] + floor + r,
                                    ego.position[1]),
                       velocity=tuple(other.velocity), mass=other.mass)
     far = make_state(1, position=(ego.position[0] + (floor + r) * factor,
                                   ego.position[1]),
                      velocity=tuple(other.velocity), mass=other.mass)
-    assert pairwise_force(ego, near, PARAMS) > pairwise_force(
-        ego, far, PARAMS)
+    assert (directional_force(ego, near, PARAMS).force
+            > directional_force(ego, far, PARAMS).force)
 
 
 # ---- doppler ratio and directional coefficients ----
+#
+# The Doppler ratio is alpha_lon wherever it is neither floored at 0 nor
+# capped at its pole.
 
 def test_doppler_orthogonal_is_one():
-    assert doppler_ratio(20.0, 10.0, math.pi / 2, PARAMS) == 1.0
+    assert heading_pair(20.0, 10.0, math.pi / 2).alpha_lon == 1.0
 
 
 def test_doppler_hand_case():
-    assert doppler_ratio(20.0, 10.0, 0.0, PARAMS) == pytest.approx(
+    assert heading_pair(20.0, 10.0, 0.0).alpha_lon == pytest.approx(
         2.5, rel=1e-12)
-
-
-def test_doppler_pole():
-    with pytest.raises(DegenerateDenominator):
-        doppler_ratio(20.0, 30.0, 0.0, PARAMS)
 
 
 def test_alpha_lon_hand_cases():
-    assert alpha_lon(20.0, 10.0, 0.0, PARAMS) == pytest.approx(
+    assert heading_pair(20.0, 10.0, 0.0).alpha_lon == pytest.approx(
         2.5, rel=1e-12)
-    assert alpha_lon(35.0, 10.0, math.pi, PARAMS) == 0.0
-    assert alpha_lon(20.0, 10.0, math.pi / 2, PARAMS) == 1.0
+    assert heading_pair(35.0, 10.0, math.pi).alpha_lon == 0.0
+    assert heading_pair(20.0, 10.0, math.pi / 2).alpha_lon == 1.0
 
 
 def test_alpha_lon_cap_at_pole():
-    assert alpha_lon(20.0, 30.0, 0.0, PARAMS) == PARAMS.alpha_cap
+    assert heading_pair(20.0, 30.0, 0.0).alpha_lon == PARAMS.alpha_cap
 
 
 def test_alpha_lat_extrema():
-    assert alpha_lat(0.0, PARAMS) == 1.0
-    assert alpha_lat(math.pi / 2, PARAMS) == pytest.approx(
+    assert heading_pair(20.0, 10.0, 0.0).alpha_lat == 1.0
+    assert heading_pair(20.0, 10.0, math.pi / 2).alpha_lat == pytest.approx(
         math.exp(-1.0), rel=1e-12)
-    assert alpha_lat(math.pi, PARAMS) == pytest.approx(1.0, abs=1e-12)
+    assert heading_pair(20.0, 10.0, math.pi).alpha_lat == pytest.approx(
+        1.0, abs=1e-12)
 
 
 @given(st.floats(0.0, math.pi), st.floats(0.01, 5.0))
 @settings(max_examples=300, deadline=None)
 def test_alpha_lat_range(theta, beta):
-    p = RiskFieldParams(beta=beta)
-    a = alpha_lat(theta, p)
+    a = heading_pair(20.0, 10.0, theta, RiskFieldParams(beta=beta)).alpha_lat
     assert 0.0 < a <= 1.0
     assert a >= math.exp(-beta)
 
@@ -246,12 +245,13 @@ def test_alpha_lat_range(theta, beta):
 @given(st.floats(0.0, 40.0), st.floats(0.0, 40.0), st.floats(0.0, math.pi))
 @settings(max_examples=300, deadline=None)
 def test_alpha_lon_nonnegative(v_ego, v_other, theta):
-    assert alpha_lon(v_ego, v_other, theta, PARAMS) >= 0.0
+    assert heading_pair(v_ego, v_other, theta).alpha_lon >= 0.0
 
 
 def test_alphas_are_one_for_stationary_pair():
-    assert alpha_lon(0.0, 0.0, 0.0, PARAMS) == 1.0
-    assert alpha_lat(0.0, PARAMS) == 1.0
+    sample = heading_pair(0.0, 0.0, 0.0)
+    assert sample.alpha_lon == 1.0
+    assert sample.alpha_lat == 1.0
 
 
 # ---- directional force ----
@@ -405,25 +405,33 @@ def three_neighbor_setup():
     return ego, others
 
 
+def summed_energy(ego, others):
+    """The kernel's pair energies of the ego against ``others``, summed
+    the way the graph totals sum their terms."""
+    return float(sum_others(force_terms(agent_columns([ego], PARAMS),
+                                        agent_columns(others, PARAMS),
+                                        PARAMS)[0]))
+
+
 def test_total_energy_empty():
     ego = make_state(0, velocity=(30, 0))
-    assert total_energy(ego, star(0, []), [ego], PARAMS) == 0.0
+    assert summed_energy(ego, []) == 0.0
     assert total_directional_force(ego, star(0, []), [ego], PARAMS) == 0.0
 
 
 def test_total_energy_additive_duplicate():
     ego, others = three_neighbor_setup()
-    one = total_energy(ego, star(0, [1]), [ego, others[0]], PARAMS)
+    one = summed_energy(ego, others[:1])
     twin = make_state(9, position=tuple(others[0].position),
                       velocity=tuple(others[0].velocity),
                       mass=others[0].mass)
-    two = total_energy(ego, star(0, [1, 9]), [ego, others[0], twin], PARAMS)
+    two = summed_energy(ego, [others[0], twin])
     assert two == pytest.approx(2.0 * one, rel=1e-12)
 
 
 def test_total_energy_three_neighbor_oracle():
     ego, others = three_neighbor_setup()
-    got = total_energy(ego, star(0, [1, 2, 3]), [ego] + others, PARAMS)
+    got = summed_energy(ego, others)
     expected = sum(
         oracles.interaction_energy(ego.mass, o.mass, 0.6, 1.0,
                                    tuple(ego.velocity), tuple(o.velocity))
@@ -507,7 +515,7 @@ def test_per_agent_C_must_be_finite_and_nonnegative(c):
 def test_total_force_is_undirected_sum():
     ego, others = three_neighbor_setup()
     got = total_force(ego, star(0, [1, 2, 3]), [ego] + others, PARAMS)
-    expected = sum(pairwise_force(ego, o, PARAMS) for o in others)
+    expected = sum(directional_force(ego, o, PARAMS).force for o in others)
     assert got == pytest.approx(expected, rel=1e-12)
 
 

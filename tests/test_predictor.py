@@ -13,7 +13,6 @@ from risknet.errors import (
     DegenerateCovariance,
     ModelFormatError,
     NonFiniteLoss,
-    NotPSD,
     NumericError,
     ShapeMismatch,
 )
@@ -49,7 +48,7 @@ from risknet.predictor.train import (
     sample_loss,
     train,
 )
-from oracles import attend, attention_weights, ekf_propagate
+from oracles import NotPSD, attend, attention_weights, ekf_propagate
 from risknet.scene import InteractionGraph
 
 

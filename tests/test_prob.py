@@ -32,7 +32,6 @@ from risknet.prob import (
     expected_risk_series,
     horizon_weights,
     mode_risk,
-    predicted_angle,
     probabilistic_raster,
     replay_prediction,
     total_expected_risk,
@@ -106,17 +105,6 @@ def test_estimate_velocity_rejects_bad_steps():
         estimate_velocity(np.zeros(2), np.ones(2), 0, 0.2)
     with pytest.raises(BadConfig):
         estimate_velocity(np.zeros(2), np.ones(2), 1, 0.0)
-
-
-def test_predicted_angle_reference_directions():
-    v = np.array([10.0, 0.0])
-    assert predicted_angle(v, np.array([5.0, 0.0])) == 0.0
-    assert predicted_angle(v, np.array([0.0, 5.0])) == pytest.approx(
-        math.pi / 2, abs=1e-12)
-    assert predicted_angle(v, np.array([-5.0, 0.0])) == pytest.approx(
-        math.pi, abs=1e-12)
-    # below the slow-speed threshold the angle falls back to zero
-    assert predicted_angle(v, np.array([0.0, 0.05])) == 0.0
 
 
 # ---- per-mode risk ----

@@ -22,6 +22,12 @@ from risknet.errors import (
     NonFinite,
     NonIntegral,
 )
+from risknet.field import (
+    RiskFieldParams,
+    agent_columns,
+    directional_terms,
+    force_terms,
+)
 from risknet.scene import (
     _ARCHETYPE_DEFAULTS,
     _ARCHETYPE_DURATIONS,
@@ -35,9 +41,7 @@ from risknet.scene import (
     export_tracks,
     load_tracks,
     make_archetype,
-    relative_geometry,
     scenario_from_states,
-    velocity_angle,
 )
 
 HEADER = ["frame", "id", "x", "y", "xVelocity", "yVelocity",
@@ -613,44 +617,53 @@ def test_graph_usable_from_both_endpoints():
 
 
 # ---- relative geometry ----
+#
+# The field reads a pair's geometry through its kernel: the center
+# distance r, and the velocity angle theta through alpha_lat =
+# exp(-sin^2 theta) and the Doppler factor alpha_lon.
+
+def kernel_geometry(a, b):
+    """(r, alpha_lon, alpha_lat) of the pair under the default field."""
+    params = RiskFieldParams()
+    ego, other = agent_columns([a], params), agent_columns([b], params)
+    _, force, r = force_terms(ego, other, params)
+    a_lon, a_lat, _ = directional_terms(ego, other, force, params)
+    return float(r[0]), float(a_lon[0]), float(a_lat[0])
+
 
 def test_geometry_identical_positions_parallel():
     a = make_state(0, velocity=(10.0, 0.0))
     b = make_state(1, velocity=(5.0, 0.0))
-    assert relative_geometry(a, b) == (0.0, 0.0)
+    r, _, a_lat = kernel_geometry(a, b)
+    assert (r, a_lat) == (0.0, 1.0)
 
 
 def test_geometry_hand_case():
     a = make_state(0, position=(0, 0), velocity=(10, 0))
     b = make_state(1, position=(3, 4), velocity=(0, 10))
-    r, theta = relative_geometry(a, b)
+    r, a_lon, a_lat = kernel_geometry(a, b)
     assert r == pytest.approx(5.0, abs=1e-12)
-    assert theta == pytest.approx(math.pi / 2, abs=1e-12)
+    # theta = pi/2: cos theta = 0 and sin^2 theta = 1
+    assert a_lon == 1.0
+    assert a_lat == pytest.approx(math.exp(-1.0), abs=1e-12)
 
 
 def test_geometry_antiparallel():
     a = make_state(0, velocity=(10.0, 2.0))
     b = make_state(1, position=(1, 1), velocity=(-10.0, -2.0))
-    _, theta = relative_geometry(a, b)
-    assert theta == pytest.approx(math.pi, abs=1e-12)
+    _, a_lon, a_lat = kernel_geometry(a, b)
+    # theta = pi: cos theta = -1 and sin^2 theta = 0
+    speed = math.hypot(10.0, 2.0)
+    assert a_lon == pytest.approx((30.0 - speed) / (30.0 + speed),
+                                  abs=1e-12)
+    assert a_lat == pytest.approx(1.0, abs=1e-12)
 
 
 def test_geometry_slow_speed_fallback():
     a = make_state(0, velocity=(0.05, 0.0))
     b = make_state(1, position=(1, 1), velocity=(0.0, 10.0))
-    assert relative_geometry(a, b)[1] == 0.0
-
-
-@given(
-    vax=st.floats(-40, 40), vay=st.floats(-40, 40),
-    vbx=st.floats(-40, 40), vby=st.floats(-40, 40),
-)
-@settings(max_examples=200, deadline=None)
-def test_velocity_angle_range_and_oracle(vax, vay, vbx, vby):
-    theta = velocity_angle(np.array([vax, vay]), np.array([vbx, vby]))
-    assert 0.0 <= theta <= math.pi
-    expected = oracles.velocity_angle((vax, vay), (vbx, vby))
-    assert theta == pytest.approx(expected, abs=1e-9)
+    # perpendicular, but below EPS_SPEED the angle falls back to 0
+    assert kernel_geometry(a, b)[2] == 1.0
 
 
 # ---- archetypes ----
