@@ -162,18 +162,19 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     if info is None:
         raise BadConfig(f"ego {args.ego_id} not in scenario")
     params = cfg.risk
+    lines = [EVAL_HEADER]
+    for frame in range(info.first_frame, info.last_frame + 1):
+        ego = scenario.state(args.ego_id, frame)
+        graph = build_graph(scenario, args.ego_id, frame, params.R)
+        # the field reads only the graph neighbours' states
+        others = [scenario.state(n, frame)
+                  for n in graph.neighbors(args.ego_id)]
+        force = total_directional_force(ego, graph, others, params)
+        lines.append(f"{frame},{repr(frame / scenario.frame_rate)},"
+                     f"{repr(force)}")
+    # every row is computed before --out opens, so a refusal writes nothing
     with _open_out(args.out, newline="") as fh:
-        fh.write(EVAL_HEADER + "\n")
-        for frame in range(info.first_frame, info.last_frame + 1):
-            ego = scenario.state(args.ego_id, frame)
-            graph = build_graph(scenario, args.ego_id, frame, params.R)
-            # the field reads only the graph neighbours' states
-            others = [scenario.state(n, frame)
-                      for n in graph.neighbors(args.ego_id)]
-            force = total_directional_force(ego, graph, others, params)
-            fh.write(
-                f"{frame},{repr(frame / scenario.frame_rate)},{repr(force)}\n"
-            )
+        fh.write("\n".join(lines) + "\n")
     _write_run_sidecar(args.out, "eval", cfg, {
         "scenario": os.path.basename(args.scenario),
         "ego_id": args.ego_id,

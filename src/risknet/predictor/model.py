@@ -18,12 +18,12 @@ gradient checker and inference all run the same code.
 import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import DegenerateCovariance, ShapeMismatch
-from ..scene import AgentState, InteractionGraph
+from ..scene import AgentState
 from . import autodiff as ad
 from .autodiff import Tensor
 
@@ -139,17 +139,10 @@ class PackedStep:
     nbr_count: np.ndarray  # (R,) neighbours per row, at least 1
 
 
-HistoryStep = Tuple[Mapping[int, Union[Tensor, np.ndarray]],
-                    InteractionGraph]
-
-
-def _feature_vector(value) -> np.ndarray:
-    v = value.data if isinstance(value, Tensor) else np.asarray(value, float)
-    if v.shape != (D_IN,):
-        raise ShapeMismatch(
-            f"feature dim {v.shape} does not match D_IN={D_IN}"
-        )
-    return v
+# One step of a window's star: the agent ids, the window's target first and
+# its neighbours after it in ascending id order, and their (n, D_IN)
+# features.
+HistoryStep = Tuple[np.ndarray, np.ndarray]
 
 
 def _neighbour_slots(
@@ -181,25 +174,15 @@ def _neighbour_means(x: np.ndarray, nbr_rows: np.ndarray,
     return np.where(used[:, 0], total / nbr_count[:, None], 0.0)
 
 
-def _adjacency(graph: InteractionGraph) -> Dict[int, List[int]]:
-    """``graph.neighbors`` of every agent on an edge, from one pass over
-    the edges."""
-    adjacent: Dict[int, set] = {}
-    for a, b in graph.edges:
-        adjacent.setdefault(a, set()).add(b)
-        adjacent.setdefault(b, set()).add(a)
-    return {a: sorted(ids) for a, ids in adjacent.items()}
-
-
 def pack_histories(
     histories: Sequence[Sequence[HistoryStep]]
 ) -> Tuple[List[PackedStep], List[Dict[int, int]]]:
     """Pack equal-length histories into rows, one per (window, agent)
     pair, agents ascending by id within each window.
 
-    An agent's neighbours at a step are its graph neighbours present in
-    that step's features.  Returns the packed steps and, per window, the
-    row of each agent.
+    Each step is a star: the target's neighbours are the other agents of
+    the step, and each of them has the target as its one neighbour.
+    Returns the packed steps and, per window, the row of each agent.
     """
     if not histories or not histories[0]:
         raise ShapeMismatch("history must contain at least one step")
@@ -209,28 +192,27 @@ def pack_histories(
     row_maps: List[Dict[int, int]] = []
     n_rows = 0
     for history in histories:
-        ids = sorted(set().union(*(feats.keys() for feats, _ in history)))
+        ids = sorted(set().union(*(ids.tolist() for ids, _ in history)))
         row_maps.append({a: n_rows + i for i, a in enumerate(ids)})
         n_rows += len(ids)
     steps = []
     for s in range(n_steps):
-        x = np.zeros((n_rows, D_IN))
-        present = np.zeros(n_rows, dtype=bool)
         filled: List[int] = []
-        values: List[np.ndarray] = []
         slots: Dict[int, List[int]] = {}
         for history, rows in zip(histories, row_maps):
-            feats, graph = history[s]
-            adjacent = _adjacency(graph)
-            for a, value in feats.items():
-                filled.append(rows[a])
-                values.append(_feature_vector(value))
-                ids = [rows[w] for w in adjacent.get(a, ()) if w in feats]
-                if ids:
-                    slots[rows[a]] = ids
-        if filled:
-            x[filled] = values
-            present[filled] = True
+            ids, feats = history[s]
+            if np.shape(feats) != (len(ids), D_IN):
+                raise ShapeMismatch(f"features {np.shape(feats)} do not "
+                                    f"match {len(ids)} agents by D_IN={D_IN}")
+            r = [rows[a] for a in ids.tolist()]
+            filled += r
+            if len(r) > 1:
+                slots[r[0]] = r[1:]
+                slots.update((w, r[:1]) for w in r[1:])
+        x = np.zeros((n_rows, D_IN))
+        x[filled] = np.concatenate([h[s][1] for h in histories])
+        present = np.zeros(n_rows, dtype=bool)
+        present[filled] = True
         nbr = _neighbour_slots(n_rows, slots)
         steps.append(PackedStep(x, _neighbour_means(x, *nbr), present,
                                 *nbr))
@@ -326,43 +308,6 @@ def encode_packed(
     return out
 
 
-def cell_step(
-    params: GraphCellParams,
-    features: Mapping[int, Tensor],
-    hiddens: Mapping[int, Tensor],
-    graph: InteractionGraph,
-    agent_id: int,
-) -> Tensor:
-    """One recurrent update for one agent.
-
-    Gate pre-activations combine a self term with the mean over graph
-    neighbors, on both the feature path and the hidden path; the mean
-    over an empty neighbor set is the zero vector.
-    """
-    if agent_id not in features or agent_id not in hiddens:
-        raise ShapeMismatch(f"agent {agent_id} missing from features/hiddens")
-    psi = _feature_vector(features[agent_id])
-    h_prev = ad.as_tensor(hiddens[agent_id])
-    if h_prev.shape != (params.d_h,):
-        raise ShapeMismatch(
-            f"hidden dim {h_prev.shape} does not match d_h={params.d_h}"
-        )
-    nbr_ids = [w for w in graph.neighbors(agent_id) if w in features]
-    h_ids = [w for w in nbr_ids if w in hiddens]
-    # row 0 is the agent; the rows after it only lend their hidden states
-    n = 1 + len(h_ids)
-    x = np.zeros((n, D_IN))
-    x[0] = psi
-    x_bar = np.zeros((n, D_IN))
-    if nbr_ids:
-        vectors = [_feature_vector(features[w]) for w in nbr_ids]
-        x_bar[0] = functools.reduce(np.add, vectors) / len(vectors)
-    step = PackedStep(x, x_bar, np.arange(n) == 0,
-                      *_neighbour_slots(n, {0: list(range(1, n))}))
-    h = ad.stack([h_prev] + [ad.as_tensor(hiddens[w]) for w in h_ids])
-    return ad.getitem(_gru_step(_StackedGates(params), step, h), 0)
-
-
 def encode(
     params: GraphCellParams, history: Sequence[HistoryStep]
 ) -> Dict[int, List[Tensor]]:
@@ -376,8 +321,8 @@ def encode(
     steps, (rows,) = pack_histories([history])
     hs = encode_packed(params, steps)
     sequences: Dict[int, List[Tensor]] = {}
-    for (features, _), h in zip(history, hs):
-        for a in sorted(features.keys()):
+    for (ids, _), h in zip(history, hs):
+        for a in sorted(ids.tolist()):
             sequences.setdefault(a, []).append(ad.getitem(h, rows[a]))
     return sequences
 
@@ -619,24 +564,9 @@ def _decode_graph(
     return logits, states, covs
 
 
-def decode(
-    dec: DecoderParams,
-    hiddens: Union[Mapping[int, Sequence[Tensor]], Sequence[Tensor]],
-    graph: Optional[InteractionGraph],
-    x0: np.ndarray,
-) -> MixturePrediction:
-    """Decode a mixture forecast from encoded hiddens.
-
-    ``hiddens`` may be the per-agent map produced by encode (the target
-    is then selected through ``graph.ego_id``) or one agent's hidden
-    sequence directly.
-    """
-    if isinstance(hiddens, Mapping):
-        if graph is None:
-            raise ShapeMismatch("graph required to select the target agent")
-        seq = hiddens[graph.ego_id]
-    else:
-        seq = hiddens
+def decode(dec: DecoderParams, seq: Sequence[Tensor],
+           x0: np.ndarray) -> MixturePrediction:
+    """Decode one agent's mixture forecast from its hidden sequence."""
     H = np.stack([ad.as_tensor(h).data for h in seq])
     return decode_batch(dec, H[None], np.asarray(x0, float)[None])[0]
 

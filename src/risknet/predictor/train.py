@@ -12,7 +12,6 @@ from ..scene import (
     CAR_EXTENT,
     DEFAULT_MASSES,
     AgentState,
-    InteractionGraph,
     Scenario,
     build_graph,
     scenario_from_states,
@@ -24,6 +23,7 @@ from .model import (
     DecoderParams,
     GateBlock,
     GraphCellParams,
+    HistoryStep,
     MixturePrediction,
     ModeHead,
     PackedStep,
@@ -110,29 +110,26 @@ class TrainingSample:
 
     target_id: int
     frame: int  # last history frame (prediction time)
-    features: List[Dict[int, np.ndarray]]  # t_h maps agent -> (D_IN,)
-    graphs: List[InteractionGraph]  # t_h graphs, oldest first
+    steps: List[HistoryStep]  # t_h target-centred stars, oldest first
     x0: np.ndarray  # (4,) centered state at `frame`
     truth: np.ndarray  # (t_f, 2) centered future positions
     offset: np.ndarray  # (2,) world position of the center
     dt: float
 
 
-def _step_features(scenario: Scenario, graphs: Sequence[InteractionGraph],
-                   center: np.ndarray) -> List[Dict[int, np.ndarray]]:
-    """Each graph's ego and neighbours (ascending by id) mapped to their
-    features at the graph's frame, read from the table rows: the
-    ``motion`` row with the centre subtracted from its position."""
-    members = [[g.ego_id] + g.neighbors(g.ego_id) for g in graphs]
-    rows = [scenario.row(a, g.frame)
-            for g, ids in zip(graphs, members) for a in ids]
+def _star_steps(scenario: Scenario, target: int, frames: Sequence[int],
+                center: np.ndarray, radius: float) -> List[HistoryStep]:
+    """The target's star at each frame: the target and its ``build_graph``
+    neighbours (ascending by id), with their features read from the table
+    rows, the ``motion`` row with the centre subtracted from its
+    position."""
+    ids = [np.array([target] + build_graph(scenario, target, f, radius)
+                    .neighbors(target)) for f in frames]
+    rows = [scenario.row(a, f) for f, step in zip(frames, ids)
+            for a in step.tolist()]
     x = scenario.motion[rows]
     x[:, :2] -= center
-    features, k = [], 0
-    for ids in members:
-        features.append(dict(zip(ids, x[k:k + len(ids)])))
-        k += len(ids)
-    return features
+    return list(zip(ids, np.split(x, np.cumsum([len(i) for i in ids[:-1]]))))
 
 
 def extract_windows(
@@ -160,25 +157,21 @@ def extract_windows(
         last = info.last_frame - t_f
         for t0 in range(first, last + 1):
             frames = list(range(t0 - t_h + 1, t0 + t_f + 1))
-            graphs = [build_graph(scenario, target, f, radius)
-                      for f in frames[:t_h]]
-            involved = {target}
-            for g in graphs:
-                involved.update(g.neighbors(target))
+            now = scenario.motion[scenario.row(target, t0)]
+            center = now[0:2].copy()
+            steps = _star_steps(scenario, target, frames[:t_h], center,
+                                radius)
+            involved = {a for ids, _ in steps for a in ids.tolist()}
             if not all(
                 scenario.has_state(a, f) for a in involved for f in frames
             ):
                 continue
-            now = scenario.motion[scenario.row(target, t0)]
-            center = now[0:2].copy()
-            features = _step_features(scenario, graphs, center)
             x0 = np.array([0.0, 0.0, now[2], now[3]])
             future = [scenario.row(target, f) for f in frames[t_h:]]
             truth = scenario.motion[future, 0:2] - center
             samples.append(TrainingSample(
-                target_id=target, frame=t0, features=features,
-                graphs=graphs, x0=x0, truth=truth, offset=center,
-                dt=scenario.dt,
+                target_id=target, frame=t0, steps=steps, x0=x0,
+                truth=truth, offset=center, dt=scenario.dt,
             ))
     return samples
 
@@ -197,11 +190,9 @@ class WindowBatch:
 
 def pack_windows(samples: Sequence[TrainingSample]) -> WindowBatch:
     """Pack windows of equal history and horizon length into one batch."""
-    if len({(len(s.features), s.truth.shape) for s in samples}) != 1:
+    if len({(len(s.steps), s.truth.shape) for s in samples}) != 1:
         raise BadConfig("windows of one batch must share t_h and t_f")
-    steps, rows = pack_histories(
-        [list(zip(s.features, s.graphs)) for s in samples]
-    )
+    steps, rows = pack_histories([s.steps for s in samples])
     return WindowBatch(
         steps=steps,
         target_rows=np.array([r[s.target_id] for r, s in zip(rows, samples)]),
@@ -226,13 +217,6 @@ def _window_loss(
     log_pis = ad.sub(logits, ad.logsumexp(logits, keepdims=True))
     losses = _mixture_nll(log_pis, states, covs, batch.truth)
     return ad.div(ad.tsum(losses), float(len(batch.x0)))
-
-
-def sample_loss(
-    cell: GraphCellParams, dec: DecoderParams, sample: TrainingSample
-) -> float:
-    with ad.no_grad():
-        return float(_window_loss(cell, dec, sample).data)
 
 
 # ==================== training loop ====================
@@ -434,13 +418,9 @@ def predict_frame(
         frames = range(frame - length + 1, frame + 1)
         anchors = [scenario.row(a, frame) for a in group]
         centers = scenario.motion[anchors, 0:2]
-        histories = []
-        for agent_id, center in zip(group, centers):
-            graphs = [build_graph(scenario, agent_id, f, radius)
-                      for f in frames]
-            features = _step_features(scenario, graphs, center)
-            histories.append(list(zip(features, graphs)))
-        steps, rows = pack_histories(histories)
+        steps, rows = pack_histories([
+            _star_steps(scenario, agent_id, frames, center, radius)
+            for agent_id, center in zip(group, centers)])
         with ad.no_grad():
             hiddens = encode_packed(cell, steps)
         targets = [r[a] for r, a in zip(rows, group)]

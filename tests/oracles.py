@@ -474,3 +474,82 @@ def ekf_propagate(state, cov, control, Q, dt):
     _check_psd(Q, "process noise")
     F, G = transition_matrices(dt)
     return F @ state + G @ control, F @ cov @ F.T + G @ Q @ G.T
+
+
+# ---- reference history packer ----
+#
+# The dict-and-graph packer the array star packer replaced: each history
+# step maps agent ids to feature vectors and carries an interaction graph,
+# and an agent's neighbours are its graph neighbours present in the step.
+# It reads only ``graph.edges`` and, apart from the error type it raises,
+# uses no package code.  It returns the six PackedStep fields per step, in
+# field order, and the row maps.
+
+def _adjacency(graph):
+    adjacent = {}
+    for a, b in graph.edges:
+        adjacent.setdefault(a, set()).add(b)
+        adjacent.setdefault(b, set()).add(a)
+    return {a: sorted(ids) for a, ids in adjacent.items()}
+
+
+def _neighbour_slots(n_rows, slots):
+    lengths = np.zeros(n_rows, dtype=np.intp)
+    order = sorted(slots)
+    lengths[order] = [len(slots[r]) for r in order]
+    used = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    nbr_rows = np.zeros(used.shape, dtype=np.intp)
+    nbr_rows[used] = [w for r in order for w in slots[r]]
+    nbr_mask = used.astype(float)
+    return nbr_rows, nbr_mask, np.maximum(nbr_mask.sum(axis=1), 1.0)
+
+
+def _neighbour_means(x, nbr_rows, nbr_mask, nbr_count):
+    if not nbr_rows.shape[1]:
+        return np.zeros_like(x)
+    used = nbr_mask.astype(bool)[..., None]
+    total = x[nbr_rows[:, 0]]
+    for k in range(1, nbr_rows.shape[1]):
+        total = np.where(used[:, k], total + x[nbr_rows[:, k]], total)
+    return np.where(used[:, 0], total / nbr_count[:, None], 0.0)
+
+
+def pack_graph_histories(histories, d_in=6):
+    """Histories of (features dict, graph) steps packed into rows, one per
+    (window, agent) pair, agents ascending by id within each window."""
+    from risknet.errors import ShapeMismatch
+
+    if not histories or not histories[0]:
+        raise ShapeMismatch("history must contain at least one step")
+    n_steps = len(histories[0])
+    if any(len(h) != n_steps for h in histories):
+        raise ShapeMismatch("packed histories must have equal lengths")
+    row_maps = []
+    n_rows = 0
+    for history in histories:
+        ids = sorted(set().union(*(feats.keys() for feats, _ in history)))
+        row_maps.append({a: n_rows + i for i, a in enumerate(ids)})
+        n_rows += len(ids)
+    steps = []
+    for s in range(n_steps):
+        x = np.zeros((n_rows, d_in))
+        present = np.zeros(n_rows, dtype=bool)
+        filled, values, slots = [], [], {}
+        for history, rows in zip(histories, row_maps):
+            feats, graph = history[s]
+            adjacent = _adjacency(graph)
+            for a, value in feats.items():
+                v = np.asarray(value, float)
+                if v.shape != (d_in,):
+                    raise ShapeMismatch(f"feature dim {v.shape}")
+                filled.append(rows[a])
+                values.append(v)
+                ids = [rows[w] for w in adjacent.get(a, ()) if w in feats]
+                if ids:
+                    slots[rows[a]] = ids
+        if filled:
+            x[filled] = values
+            present[filled] = True
+        nbr = _neighbour_slots(n_rows, slots)
+        steps.append((x, _neighbour_means(x, *nbr), present) + nbr)
+    return steps, row_maps

@@ -383,7 +383,7 @@ def test_criterion_7_mixture_invariants_bulk():
                    for _ in range(hyper.t_h)]
             x0 = np.concatenate([rng.uniform(-20.0, 20.0, size=2),
                                  rng.uniform(-10.0, 10.0, size=2)])
-            pred = decode(dec, seq, None, x0)
+            pred = decode(dec, seq, x0)
             decodes += 1
             assert abs(sum(m.pi for m in pred.modes) - 1.0) <= 1e-9
             for mode in pred.modes:

@@ -517,6 +517,7 @@ def test_cli_overflowing_field_total_exits_2(tmp_path, command, flags):
     assert proc.returncode == 2
     assert proc.stderr.startswith("risknet: input error:")
     assert len(proc.stderr.splitlines()) == 1
+    assert not (tmp_path / "out.csv").exists()
     assert not list(tmp_path.glob("out.csv*.json"))
 
 

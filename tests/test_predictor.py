@@ -1,10 +1,13 @@
 """Graph-recurrent predictor: cell, encoder, attention, covariance
 propagation, decoding, likelihood, metrics, serialization, training."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import constant_velocity_scenario, make_state
@@ -25,12 +28,15 @@ from risknet.predictor.model import (
     MixturePrediction,
     PredictionMode,
     _fused_attend,
-    cell_step,
+    _gru_step,
+    _StackedGates,
     decode,
     encode,
+    encode_packed,
     kinematic_matrices,
     metrics,
     nll_loss,
+    pack_histories,
     parameter_items,
 )
 from risknet.predictor.store import load_model, save_model
@@ -45,18 +51,29 @@ from risknet.predictor.train import (
     pack_windows,
     predict_for_agent,
     predict_frame,
-    sample_loss,
     train,
 )
 from oracles import NotPSD, attend, attention_weights, ekf_propagate
 from risknet.scene import InteractionGraph
 
 
-def star(ego_id, neighbor_ids, frame=0):
-    return InteractionGraph(
-        ego_id=ego_id, frame=frame, radius=50.0,
-        edges=frozenset((ego_id, n) for n in neighbor_ids),
-    )
+def star(ids, *features):
+    """One history step: the target first, its neighbours after it in
+    ascending id order, and one feature vector per agent."""
+    return np.array(ids), np.array(features, dtype=float)
+
+
+def gru_rows(cell, windows, h_prev):
+    """One recurrent update of one-step windows packed together, from
+    the hidden states ``h_prev`` (one row per packed agent)."""
+    (step,), _ = pack_histories([[w] for w in windows])
+    return _gru_step(_StackedGates(cell), step,
+                     Tensor(np.asarray(h_prev, float))).data
+
+
+def window_loss(cell, dec, sample):
+    with ad.no_grad():
+        return float(_window_loss(cell, dec, sample).data)
 
 
 def zero_cell(d_h=4):
@@ -84,10 +101,8 @@ def small_hyper(**overrides):
 def test_cell_zero_params_halves_hidden():
     cell = zero_cell()
     h_prev = np.array([0.4, -0.8, 1.2, 0.0])
-    feats = {0: Tensor(np.ones(D_IN))}
-    hiddens = {0: Tensor(h_prev)}
-    h = cell_step(cell, feats, hiddens, star(0, []), 0)
-    assert np.allclose(h.data, oracles.zero_param_gru_step(h_prev),
+    h = gru_rows(cell, [star([0], np.ones(D_IN))], [h_prev])
+    assert np.allclose(h[0], oracles.zero_param_gru_step(h_prev),
                        atol=1e-12)
 
 
@@ -95,22 +110,22 @@ def test_cell_update_gate_identity_limit():
     cell = zero_cell()
     cell.update.bias.data = np.full(4, 50.0)
     h_prev = np.array([0.4, -0.8, 1.2, 0.3])
-    h = cell_step(cell, {0: Tensor(np.ones(D_IN))}, {0: Tensor(h_prev)},
-                  star(0, []), 0)
-    assert np.allclose(h.data, h_prev, atol=1e-9)
+    h = gru_rows(cell, [star([0], np.ones(D_IN))], [h_prev])
+    assert np.allclose(h[0], h_prev, atol=1e-9)
 
 
 def test_cell_isolated_agent_ignores_others():
+    # agent 1 is packed beside agent 0 in a window of its own, so no
+    # edge joins them: agent 1 data must not matter
     hyper = small_hyper()
     cell, _ = init_model(hyper)
     f0 = np.arange(float(D_IN))
-    feats_a = {0: Tensor(f0), 1: Tensor(np.full(D_IN, 3.0))}
-    feats_b = {0: Tensor(f0), 1: Tensor(np.full(D_IN, -9.0))}
-    hiddens = {0: Tensor(np.zeros(4)), 1: Tensor(np.ones(4))}
-    g = star(0, [])  # no edges: agent 1 data must not matter
-    h_a = cell_step(cell, feats_a, hiddens, g, 0)
-    h_b = cell_step(cell, feats_b, hiddens, g, 0)
-    assert np.array_equal(h_a.data, h_b.data)
+    hiddens = [np.zeros(4), np.ones(4)]
+    h_a = gru_rows(cell, [star([0], f0), star([1], np.full(D_IN, 3.0))],
+                   hiddens)
+    h_b = gru_rows(cell, [star([0], f0), star([1], np.full(D_IN, -9.0))],
+                   hiddens)
+    assert np.array_equal(h_a[0], h_b[0])
 
 
 def test_cell_gate_ranges():
@@ -118,43 +133,69 @@ def test_cell_gate_ranges():
     hyper = small_hyper()
     cell, _ = init_model(hyper)
     for _ in range(50):
-        feats = {0: Tensor(rng.normal(size=D_IN)),
-                 1: Tensor(rng.normal(size=D_IN))}
-        hiddens = {0: Tensor(rng.uniform(-1, 1, 4)),
-                   1: Tensor(rng.uniform(-1, 1, 4))}
-        h = cell_step(cell, feats, hiddens, star(0, [1]), 0)
+        hiddens = rng.uniform(-1, 1, (2, 4))
+        h = gru_rows(cell, [star([0, 1], rng.normal(size=D_IN),
+                                 rng.normal(size=D_IN))], hiddens)
         # the output is a convex combination of h_prev and a tanh value
-        bound = np.maximum(np.abs(hiddens[0].data), 1.0)
-        assert np.all(np.abs(h.data) <= bound + 1e-12)
-        assert np.all(np.isfinite(h.data))
+        bound = np.maximum(np.abs(hiddens), 1.0)
+        assert np.all(np.abs(h) <= bound + 1e-12)
+        assert np.all(np.isfinite(h))
 
 
 def test_cell_shape_validation():
-    cell = zero_cell()
     with pytest.raises(ShapeMismatch):
-        cell_step(cell, {0: Tensor(np.ones(5))}, {0: Tensor(np.zeros(4))},
-                  star(0, []), 0)
+        pack_histories([[star([0], np.ones(5))]])
+    with pytest.raises(ShapeMismatch):  # two agents, one feature row
+        pack_histories([[(np.array([0, 1]), np.ones((1, D_IN)))]])
     with pytest.raises(ShapeMismatch):
-        cell_step(cell, {0: Tensor(np.ones(D_IN))}, {0: Tensor(np.zeros(3))},
-                  star(0, []), 0)
-    with pytest.raises(ShapeMismatch):
-        cell_step(cell, {}, {}, star(0, []), 0)
+        pack_histories([[]])
+
+
+@st.composite
+def star_histories(draw):
+    """1-6 windows of 1-5 steps over ids 0-7; each step draws its own
+    neighbour subset, so neighbours enter and leave mid-history."""
+    n_steps = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    windows = []
+    for _ in range(draw(st.integers(1, 6))):
+        target = draw(st.integers(0, 7))
+        others = [a for a in range(8) if a != target]
+        windows.append([(target, sorted(draw(st.sets(st.sampled_from(
+            others), max_size=4)))) for _ in range(n_steps)])
+    arrays, graphs = [], []
+    for window in windows:
+        arrays.append([star([t] + nbrs, *rng.normal(size=(1 + len(nbrs),
+                                                          D_IN)))
+                       for t, nbrs in window])
+        graphs.append([
+            (dict(zip(ids.tolist(), x)),
+             InteractionGraph(t, s, 50.0, frozenset((t, n) for n in nbrs)))
+            for s, ((t, nbrs), (ids, x)) in enumerate(zip(window,
+                                                          arrays[-1]))])
+    return arrays, graphs
+
+
+@settings(max_examples=150, deadline=None)
+@given(star_histories())
+def test_pack_histories_matches_graph_oracle(histories):
+    arrays, graphs = histories
+    steps, rows = pack_histories(arrays)
+    want_steps, want_rows = oracles.pack_graph_histories(graphs)
+    assert rows == want_rows
+    assert len(steps) == len(want_steps)
+    for step, want in zip(steps, want_steps):
+        got = [getattr(step, f.name) for f in dataclasses.fields(step)]
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert np.array_equal(a, b)
 
 
 # ---- encoder ----
 
-def history_of(feature_maps, edge_lists):
-    return [
-        ({a: Tensor(np.asarray(v, float)) for a, v in feats.items()},
-         star(0, edges, frame=i))
-        for i, (feats, edges) in enumerate(zip(feature_maps, edge_lists))
-    ]
-
-
 def test_encode_zero_params_zero_hiddens():
     cell = zero_cell()
-    hist = history_of([{0: np.ones(D_IN)}], [[]])
-    seqs = encode(cell, hist)
+    seqs = encode(cell, [star([0], np.ones(D_IN))])
     assert list(seqs) == [0]
     assert np.array_equal(seqs[0][0].data, np.zeros(4))
 
@@ -169,35 +210,33 @@ def test_encode_permutation_equivariance():
     cell, _ = init_model(hyper)
     f1 = np.arange(float(D_IN))
     f2 = -np.arange(float(D_IN)) / 3.0
-    hist_a = [
-        ({1: Tensor(f1), 2: Tensor(f2)},
-         InteractionGraph(1, 0, 50.0, frozenset({(1, 2)})))
-        for _ in range(3)
-    ]
-    hist_b = [
-        ({9: Tensor(f1), 5: Tensor(f2)},
-         InteractionGraph(9, 0, 50.0, frozenset({(9, 5)})))
-        for _ in range(3)
-    ]
-    seq_a = encode(cell, hist_a)
-    seq_b = encode(cell, hist_b)
+    seq_a = encode(cell, [star([1, 2], f1, f2)] * 3)
+    seq_b = encode(cell, [star([9, 5], f1, f2)] * 3)
     for s in range(3):
         assert np.array_equal(seq_a[1][s].data, seq_b[9][s].data)
         assert np.array_equal(seq_a[2][s].data, seq_b[5][s].data)
 
 
 def test_encode_disconnected_equals_isolated_runs():
+    # two windows packed together share rows of one step but no edge,
+    # even where they hold the same agent ids
     hyper = small_hyper()
     cell, _ = init_model(hyper)
     f1 = np.arange(float(D_IN))
     f2 = np.full(D_IN, 0.5)
-    joint = encode(cell, history_of(
-        [{0: f1, 3: f2}] * 3, [[], [], []]))
-    alone_0 = encode(cell, history_of([{0: f1}] * 3, [[], [], []]))
-    alone_3 = encode(cell, history_of([{3: f2}] * 3, [[], [], []]))
+    window_0 = [star([0], f1), star([0, 3], f1, f2), star([0, 3], f1, f2)]
+    window_3 = [star([3, 0], f2, -f1)] * 3
+    steps, rows = pack_histories([window_0, window_3])
+    joint = encode_packed(cell, steps)
+    alone_0 = encode(cell, window_0)
+    alone_3 = encode(cell, window_3)
     for s in range(3):
-        assert np.array_equal(joint[0][s].data, alone_0[0][s].data)
-        assert np.array_equal(joint[3][s].data, alone_3[3][s].data)
+        assert np.array_equal(joint[s].data[rows[0][0]],
+                              alone_0[0][s].data)
+        assert np.array_equal(joint[s].data[rows[1][3]],
+                              alone_3[3][s].data)
+        assert np.array_equal(joint[s].data[rows[1][0]],
+                              alone_3[0][s].data)
 
 
 def test_encode_mid_history_entrant_starts_at_zero():
@@ -205,12 +244,17 @@ def test_encode_mid_history_entrant_starts_at_zero():
     cell, _ = init_model(hyper)
     f1 = np.arange(float(D_IN))
     f2 = np.full(D_IN, 0.5)
-    seqs = encode(cell, history_of(
-        [{0: f1}, {0: f1, 2: f2}, {0: f1, 2: f2}], [[], [], []]))
+    seqs = encode(cell, [star([0], f1), star([0, 2], f1, f2),
+                         star([0, 2], f1, f2)])
     assert len(seqs[0]) == 3
     assert len(seqs[2]) == 2
-    fresh = encode(cell, history_of([{2: f2}], [[]]))
-    assert np.array_equal(seqs[2][0].data, fresh[2][0].data)
+    # agent 2 joins at step 1 from a zero row beside agent 0's state
+    fresh = gru_rows(cell, [star([0, 2], f1, f2)],
+                     [seqs[0][0].data, np.zeros(4)])
+    assert np.array_equal(seqs[2][0].data, fresh[1])
+    assert np.array_equal(seqs[0][1].data, fresh[0])
+    assert np.array_equal(seqs[0][0].data,
+                          encode(cell, [star([0], f1)])[0][0].data)
 
 
 # ---- attention ----
@@ -336,7 +380,7 @@ def encoded_sequence(hyper, seed=5):
 def test_decode_single_mode_pi_is_exactly_one():
     hyper = small_hyper(modes=1)
     _, dec = init_model(hyper)
-    pred = decode(dec, encoded_sequence(hyper), None,
+    pred = decode(dec, encoded_sequence(hyper),
                   np.array([0.0, 0.0, 5.0, 0.0]))
     assert pred.modes[0].pi == 1.0
 
@@ -351,7 +395,7 @@ def test_decode_zero_heads_constant_velocity_rollout():
         # exp(-1000) underflows to exactly zero process noise
         head.b_s.data = np.full(2, -1000.0)
     x0 = np.array([1.0, -2.0, 6.0, 1.5])
-    pred = decode(dec, encoded_sequence(hyper), None, x0)
+    pred = decode(dec, encoded_sequence(hyper), x0)
     for mode in pred.modes:
         for p in range(1, hyper.t_f + 1):
             expected = np.array([
@@ -375,7 +419,7 @@ def test_decode_rollout_matches_oracle_filter():
         head.b_u.data = u.copy()
         head.b_s.data = np.log(q)
     x0 = np.array([1.0, -2.0, 6.0, 1.5])
-    pred = decode(dec, encoded_sequence(hyper), None, x0)
+    pred = decode(dec, encoded_sequence(hyper), x0)
     for mode, u, q in zip(pred.modes, controls, noises):
         x, P = x0, np.zeros((4, 4))
         for p in range(hyper.t_f):
@@ -388,7 +432,7 @@ def test_decode_rollout_matches_oracle_filter():
 def test_decode_mixture_invariants():
     hyper = small_hyper(modes=3, t_f=5)
     _, dec = init_model(hyper)
-    pred = decode(dec, encoded_sequence(hyper), None,
+    pred = decode(dec, encoded_sequence(hyper),
                   np.array([0.0, 0.0, 5.0, 1.0]))
     assert sum(m.pi for m in pred.modes) == pytest.approx(1.0, abs=1e-9)
     for m in pred.modes:
@@ -401,26 +445,12 @@ def test_decode_mixture_invariants():
     pred.validate()
 
 
-def test_decode_accepts_agent_map_with_graph():
-    hyper = small_hyper()
-    cell, dec = init_model(hyper)
-    f1 = np.arange(D_IN) / D_IN
-    seqs = encode(cell, history_of([{4: f1}] * hyper.t_h, [[], [], []]))
-    g = InteractionGraph(4, 0, 50.0, frozenset())
-    pred = decode(dec, seqs, g, np.zeros(4))
-    direct = decode(dec, seqs[4], None, np.zeros(4))
-    for a, b in zip(pred.modes, direct.modes):
-        assert np.array_equal(a.states, b.states)
-    with pytest.raises(ShapeMismatch):
-        decode(dec, seqs, None, np.zeros(4))
-
-
 def test_decode_deterministic():
     hyper = small_hyper(modes=2)
     _, dec = init_model(hyper)
     seq = encoded_sequence(hyper)
-    a = decode(dec, seq, None, np.array([0.0, 0.0, 3.0, 0.0]))
-    b = decode(dec, seq, None, np.array([0.0, 0.0, 3.0, 0.0]))
+    a = decode(dec, seq, np.array([0.0, 0.0, 3.0, 0.0]))
+    b = decode(dec, seq, np.array([0.0, 0.0, 3.0, 0.0]))
     for ma, mb in zip(a.modes, b.modes):
         assert ma.pi == mb.pi
         assert np.array_equal(ma.states, mb.states)
@@ -612,6 +642,28 @@ def test_save_load_roundtrip(tmp_path):
     assert payload_a == payload_b
 
 
+def test_save_load_forecast_drift_is_bounded(tmp_path):
+    """The model file stores float32, so a forecast from a loaded model
+    moves.  On a model trained on the churn scene the largest moves were
+    1.7e-8 m in the states, 6.7e-4 in the covariances (whose entries reach
+    1.2e4) and 3.6e-9 in pi; the bounds give each ten times headroom."""
+    hyper = TrainHyper(d_h=6, modes=3, t_h=5, t_f=4, dt=0.2, epochs=20,
+                       seed=11)
+    sc = churn_scene()
+    cell, dec, _ = train(extract_windows(sc, hyper), hyper)
+    manifest, _ = save_model(str(tmp_path / "model"), cell, dec, hyper)
+    cell2, dec2, hyper2 = load_model(manifest)
+    assert hyper2 == hyper
+    agents = [0, 1, 2, 3]
+    before = predict_frame(cell, dec, sc, agents, 8, t_h=hyper.t_h)
+    after = predict_frame(cell2, dec2, sc, agents, 8, t_h=hyper2.t_h)
+    for a in agents:
+        for m, n in zip(before[a].modes, after[a].modes, strict=True):
+            assert abs(m.pi - n.pi) <= 4e-8
+            assert np.abs(m.states - n.states).max() <= 2e-7
+            assert np.abs(m.covariances - n.covariances).max() <= 7e-3
+
+
 def test_load_model_rejects_malformed(tmp_path):
     hyper = small_hyper()
     cell, dec = init_model(hyper)
@@ -687,11 +739,13 @@ def test_extract_windows_centering_and_shapes():
     assert len(samples) == 4  # frames 2..5 fit t_h=3 history, t_f=2 future
     s = samples[0]
     assert s.target_id == 0 and s.frame == 2
-    assert len(s.features) == hyper.t_h and len(s.graphs) == hyper.t_h
+    assert len(s.steps) == hyper.t_h
+    ids, x = s.steps[-1]
+    assert ids.tolist() == [0, 1] and x.shape == (2, D_IN)
     # target feature at the prediction frame is centered on itself
-    assert np.allclose(s.features[-1][0][:2], [0.0, 0.0], atol=1e-12)
-    assert np.allclose(s.features[-1][0][2:4], [10.0, 0.0], atol=1e-12)
-    assert np.array_equal(s.features[-1][0][4:], [0.0, 0.0])
+    assert np.allclose(x[0, :2], [0.0, 0.0], atol=1e-12)
+    assert np.allclose(x[0, 2:4], [10.0, 0.0], atol=1e-12)
+    assert np.array_equal(x[0, 4:], [0.0, 0.0])
     assert s.truth.shape == (hyper.t_f, 2)
     # truth is the centered future of a constant-velocity track
     assert np.allclose(s.truth[:, 0], [10 * sc.dt, 20 * sc.dt], atol=1e-9)
@@ -807,10 +861,10 @@ def test_train_overflowing_aggregate_raises_nonfinite_loss():
     for s in samples:
         s.truth = np.zeros_like(s.truth)
         s.truth[:, 0] = probe
-    scales = [math.sqrt(target / sample_loss(cell, dec, s)) for s in samples]
+    scales = [math.sqrt(target / window_loss(cell, dec, s)) for s in samples]
     for s, scale in zip(samples, scales):
         s.truth[:, 0] = probe * scale
-        assert math.isfinite(sample_loss(cell, dec, s))
+        assert math.isfinite(window_loss(cell, dec, s))
     with np.errstate(over="ignore"), pytest.raises(NonFiniteLoss) as err:
         train(samples, hyper)
     assert err.value.epoch == 0
@@ -839,9 +893,9 @@ def test_gradient_check_suppressed_mode_has_zero_gradient():
         for idx in range(min(3, flat.size)):
             orig = flat[idx]
             flat[idx] = orig + eps
-            hi = sample_loss(cell, dec, sample)
+            hi = window_loss(cell, dec, sample)
             flat[idx] = orig - eps
-            lo = sample_loss(cell, dec, sample)
+            lo = window_loss(cell, dec, sample)
             flat[idx] = orig
             numeric = (hi - lo) / (2 * eps)
             assert abs(numeric) < 1e-7
@@ -990,7 +1044,7 @@ def test_pinned_trajectory_neighbour_churn():
     sc = churn_scene()
     samples = extract_windows(sc, hyper)
     assert len(samples) == 20
-    presence = [sorted(f) for f in samples[2].features]
+    presence = [sorted(ids.tolist()) for ids, _ in samples[2].steps]
     assert samples[2].target_id == 0 and samples[2].frame == 6
     assert presence == [[0, 2], [0, 2, 3], [0, 1, 2, 3], [0, 2, 3],
                         [0, 1, 2, 3]]
@@ -1048,7 +1102,7 @@ def test_gradient_check_with_neighbour_churn():
     samples = extract_windows(churn_scene(), hyper, targets=[0])
     sample = next(s for s in samples if s.frame == 6)
     # agent 1 is absent, absent, present, absent, present
-    assert [1 in f for f in sample.features] == [False, False, True, False,
+    assert [1 in ids for ids, _ in sample.steps] == [False, False, True, False,
                                                 True]
     assert gradient_check(cell, dec, sample, eps=1e-5) < 1e-3
 
