@@ -6,21 +6,18 @@ frame against the same scenario the interaction field sees.
 """
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import BadConfig
-from .field import RiskFieldParams, total_directional_force, total_force
-from .scene import (
-    DEFAULT_LANE_WIDTH,
-    EPS_SPEED,
-    AgentState,
-    InteractionGraph,
-    Scenario,
-    build_graph,
-)
+from .field import RiskFieldParams, frame_field, frame_totals
+from .scene import DEFAULT_LANE_WIDTH, EPS_SPEED, AgentState, Scenario
+
+# Only bench/tracing.py reads these two here (ROADMAP direction 1b).
+from .field import total_directional_force  # noqa: F401,E402
+from .scene import build_graph  # noqa: F401,E402
 
 
 @dataclass
@@ -54,33 +51,56 @@ class BaselineConfig:
             raise BadConfig("lane_half_width must be positive")
 
 
-def _heading_sign(ego: AgentState) -> float:
-    """Travel direction along x; slow egos default to +x."""
-    return -1.0 if ego.velocity[0] < -EPS_SPEED else 1.0
+def _heading_sign(vx):
+    """Travel direction along x from the ego's x velocity; slow egos
+    default to +x.  Floats or arrays alike, as are the helpers below."""
+    return np.where(vx < -EPS_SPEED, -1.0, 1.0)
 
 
-def _gap(ego: AgentState, x, length):
+def _gap(sign, ego_x, ego_length, x, length):
     """Bumper-to-bumper gap along the ego's travel axis to agents centred
-    at ``x`` with extent ``length`` along x, negative on overlap; floats
-    or arrays alike."""
-    center = _heading_sign(ego) * (x - ego.position[0])
-    return center - 0.5 * (ego.extent[0] + length)
+    at ``x`` with extent ``length`` along x, negative on overlap."""
+    return sign * (x - ego_x) - 0.5 * (ego_length + length)
 
 
-def _lead_gate(ego: AgentState, gap, y, half_width: float):
+def _lead_gate(ego_y, gap, y, half_width: float):
     """Gate shared by ttc/thw/rss and the lead pick: ahead (nonnegative
-    gap) and inside the ego's lane band; floats or arrays alike."""
-    return (abs(y - ego.position[1]) < half_width) & (gap >= 0.0)
+    gap) and inside the ego's lane band."""
+    return (abs(y - ego_y) < half_width) & (gap >= 0.0)
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _lead_metrics(sign, ego_v, lead_vx, gap, rss: RssParams):
+    """TTC, THW and RSS margin of egos with velocity ``ego_v`` (..., 2)
+    against leads at bumper ``gap``, each formula once.  TTC is None where
+    the gap is not closing, THW where the ego stands; the margin is the
+    safe distance minus the gap, positive exactly when the gap is less."""
+    vx = ego_v[..., 0]
+    closing = sign * (vx - lead_vx)
+    speed = np.hypot(vx, ego_v[..., 1])
+    d_safe = rss_safe_distance(sign * vx, sign * lead_vx, rss)
+    return (np.where(closing <= 0.0, None, gap / closing),
+            np.where(speed < EPS_SPEED, None, gap / speed),
+            d_safe - gap)
 
 
 def bumper_gap(ego: AgentState, lead: AgentState) -> float:
     """Bumper-to-bumper gap along the travel axis, negative on overlap."""
-    return _gap(ego, lead.position[0], lead.extent[0])
+    return float(_gap(_heading_sign(ego.velocity[0]), ego.position[0],
+                      ego.extent[0], lead.position[0], lead.extent[0]))
 
 
-def _leads(ego: AgentState, lead: AgentState, half_width: float) -> bool:
-    return bool(_lead_gate(ego, bumper_gap(ego, lead), lead.position[1],
-                           half_width))
+def _against(ego: AgentState, lead: AgentState,
+             cfg: Optional[BaselineConfig]) -> list:
+    """_lead_metrics of one pair, each None when the lead gate fails."""
+    cfg = cfg or BaselineConfig()
+    gap = bumper_gap(ego, lead)
+    if not _lead_gate(ego.position[1], gap, lead.position[1],
+                      cfg.lane_half_width):
+        return [None] * 3
+    return [m.item() for m in _lead_metrics(
+        _heading_sign(ego.velocity[0]), ego.velocity, lead.velocity[0],
+        gap, cfg.rss)]
 
 
 def ttc(
@@ -92,14 +112,7 @@ def ttc(
     Applies when the lead is ahead of the ego inside its lane band and the
     bumper gap is closing.
     """
-    cfg = cfg or BaselineConfig()
-    if not _leads(ego, lead, cfg.lane_half_width):
-        return None
-    sign = _heading_sign(ego)
-    closing = sign * (ego.velocity[0] - lead.velocity[0])
-    if closing <= 0.0:
-        return None
-    return bumper_gap(ego, lead) / closing
+    return _against(ego, lead, cfg)[0]
 
 
 def thw(
@@ -108,24 +121,18 @@ def thw(
 ) -> Optional[float]:
     """Time headway: bumper gap over ego speed; None for a standing ego
     or when the lead gate fails."""
-    cfg = cfg or BaselineConfig()
-    if not _leads(ego, lead, cfg.lane_half_width):
-        return None
-    speed = ego.speed
-    if speed < EPS_SPEED:
-        return None
-    return bumper_gap(ego, lead) / speed
+    return _against(ego, lead, cfg)[1]
 
 
-def rss_safe_distance(v_rear: float, v_front: float, p: RssParams) -> float:
+def rss_safe_distance(v_rear, v_front, p: RssParams):
     """Minimum longitudinal distance the rear vehicle must keep, floored
-    at zero."""
+    at zero; floats or arrays alike."""
     v_reacted = v_rear + p.rho * p.a_max_accel
     d = (v_rear * p.rho
          + 0.5 * p.a_max_accel * p.rho ** 2
          + v_reacted * v_reacted / (2.0 * p.b_min_brake)
          - v_front * v_front / (2.0 * p.b_max_brake))
-    return max(0.0, d)
+    return np.fmax(0.0, d)
 
 
 def rss_longitudinal_violation(
@@ -138,32 +145,8 @@ def rss_longitudinal_violation(
     margin = safe distance minus actual gap: positive means unsafe.  The
     comparison is strict, so a gap exactly at the safe distance is safe.
     """
-    cfg = cfg or BaselineConfig()
-    if not _leads(ego, lead, cfg.lane_half_width):
-        return None
-    sign = _heading_sign(ego)
-    v_rear = sign * ego.velocity[0]
-    v_front = sign * lead.velocity[0]
-    gap = bumper_gap(ego, lead)
-    d_safe = rss_safe_distance(v_rear, v_front, cfg.rss)
-    return gap < d_safe, d_safe - gap
-
-
-def nc_field_risk(
-    ego: AgentState,
-    graph: InteractionGraph,
-    frame_states: Sequence[AgentState],
-    params: RiskFieldParams,
-) -> float:
-    """Non-directional field proxy: summed pair forces over graph
-    neighbors strictly in the ego's forward half plane, with no
-    directional correction."""
-    sign = _heading_sign(ego)
-    x = {s.agent_id: s.position[0] for s in frame_states}
-    ahead = [(ego.agent_id, n) for n in graph.neighbors(ego.agent_id)
-             if sign * (x[n] - ego.position[0]) > 0.0]
-    return total_force(ego, replace(graph, edges=frozenset(ahead)),
-                       frame_states, params)
+    margin = _against(ego, lead, cfg)[2]
+    return None if margin is None else (margin > 0.0, margin)
 
 
 # ==================== per-frame comparison table ====================
@@ -182,62 +165,45 @@ class ComparisonRow:
     risknet_force: float
 
 
-def _pick_lead(
-    scenario: Scenario, ego: AgentState, cfg: BaselineConfig,
-) -> Optional[AgentState]:
-    """Nearest in-band agent ahead of the ego, by bumper gap (the first
-    by id on a tie), read from the frame's table rows."""
-    a, b = scenario.frame_rows(ego.frame)
-    x, y = scenario.motion[a:b, 0:2].T
-    gap = _gap(ego, x, scenario.extent[a:b, 0])
-    leads = _lead_gate(ego, gap, y, cfg.lane_half_width)
-    leads[scenario.row(ego.agent_id, ego.frame) - a] = False
-    if not leads.any():
-        return None
-    rows = np.flatnonzero(leads)
-    return scenario.row_state(a + int(rows[np.argmin(gap[rows])]))
-
-
 def evaluate_all(
     scenario: Scenario,
     ego_id: int,
     cfg: Optional[BaselineConfig] = None,
     params: Optional[RiskFieldParams] = None,
 ) -> List[ComparisonRow]:
-    """Evaluate every metric for each frame where the ego is present.
+    """Evaluate every metric for each frame where the ego is present, all
+    frames in one field evaluation.
 
-    ttc/thw/rss are computed against the nearest in-band lead (None when
-    there is none); the field metrics aggregate over the ego's
-    interaction graph.
+    ttc/thw/rss are computed against the nearest in-band agent ahead by
+    bumper gap, the first by id on a tie (None when there is none); the
+    field metrics aggregate over the agents within R, nc_field over those
+    strictly in the ego's forward half plane and without the directional
+    correction.
     """
     cfg = cfg or BaselineConfig()
     params = params or RiskFieldParams()
-    info = scenario.agents.get(ego_id)
-    if info is None:
-        raise BadConfig(f"ego {ego_id} not in scenario")
-    rows: List[ComparisonRow] = []
-    for frame in range(info.first_frame, info.last_frame + 1):
-        ego = scenario.state(ego_id, frame)
-        graph = build_graph(scenario, ego_id, frame, params.R)
-        # the field terms read only the graph neighbours' states
-        others = [scenario.state(n, frame) for n in graph.neighbors(ego_id)]
-        lead = _pick_lead(scenario, ego, cfg)
-        t = h = m = None
-        if lead is not None:
-            t = ttc(ego, lead, cfg)
-            h = thw(ego, lead, cfg)
-            rss = rss_longitudinal_violation(ego, lead, cfg)
-            if rss is not None:
-                m = rss[1]
-        rows.append(ComparisonRow(
-            frame=frame,
-            ttc=t,
-            thw=h,
-            rss_margin=m,
-            nc_field=nc_field_risk(ego, graph, others, params),
-            risknet_force=total_directional_force(ego, graph, others, params),
-        ))
-    return rows
+    ff = frame_field(scenario, ego_id, params)
+    ego, others = ff.ego, ff.others
+    sign = _heading_sign(ego.velocity[..., 0])
+    x = others.position[..., 0]
+    ahead = sign * (x - ego.position[..., 0]) > 0.0
+    nc, risk = frame_totals(ff, np.where(ahead, ff.force, 0.0),
+                            ff.directional)
+    gap = _gap(sign, ego.position[..., 0], ego.length, x, others.length)
+    leads = ff.present & _lead_gate(ego.position[..., 1], gap,
+                                    others.position[..., 1],
+                                    cfg.lane_half_width)
+    f = np.arange(len(ff.frame))
+    pick = np.argmin(np.where(leads, gap, np.inf), axis=1)
+    # where every lead's gap is inf, argmin may land on a non-lead
+    pick = np.where(leads[f, pick], pick, leads.argmax(axis=1))
+    t, h, m = _lead_metrics(sign[:, 0], ego.velocity[:, 0],
+                            others.velocity[f, pick, 0], gap[f, pick],
+                            cfg.rss)
+    has_lead = leads.any(axis=1)
+    t, h, m = (np.where(has_lead, v, None).tolist() for v in (t, h, m))
+    return list(map(ComparisonRow, ff.frame.tolist(), t, h, m, nc.tolist(),
+                    risk.tolist()))
 
 
 def write_comparison(rows: Sequence[ComparisonRow], path: str) -> None:

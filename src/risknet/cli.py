@@ -18,24 +18,24 @@ import operator
 import os
 import sys
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from .baselines import ComparisonRow, evaluate_all, write_comparison
 from .config import (
-    PERCENTILE_PRESET,
     RunConfig,
     apply_overrides,
     config_to_dict,
     load_config,
     parse_override,
 )
-from .errors import BadConfig, InputError, NumericError
+from .errors import BadConfig, EmptyFrame, InputError, NumericError
 from .field import (
     GridSpec,
+    frame_field,
+    frame_totals,
     rasterize,
-    total_directional_force,
     write_raster,
 )
 from .predictor import (
@@ -52,11 +52,14 @@ from .prob import probabilistic_raster
 from .scene import (
     ARCHETYPES,
     Scenario,
-    build_graph,
     export_tracks,
     load_tracks,
     make_archetype,
 )
+
+# Only bench/tracing.py reads these two here (ROADMAP direction 1b).
+from .field import total_directional_force  # noqa: F401,E402
+from .scene import build_graph  # noqa: F401,E402
 
 EVAL_HEADER = "frame,time_s,risknet_force"
 
@@ -158,20 +161,11 @@ def _grid_from_args(args, scenario: Scenario) -> GridSpec:
 
 def cmd_eval(args, cfg: RunConfig) -> int:
     scenario = _load_scenario(args, cfg)
-    info = scenario.agents.get(args.ego_id)
-    if info is None:
-        raise BadConfig(f"ego {args.ego_id} not in scenario")
-    params = cfg.risk
-    lines = [EVAL_HEADER]
-    for frame in range(info.first_frame, info.last_frame + 1):
-        ego = scenario.state(args.ego_id, frame)
-        graph = build_graph(scenario, args.ego_id, frame, params.R)
-        # the field reads only the graph neighbours' states
-        others = [scenario.state(n, frame)
-                  for n in graph.neighbors(args.ego_id)]
-        force = total_directional_force(ego, graph, others, params)
-        lines.append(f"{frame},{repr(frame / scenario.frame_rate)},"
-                     f"{repr(force)}")
+    ff = frame_field(scenario, args.ego_id, cfg.risk)
+    (force,) = frame_totals(ff, ff.directional)
+    lines = [EVAL_HEADER] + [
+        f"{frame},{repr(frame / scenario.frame_rate)},{repr(value)}"
+        for frame, value in zip(ff.frame.tolist(), force.tolist())]
     # every row is computed before --out opens, so a refusal writes nothing
     with _open_out(args.out, newline="") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -189,6 +183,8 @@ def cmd_map(args, cfg: RunConfig) -> int:
     probe = _probe_state(scenario, args.ego_id, args.frame)
     grid = _grid_from_args(args, scenario)
     binary = args.binary or cfg.io.binary_raster
+    if not scenario.span()[0] <= args.frame <= scenario.span()[1]:
+        raise EmptyFrame(args.frame)
     if args.probabilistic:
         if not args.model:
             raise BadConfig("--probabilistic requires --model")
@@ -216,47 +212,27 @@ def cmd_map(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _first_frame(rows: Sequence[ComparisonRow], column: str, accept,
-                 limit: float) -> Optional[int]:
-    for row in rows:
-        value = getattr(row, column)
-        if value is not None and accept(value, limit):
-            return row.frame
-    return None
-
-
-def _force_threshold(rows: Sequence[ComparisonRow], column: str,
-                     setting) -> Optional[Tuple[Callable, float]]:
-    """Resolve a force threshold setting to (comparison, value).  None
-    means detection is disabled."""
-    if isinstance(setting, str):
-        values = np.array([getattr(r, column) for r in rows])
-        # percentile preset: detect strictly above the scenario's p90
-        return operator.gt, float(np.percentile(values, 90.0))
-    if math.isinf(setting):
-        return None
-    return operator.ge, float(setting)
-
-
 def detection_summary(
     rows: Sequence[ComparisonRow], cfg: RunConfig
 ) -> Dict[str, Optional[int]]:
-    """First frame each metric crosses its configured threshold."""
+    """First frame each metric crosses its configured threshold: at or
+    below it for ttc/thw, at or above it for the rest, or strictly above
+    the scenario's 90th percentile under the preset.  An infinite
+    threshold disables a metric."""
     summary: Dict[str, Optional[int]] = {}
     for name, column, limit, accept in (
         ("ttc", "ttc", cfg.baselines.ttc_threshold, operator.le),
         ("thw", "thw", cfg.baselines.thw_threshold, operator.le),
         ("rss", "rss_margin", cfg.detect.rss_margin, operator.ge),
+        ("nc_field", "nc_field", cfg.detect.nc, operator.ge),
+        ("risknet", "risknet_force", cfg.detect.field, operator.ge),
     ):
-        summary[name] = None if math.isinf(limit) else _first_frame(
-            rows, column, accept, limit)
-    for name, column, setting in (
-        ("nc_field", "nc_field", cfg.detect.nc),
-        ("risknet", "risknet_force", cfg.detect.field),
-    ):
-        resolved = _force_threshold(rows, column, setting)
-        summary[name] = None if resolved is None else _first_frame(
-            rows, column, *resolved)
+        values = [getattr(row, column) for row in rows]
+        if isinstance(limit, str):  # the percentile preset
+            accept, limit = operator.gt, float(np.percentile(values, 90.0))
+        summary[name] = None if math.isinf(limit) else next(
+            (row.frame for row, v in zip(rows, values)
+             if v is not None and accept(v, limit)), None)
     return summary
 
 

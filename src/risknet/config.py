@@ -4,7 +4,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Any, Dict, Mapping, Sequence, Tuple, Union
 
 from .baselines import BaselineConfig, RssParams
 from .errors import BadConfig
@@ -45,8 +45,8 @@ class IOConfig:
     binary_raster: bool = False
 
     def __post_init__(self):
-        if self.frame_rate <= 0:
-            raise BadConfig("frame_rate must be positive")
+        if not 0.0 < self.frame_rate < math.inf:
+            raise BadConfig("frame_rate must be positive and finite")
 
 
 @dataclass
@@ -84,6 +84,9 @@ def _build(cls: type, data: Any, path: str) -> Any:
         child = f"{path}.{key}" if path else key
         if key in nested:
             kwargs[key] = _build(nested[key], value, child)
+        elif isinstance(value, float) and math.isnan(value):
+            # NaN passes every ordered range check, so refuse it here
+            raise BadConfig(f"config key {child} is NaN")
         else:
             kwargs[key] = value
     try:

@@ -10,12 +10,12 @@ formula appears once, in a kernel that broadcasts over agent columns.
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import BadConfig, EmptyFrame, NumericError
-from .scene import EPS_SPEED, AgentState, InteractionGraph, Scenario
+from .scene import EPS_SPEED, AgentState, InteractionGraph, Scenario, in_radius
 
 # alpha_lon takes alpha_cap where its Doppler denominator is closer to
 # zero than this, in place of the ratio's pole.
@@ -192,39 +192,10 @@ def directional_force(
     )
 
 
-def _neighbour_columns(ego: AgentState, graph: InteractionGraph,
-                       frame_states: Sequence[AgentState],
-                       params: RiskFieldParams,
-                       c_of: Optional[Mapping[int, float]] = None):
-    """Columns of the ego and of its graph neighbours, ascending by id."""
-    by_id = {s.agent_id: s for s in frame_states}
-    others = [by_id[i] for i in graph.neighbors(ego.agent_id)]
-    return agent_columns([ego], params), agent_columns(others, params, c_of)
-
-
-def _finite_total(values: np.ndarray, ego: AgentState) -> float:
-    """Sum of an ego's pair terms.  Speeds large enough to overflow the
-    terms leave the sum non-finite, and such a total is refused."""
-    total = float(sum_others(values))
-    if not math.isfinite(total):
-        raise BadConfig(f"field total of ego {ego.agent_id} at frame "
-                        f"{ego.frame} is not finite: its pair terms "
-                        "overflow")
-    return total
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def total_force(
-    ego: AgentState,
-    graph: InteractionGraph,
-    frame_states: Sequence[AgentState],
-    params: RiskFieldParams,
-    c_of: Optional[Mapping[int, float]] = None,
-) -> float:
-    """Sum of pair forces over the ego's graph neighbors, without the
-    directional correction.  Kept callable on its own for ablations."""
-    pairs = _neighbour_columns(ego, graph, frame_states, params, c_of)
-    return _finite_total(force_terms(*pairs, params)[1], ego)
+def _overflow(ego_id: int, frame: int) -> BadConfig:
+    """Refusal of a non-finite field total: its pair terms overflowed."""
+    return BadConfig(f"field total of ego {ego_id} at frame {frame} is not "
+                     "finite: its pair terms overflow")
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -235,10 +206,68 @@ def total_directional_force(
     params: RiskFieldParams,
     c_of: Optional[Mapping[int, float]] = None,
 ) -> float:
-    """Sum of directionally corrected pair forces over graph neighbors."""
-    a, b = _neighbour_columns(ego, graph, frame_states, params, c_of)
+    """Sum of directionally corrected pair forces over graph neighbors at
+    one frame, ascending by id: the reference frame_field's totals equal."""
+    by_id = {s.agent_id: s for s in frame_states}
+    a = agent_columns([ego], params)
+    b = agent_columns([by_id[i] for i in graph.neighbors(ego.agent_id)],
+                      params, c_of)
     force = force_terms(a, b, params)[1]
-    return _finite_total(directional_terms(a, b, force, params)[2], ego)
+    total = float(sum_others(directional_terms(a, b, force, params)[2]))
+    if not math.isfinite(total):
+        raise _overflow(ego.agent_id, ego.frame)
+    return total
+
+
+# ==================== one ego over all its frames ====================
+
+class FrameField(NamedTuple):
+    """Pair terms of one ego against the other agents of each of its F
+    frames; the others run ascending by id along N, padded after."""
+
+    ego_id: int
+    frame: np.ndarray  # (F,) ascending
+    ego: AgentColumns  # (F, 1)
+    others: AgentColumns  # (F, N)
+    present: np.ndarray  # (F, N) False on padding
+    near: np.ndarray  # (F, N) present and within R: build_graph's edges
+    force: np.ndarray  # (F, N) N, without the directional correction
+    directional: np.ndarray  # (F, N) N
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def frame_field(scenario: Scenario, ego_id: int,
+                params: RiskFieldParams) -> FrameField:
+    """The field between the ego and every other agent of each frame the
+    ego is in, as one evaluation read from the scenario table; every agent
+    has the road condition C_default."""
+    ego_rows, rows = scenario.padded_rows(ego_id)
+    k = np.array([params.k[kind.category] for kind in scenario.kinds])
+    ego, others = (AgentColumns(
+        scenario.motion[r, 0:2], scenario.motion[r, 2:4],
+        scenario.extent[r, 0], scenario.mass[r], k[scenario.kind[r]],
+        np.full(r.shape, params.C_default)) for r in (ego_rows[:, None], rows))
+    present = rows != ego_rows[:, None]
+    # offsets from the ego, so the centre is the origin (x - 0.0 is x)
+    offsets = (others.position - ego.position).reshape(-1, 2).tolist()
+    near = present & np.reshape(in_radius(offsets, (0.0, 0.0), params.R),
+                                rows.shape)
+    force = force_terms(ego, others, params)[1]
+    return FrameField(ego_id, scenario.frame[ego_rows], ego, others, present,
+                      near, force,
+                      directional_terms(ego, others, force, params)[2])
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def frame_totals(ff: FrameField, *terms: np.ndarray) -> List[np.ndarray]:
+    """Each (F, N) pair term summed over the in-radius others of every
+    frame, in id order, so a frame's total equals the one-frame sum bit
+    for bit.  The first frame where a total is not finite is refused."""
+    totals = [sum_others(np.where(ff.near, t, 0.0)) for t in terms]
+    finite = np.logical_and.reduce([np.isfinite(t) for t in totals])
+    if not finite.all():
+        raise _overflow(ff.ego_id, int(ff.frame[np.argmin(finite)]))
+    return totals
 
 
 # ==================== rasterization ====================

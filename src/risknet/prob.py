@@ -173,6 +173,9 @@ class RiskTimeSeries:
     def validate(self) -> None:
         if self.values.shape != self.weights.shape:
             raise BadConfig("values and weights lengths differ")
+        if not np.isfinite([*self.values, self.cumulative]).all():
+            raise BadConfig(f"expected risk of ego {self.ego_id} at frame "
+                            f"{self.frame} is not finite")
         if (self.values < 0).any():
             raise BadConfig("expected risk must be nonnegative")
         ref = cumulative_risk(self.values, self.weights)
@@ -181,6 +184,7 @@ class RiskTimeSeries:
             raise BadConfig("cumulative does not match weighted series")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def expected_risk_series(
     scenario: Scenario,
     ego_id: int,

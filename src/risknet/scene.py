@@ -108,10 +108,6 @@ class AgentState:
         self.velocity = np.asarray(self.velocity, dtype=float)
         self.acceleration = np.asarray(self.acceleration, dtype=float)
 
-    @property
-    def speed(self) -> float:
-        return float(np.hypot(self.velocity[0], self.velocity[1]))
-
 
 @dataclass
 class AgentInfo:
@@ -249,6 +245,24 @@ class Scenario:
             states = self._lists[frame] = list(
                 map(self.row_state, range(*rows)))
         return states
+
+    def padded_rows(self, ego_id: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The ego's table row at each of its F frames, (F,), and the
+        other rows of those frames, (F, N >= 1), ascending by id and
+        padded after them with the ego's row."""
+        info = self.agents.get(ego_id)
+        if info is None:
+            raise BadConfig(f"ego {ego_id} not in scenario")
+        # a track has no gaps, so the ego's frames are one run of rows
+        lo = self._rows[info.first_frame][0]
+        hi = self._rows[info.last_frame][1]
+        is_ego = self.agent_id[lo:hi] == ego_id
+        ego, other = np.flatnonzero(is_ego) + lo, np.flatnonzero(~is_ego)
+        step = self.frame[lo:hi][other] - info.first_frame
+        col = np.arange(other.size) - np.searchsorted(step, step)
+        rows = np.repeat(ego[:, None], max(1, col.max(initial=-1) + 1), 1)
+        rows[step, col] = other + lo
+        return ego, rows
 
     def state(self, agent_id: int, frame: int) -> AgentState:
         return self.row_state(self.row(agent_id, frame))
@@ -583,6 +597,14 @@ class InteractionGraph:
                        if agent_id in (a, b)})
 
 
+def in_radius(points: Sequence, center: Sequence, radius: float) -> List[bool]:
+    """Whether each (x, y) point lies within ``radius`` of ``center``,
+    inclusive: the one radius rule.  It is math.hypot's; np.hypot rounds
+    some ties the other way."""
+    cx, cy = center
+    return [math.hypot(x - cx, y - cy) <= radius for x, y in points]
+
+
 def build_graph(
     scenario: Scenario, ego_id: int, frame: int, radius: float
 ) -> InteractionGraph:
@@ -591,10 +613,10 @@ def build_graph(
     e = scenario.row(ego_id, frame)
     a, b = scenario.frame_rows(frame)
     xy = scenario.motion[a:b, 0:2].tolist()
-    ex, ey = xy[e - a]
     return InteractionGraph(ego_id, frame, radius, frozenset(
-        (ego_id, aid) for aid, (x, y) in zip(scenario.frame_ids(frame), xy)
-        if aid != ego_id and math.hypot(x - ex, y - ey) <= radius))
+        (ego_id, aid) for aid, near in zip(scenario.frame_ids(frame),
+                                           in_radius(xy, xy[e - a], radius))
+        if near and aid != ego_id))
 
 
 # ==================== synthetic archetypes ====================

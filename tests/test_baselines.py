@@ -14,7 +14,6 @@ from risknet.baselines import (
     RssParams,
     bumper_gap,
     evaluate_all,
-    nc_field_risk,
     read_comparison,
     rss_longitudinal_violation,
     rss_safe_distance,
@@ -24,11 +23,7 @@ from risknet.baselines import (
 )
 from risknet.errors import BadConfig
 from risknet.field import RiskFieldParams, directional_force
-from risknet.scene import (
-    InteractionGraph,
-    make_archetype,
-    scenario_from_states,
-)
+from risknet.scene import make_archetype, scenario_from_states
 
 CFG = BaselineConfig()
 PARAMS = RiskFieldParams()
@@ -168,24 +163,23 @@ def test_rss_matches_oracle_over_grid():
 
 # ---- non-directional field proxy ----
 
-def star(ego_id, neighbor_ids):
-    return InteractionGraph(
-        ego_id=ego_id, frame=0, radius=50.0,
-        edges=frozenset((ego_id, n) for n in neighbor_ids),
-    )
+def nc_field(*states):
+    """The nc_field column of a one-frame scene whose ego is agent 0."""
+    (row,) = evaluate_all(scenario_from_states(states, 25.0), 0, CFG,
+                          PARAMS)
+    return row.nc_field
 
 
 def test_nc_rear_only_is_zero():
     ego = make_state(0, position=(20, 0), velocity=(25.0, 0.0))
     rear = make_state(1, position=(0, 0), velocity=(30.0, 0.0))
-    assert nc_field_risk(ego, star(0, [1]), [ego, rear], PARAMS) == 0.0
+    assert nc_field(ego, rear) == 0.0
 
 
 def test_nc_single_forward_equals_pairwise_force():
     ego = make_state(0, velocity=(25.0, 0.0))
     front = make_state(1, position=(18, 3), velocity=(20.0, 0.0))
-    got = nc_field_risk(ego, star(0, [1]), [ego, front], PARAMS)
-    assert got == directional_force(ego, front, PARAMS).force
+    assert nc_field(ego, front) == directional_force(ego, front, PARAMS).force
 
 
 def test_nc_mixed_set_sums_forward_only():
@@ -196,8 +190,7 @@ def test_nc_mixed_set_sums_forward_only():
                          mass=9000.0)
     rear = make_state(3, position=(-12, 0), velocity=(30.0, 0.0),
                       mass=1500.0)
-    got = nc_field_risk(ego, star(0, [1, 2, 3]),
-                        [ego, front_a, front_b, rear], PARAMS)
+    got = nc_field(ego, front_a, front_b, rear)
     expected = 0.0
     for o in (front_a, front_b):
         e = oracles.interaction_energy(ego.mass, o.mass, 0.6, 1.0,

@@ -38,6 +38,7 @@ from risknet.predictor.store import load_model, save_model
 from risknet.predictor.train import TrainHyper, init_model, predict_for_agent
 from risknet.prob import probabilistic_raster
 from risknet.scene import (
+    ARCHETYPES,
     build_graph,
     export_tracks,
     load_tracks,
@@ -348,6 +349,20 @@ def test_cli_eval_matches_direct_field_computation(cutin, tmp_path):
     assert side["config"]["io"]["frame_rate"] == 10.0
 
 
+@pytest.mark.parametrize("archetype", ARCHETYPES)
+def test_cli_eval_force_column_is_compare_risknet_column(tmp_path, archetype):
+    scene = tmp_path / "scene.csv"
+    ok("gen", "--archetype", archetype, "--out", scene)
+    columns = []
+    for command, column in (("eval", 2), ("compare", 5)):
+        out = tmp_path / f"{command}.csv"
+        ok(command, "--scenario", scene, "--ego-id", "0", "--out", out)
+        columns.append([(line.split(",")[0], line.split(",")[column])
+                        for line in out.read_text().splitlines()[1:]])
+    assert columns[0] == columns[1]
+    assert any(force != "0.0" for _, force in columns[0])
+
+
 def test_cli_eval_cutin_has_single_contiguous_episode(cutin, tmp_path):
     out = tmp_path / "eval.csv"
     ok("eval", "--scenario", cutin, "--ego-id", "0",
@@ -491,6 +506,36 @@ def test_cli_cell_over_csv_field_limit_exits_2(cutin, tmp_path):
     assert proc.stderr.count("\n") == 1
     assert str(scenario) in proc.stderr
     assert "field limit" in proc.stderr
+
+
+NAN_KEYS = ["io.frame_rate", "risk.R", "risk.beta", "baselines.ttc_threshold",
+            "baselines.rss.rho", "detect.field", "detect.rss_margin"]
+
+
+@pytest.mark.parametrize("key, value", [
+    *((key, "nan") for key in NAN_KEYS), ("io.frame_rate", "inf")])
+def test_cli_nan_or_infinite_rate_override_exits_2(cutin, tmp_path, key,
+                                                   value):
+    out = tmp_path / "x.csv"
+    proc = run_cli("eval", "--scenario", cutin, "--ego-id", "0",
+                   "--set", f"{key}={value}", "--out", out)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("risknet: input error:")
+    assert len(proc.stderr.splitlines()) == 1
+    assert (key if value == "nan" else "frame_rate") in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", NAN_KEYS)
+def test_nan_in_config_file_names_the_key(tmp_path, key):
+    *sections, leaf = key.split(".")
+    text = f'{{"{leaf}": NaN}}'
+    for section in reversed(sections):
+        text = f'{{"{section}": {text}}}'
+    path = tmp_path / "run.json"
+    path.write_text(text)
+    with pytest.raises(BadConfig, match=f"config key {key} is NaN"):
+        load_config(str(path))
 
 
 def test_cli_eval_bad_override_exits_2(cutin, tmp_path):
@@ -640,6 +685,22 @@ def test_cli_map_probabilistic_requires_model(cutin, tmp_path):
                    "--set", "io.frame_rate=10", "--out", tmp_path / "m")
     assert proc.returncode == 2
     assert "--model" in proc.stderr
+
+
+@pytest.mark.parametrize("frame", ["-5", "99999"])
+@pytest.mark.parametrize("probabilistic", [False, True],
+                         ids=["deterministic", "probabilistic"])
+def test_cli_map_frame_outside_scene_exits_2(cutin, tmp_path, frame,
+                                             probabilistic):
+    flags = (["--probabilistic", "--model", small_model(tmp_path)]
+             if probabilistic else [])
+    proc = run_cli("map", "--scenario", cutin, "--ego-id", "0",
+                   "--frame", frame, *flags, "--set", "io.frame_rate=10",
+                   "--out", tmp_path / "m")
+    assert proc.returncode == 2
+    assert proc.stderr == (f"risknet: input error: frame {frame} lies "
+                           "outside the scenario\n")
+    assert not list(tmp_path.glob("m.*"))
 
 
 def test_cli_map_degenerate_probabilistic_matches_deterministic(tmp_path):

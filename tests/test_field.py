@@ -17,6 +17,7 @@ from conftest import (
     dense_scenario,
     make_state,
 )
+from risknet.baselines import evaluate_all
 from risknet.errors import BadConfig, EmptyFrame, NumericError
 from risknet.field import (
     AgentColumns,
@@ -31,10 +32,15 @@ from risknet.field import (
     read_raster,
     sum_others,
     total_directional_force,
-    total_force,
     write_raster,
 )
-from risknet.scene import CAR, PEDESTRIAN, TRUCK, InteractionGraph
+from risknet.scene import (
+    CAR,
+    PEDESTRIAN,
+    TRUCK,
+    InteractionGraph,
+    scenario_from_states,
+)
 
 PARAMS = RiskFieldParams()
 KC1 = RiskFieldParams(k={k: 1.0 for k in PARAMS.k})
@@ -361,7 +367,7 @@ def test_kernel_batch_matches_scalar_oracles(data):
             assert force[i, j] == pytest.approx(want_force, rel=1e-9)
             assert r[i, j] == pytest.approx(dist, rel=1e-9)
             theta = oracles.velocity_angle(e.velocity, o.velocity)
-            if abs(30.0 - o.speed * math.cos(theta)) < 1e-3:
+            if abs(30.0 - math.hypot(*o.velocity) * math.cos(theta)) < 1e-3:
                 continue
             want = oracles.directional_force(
                 _oracle_state(e), _oracle_state(o), k, c, beta=1.0, v0=30.0,
@@ -513,10 +519,15 @@ def test_per_agent_C_must_be_finite_and_nonnegative(c):
 
 
 def test_total_force_is_undirected_sum():
+    """The undirected total lives in the nc_field column: pair forces
+    without the directional correction, over the agents ahead of the ego
+    (agents 1 and 3 here)."""
     ego, others = three_neighbor_setup()
-    got = total_force(ego, star(0, [1, 2, 3]), [ego] + others, PARAMS)
-    expected = sum(directional_force(ego, o, PARAMS).force for o in others)
-    assert got == pytest.approx(expected, rel=1e-12)
+    (row,) = evaluate_all(scenario_from_states([ego] + others, 25.0), 0,
+                          params=PARAMS)
+    expected = sum(directional_force(ego, o, PARAMS).force for o in others
+                   if o.position[0] > ego.position[0])
+    assert row.nc_field == pytest.approx(expected, rel=1e-12)
 
 
 # ---- rasterization ----
@@ -525,7 +536,6 @@ def test_raster_empty_frame_is_zero():
     # two agents whose tracks do not overlap leave a hole in the span
     states = [make_state(0, f, (f, 0.0), (25, 0)) for f in range(3)]
     states += [make_state(1, f, (50.0, 0.0), (0, 0)) for f in range(6, 9)]
-    from risknet.scene import scenario_from_states
     sc = scenario_from_states(states, 25.0)
     grid = GridSpec(origin=(0, -5), cell=2.0, width=8, height=5)
     raster = rasterize(sc, 4, make_state(0, 4, (0, 0), (25, 0)), grid,

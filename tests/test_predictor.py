@@ -780,7 +780,7 @@ def test_constant_motion_tracks_structure():
         for f in a.frame_list:
             assert np.array_equal(a.state(0, f).position,
                                   b.state(0, f).position)
-    speeds = [a.state(0, 0).speed for a in tracks]
+    speeds = [math.hypot(*a.state(0, 0).velocity) for a in tracks]
     assert all(2.999 <= s <= 7.001 for s in speeds)
 
 

@@ -36,7 +36,7 @@ from risknet.prob import (
     replay_prediction,
     total_expected_risk,
 )
-from risknet.scene import InteractionGraph, build_graph
+from risknet.scene import InteractionGraph, build_graph, make_archetype
 
 PARAMS = RiskFieldParams()
 KC1 = RiskFieldParams(k={k: 1.0 for k in PARAMS.k})
@@ -354,6 +354,29 @@ def test_series_validate():
                               weights_preset="uniform", cumulative=0.5)
     with pytest.raises(BadConfig):
         negative.validate()
+
+
+@pytest.mark.parametrize("values, cumulative", [
+    ([math.nan, 2.0], 1.0), ([math.inf, 2.0], math.inf),
+    ([1.0, 2.0], math.nan),
+])
+def test_series_validate_refuses_non_finite(values, cumulative):
+    series = RiskTimeSeries(ego_id=4, frame=7, dt=0.2,
+                            values=np.array(values),
+                            weights=np.array([0.5, 0.5]),
+                            weights_preset="uniform", cumulative=cumulative)
+    with pytest.raises(BadConfig, match="ego 4 at frame 7 is not finite"):
+        series.validate()
+
+
+def test_expected_risk_series_refuses_overflowing_pair_terms():
+    """A rear car at 1e200 m/s overflows its pair terms with the ego: the
+    series is refused, and no RuntimeWarning escapes (the suite turns
+    them into errors)."""
+    sc = make_archetype("blocked_lane_change", {"rear_speed": 1e200})
+    preds = {a: replay_prediction(sc, a, 0, 3) for a in (1, 2, 3)}
+    with pytest.raises(BadConfig, match="ego 0 at frame 0 is not finite"):
+        expected_risk_series(sc, 0, 0, preds, PARAMS)
 
 
 # ---- assembled series ----

@@ -27,6 +27,7 @@ from risknet.field import (
     agent_columns,
     directional_terms,
     force_terms,
+    frame_field,
 )
 from risknet.scene import (
     _ARCHETYPE_DEFAULTS,
@@ -550,6 +551,46 @@ def check_lookups(sc, rows):
                     if g == f and b != aid
                     and math.hypot(bx - x, by - y) <= RADIUS}
             assert build_graph(sc, aid, f, RADIUS).edges == near
+
+
+# Offsets from an ego at the origin: at RADIUS, 1 ulp inside and outside
+# it, the near-tie of multi_agent_rows, and two offsets that math.hypot
+# and np.hypot round to opposite sides of RADIUS.
+RADIUS_TIES = [
+    (RADIUS, 0.0), (0.0, -math.nextafter(RADIUS, 0.0)),
+    (-math.nextafter(RADIUS, math.inf), 0.0),
+    (6.06325662225845, 7.952164430684206),
+    (8.624075758641464, 5.0621455243021884),
+    (-5.334801461570672, 8.458125877853996),
+]
+
+
+@given(rows=multi_agent_rows(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_frame_field_neighbours_are_build_graph_edges(rows, data):
+    """At every frame of every ego, frame_field lists the frame's other
+    agents ascending by id and marks as near exactly build_graph's
+    neighbours, for agents at the radius and 1 ulp either side of it."""
+    frames = range(min(f for f, *_ in rows), max(f for f, *_ in rows) + 1)
+    ties = st.lists(st.sampled_from(RADIUS_TIES), min_size=len(frames),
+                    max_size=len(frames))
+    rows = rows + [(f, 99, 0.0, 0.0) for f in frames] + [
+        (f, 100 + k, x, y)
+        for k in range(data.draw(st.integers(1, 3)))
+        for f, (x, y) in zip(frames, data.draw(ties))]
+    sc = scenario_from_states(
+        [make_state(aid, f, (x, y), (1.0, 0.0)) for f, aid, x, y in rows],
+        25.0)
+    params = RiskFieldParams(R=RADIUS)
+    for ego in sc.agents:
+        ff = frame_field(sc, ego, params)
+        rows = sc.padded_rows(ego)[1]
+        for f, rows_f, present, near in zip(ff.frame.tolist(), rows,
+                                            ff.present, ff.near):
+            assert sc.agent_id[rows_f[present]].tolist() == [
+                a for a in sc.frame_ids(f) if a != ego]
+            assert {(ego, b) for b in sc.agent_id[rows_f[near]].tolist()
+                    } == build_graph(sc, ego, f, RADIUS).edges
 
 
 @given(rows=multi_agent_rows(), early=st.data())
