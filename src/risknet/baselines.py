@@ -32,8 +32,8 @@ class RssParams:
     b_max_brake: float = 8.0  # m/s^2
 
     def __post_init__(self):
-        if min(self.rho, self.a_max_accel, self.b_min_brake,
-               self.b_max_brake) <= 0:
+        if not all(v > 0 for v in (self.rho, self.a_max_accel,
+                                   self.b_min_brake, self.b_max_brake)):
             raise BadConfig("RSS constants must be positive")
 
 
@@ -45,9 +45,10 @@ class BaselineConfig:
     lane_half_width: float = DEFAULT_LANE_WIDTH / 2.0  # m
 
     def __post_init__(self):
-        if self.ttc_threshold <= 0 or self.thw_threshold <= 0:
+        # written as not (x > 0), so a NaN is refused too
+        if not (self.ttc_threshold > 0 and self.thw_threshold > 0):
             raise BadConfig("detection thresholds must be positive")
-        if self.lane_half_width <= 0:
+        if not self.lane_half_width > 0:
             raise BadConfig("lane_half_width must be positive")
 
 

@@ -51,15 +51,16 @@ class RiskFieldParams:
     unit_mass_energy: bool = False
 
     def __post_init__(self):
-        if self.beta <= 0:
+        # written as not (x > 0), so a NaN is refused too
+        if not self.beta > 0:
             raise BadConfig("beta must be positive")
-        if self.wave_speed <= 0:
+        if not self.wave_speed > 0:
             raise BadConfig("wave_speed must be positive")
-        if self.r_min <= 0:
+        if not self.r_min > 0:
             raise BadConfig("r_min must be positive")
-        if self.R <= 0:
+        if not self.R > 0:
             raise BadConfig("interaction radius R must be positive")
-        if self.alpha_cap <= 0:
+        if not self.alpha_cap > 0:
             raise BadConfig("alpha_cap must be positive")
         missing = [c for c in DEFAULT_K if c not in self.k]
         if missing:
@@ -283,7 +284,7 @@ class GridSpec:
     height: int  # rows
 
     def __post_init__(self):
-        if self.cell <= 0 or self.width <= 0 or self.height <= 0:
+        if not (self.cell > 0 and self.width > 0 and self.height > 0):
             raise BadConfig("grid must have positive cell size and shape")
 
     def center(self, row: int, col: int) -> Tuple[float, float]:

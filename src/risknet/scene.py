@@ -9,10 +9,14 @@ Velocities are m/s, accelerations m/s^2, masses kg.
 """
 
 import bisect
+import contextlib
 import csv
 import io
 import itertools
+import json
 import math
+import os
+import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -341,12 +345,24 @@ Columns = Tuple[Dict[str, np.ndarray], np.ndarray, List[Optional[str]]]
 _LOADTXT_TRAPS = ('"', "\x1c", "\x1d", "\x1e", "\x1f")
 
 
-def _read(path: str) -> Tuple[List[str], str]:
-    """The header cells and the text of the data rows, read once."""
+def _read(path: str) -> bytes:
+    """The file's bytes, read once."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise BadConfig(f"cannot read track file {path}: {exc}")
+
+
+def _decode(path: str, raw: bytes) -> Tuple[List[str], str]:
+    """The header cells and the text of the data rows, decoded from
+    ``raw`` through a TextIOWrapper (io.StringIO would hold a buffer of 4
+    bytes a character)."""
+    try:
+        with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8",
+                              newline="") as fh:
             return next(csv.reader(fh), []), fh.read()
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+    except (UnicodeDecodeError, csv.Error) as exc:
         raise BadConfig(f"cannot read track file {path}: {exc}")
 
 
@@ -442,6 +458,150 @@ def _parse_cells(path: str, rows: Iterable[List[str]], header: List[str],
     return values, kind, list(code_of)
 
 
+def _resolve(header: Sequence[str],
+             remap: Mapping[str, str]) -> Dict[str, int]:
+    """Each canonical column's index in the header; a repeated name
+    resolves to its last column."""
+    index = {name: i for i, name in enumerate(header)}
+    resolved: Dict[str, int] = {}
+    for name in REQUIRED_COLUMNS + OPTIONAL_COLUMNS:
+        actual = remap.get(name, name)
+        if actual in index:
+            resolved[name] = index[actual]
+        elif name in REQUIRED_COLUMNS:
+            raise MissingColumn(actual)
+    return resolved
+
+
+def _parse(path: str, header: List[str], body: str,
+           resolved: Mapping[str, int]) -> Columns:
+    """Columns of the data text: loadtxt when it can, else csv.reader."""
+    numeric = [name for name in resolved if name != "class"]
+    columns = _parse_text(body, resolved, numeric)
+    if columns is None:
+        rows = csv.reader(io.StringIO(body, newline=""))
+        try:
+            columns = _parse_cells(path, rows, header, resolved, numeric)
+        except csv.Error as exc:  # e.g. a cell over csv's field size limit
+            raise BadConfig(f"cannot read track file {path}: {exc}")
+    return columns
+
+
+# ---- ingest cache ----
+#
+# A track file of at least _CACHE_FLOOR bytes keeps its parse (the
+# Columns) in a hidden sidecar beside it, ".<name>.risknet.npy": a fixed
+# sequence of np.save arrays, namely the entry's key as JSON bytes, the
+# kind codes, and one float64 array per numeric column in resolved
+# order.  The key holds the format tag, the SHA-256 of the file's bytes,
+# the resolved column mapping, the header cells (so a hit never decodes
+# the text) and the class labels.  Below the floor a parse costs less
+# than the cache.
+
+_CACHE_FLOOR = 1 << 20  # bytes
+# Bump on any change to the layout or to what the parse returns.
+_CACHE_FORMAT = "risknet-ingest-1"
+
+
+def _sidecar(path: str) -> str:
+    head, name = os.path.split(path)
+    return os.path.join(head, f".{name}.risknet.npy")
+
+
+def _next_array(fh, end: int) -> np.ndarray:
+    """The next np.save array of an open sidecar; ValueError when it is
+    not format 1.0 or claims more bytes than remain before ``end``."""
+    start = fh.tell()
+    if np.lib.format.read_magic(fh) != (1, 0):
+        raise ValueError("not an npy 1.0 array")
+    shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
+    if math.prod(shape) * dtype.itemsize > end - fh.tell():
+        raise ValueError("array runs past the end of the file")
+    fh.seek(start)
+    return np.load(fh, allow_pickle=False)
+
+
+def _read_entry(path: str, digest: str):
+    """The sidecar's (header, resolved, columns) when it stores a parse of
+    the bytes with this digest; None when it is absent, unreadable,
+    corrupt or stale."""
+    try:
+        with open(_sidecar(path), "rb") as fh:
+            end = os.fstat(fh.fileno()).st_size
+            key = json.loads(_next_array(fh, end).tobytes())
+            if (not isinstance(key, dict)
+                    or key.get("format") != _CACHE_FORMAT
+                    or key.get("sha256") != digest):
+                return None
+            header, labels = key["header"], key["labels"]
+            resolved = {name: i for name, i in key["resolved"]}
+            kind = _next_array(fh, end)
+            values = {name: _next_array(fh, end)
+                      for name in resolved if name != "class"}
+            if fh.read(1) or not (
+                    kind.dtype == np.int64 and kind.ndim == 1 and kind.size
+                    and 0 <= kind.min() and kind.max() < len(labels)
+                    and all(v.dtype == np.float64 and v.shape == kind.shape
+                            for v in values.values())):
+                return None
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+    return header, resolved, (values, kind.astype(np.intp), labels)
+
+
+def _write_entry(path: str, digest: str, header: List[str],
+                 resolved: Mapping[str, int], columns: Columns) -> None:
+    """Store the parse in the sidecar through a temp file in the same
+    directory and os.replace; a refused write leaves neither file."""
+    values, kind, labels = columns
+    key = json.dumps({"format": _CACHE_FORMAT, "sha256": digest,
+                      "header": header, "resolved": list(resolved.items()),
+                      "labels": labels}).encode()
+    sidecar = _sidecar(path)
+    try:
+        fd, tmp = tempfile.mkstemp(
+            prefix=os.path.basename(sidecar) + ".", suffix=".tmp",
+            dir=os.path.dirname(sidecar) or os.curdir)
+    except OSError:  # an unwritable directory turns the cache off
+        return
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.save(fh, np.frombuffer(key, np.uint8))
+            np.save(fh, kind.astype(np.int64))
+            for name in resolved:
+                if name != "class":
+                    np.save(fh, values[name])
+        os.replace(tmp, sidecar)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+
+
+def _ingest(path: str, remap: Mapping[str, str]) -> Columns:
+    """The parsed columns of the file, read once: from the sidecar when
+    it stores these bytes under this column mapping, else parsed and
+    stored there."""
+    raw = _read(path)
+    digest = entry = None
+    if len(raw) >= _CACHE_FLOOR:
+        import hashlib  # here, so that only a cached file loads OpenSSL
+
+        digest = hashlib.sha256(raw).hexdigest()
+        entry = _read_entry(path, digest)
+    if entry is not None:
+        header, resolved, columns = entry
+        if _resolve(header, remap) == resolved:
+            return columns
+    header, body = _decode(path, raw)
+    del raw  # parse the hashed bytes, holding only their text
+    resolved = _resolve(header, remap)
+    columns = _parse(path, header, body, resolved)
+    del body
+    if digest is not None:
+        _write_entry(path, digest, header, resolved, columns)
+    return columns
+
+
 def load_tracks(
     path: str,
     frame_rate: float = 25.0,
@@ -464,40 +624,23 @@ def load_tracks(
     The file is read once.  A qualifying text is parsed by one
     ``np.loadtxt`` call (``_parse_text``); any other, or one that call
     refuses, goes through csv.reader and Python's float (``_parse_cells``),
-    which decides every error.  The first data row with a missing,
-    unparseable or non-finite cell raises NonFinite; after that, the
-    first row whose ``frame`` or ``id`` is not an integer (``3.0`` is,
-    ``3.5`` is not; magnitudes above 2**53 are refused) raises
-    NonIntegral, and then the first row whose ``width``, ``height`` or
-    mass (after the kind default fills a blank cell) is not positive
-    raises NonPositive.  An unreadable or non-UTF-8 file, or one with a
-    cell longer than csv's field size limit, is BadConfig.
+    which decides every error.  A file of at least ``_CACHE_FLOOR`` bytes
+    keeps that parse in a sidecar beside it and skips it while its bytes
+    and column mapping stay the same (``_ingest``); every check below
+    runs either way.  The first data row with a missing, unparseable or
+    non-finite cell raises NonFinite; after that, the first row whose
+    ``frame`` or ``id`` is not an integer (``3.0`` is, ``3.5`` is not;
+    magnitudes above 2**53 are refused) raises NonIntegral, then the
+    first row whose ``width``, ``height`` or mass (after the kind default
+    fills a blank cell) is not positive raises NonPositive, and then the
+    first row whose shifted position overflows raises NonFinite.  An
+    unreadable or non-UTF-8 file, or one with a cell longer than csv's
+    field size limit, is BadConfig.
     """
-    remap = dict(schema or {})
     masses = dict(DEFAULT_MASSES)
     if kind_defaults:
         masses.update(kind_defaults)
-
-    header, body = _read(path)
-    # A repeated column name resolves to its last column.
-    index = {name: i for i, name in enumerate(header)}
-    resolved: Dict[str, int] = {}
-    for name in REQUIRED_COLUMNS + OPTIONAL_COLUMNS:
-        actual = remap.get(name, name)
-        if actual in index:
-            resolved[name] = index[actual]
-        elif name in REQUIRED_COLUMNS:
-            raise MissingColumn(actual)
-    numeric = [name for name in resolved if name != "class"]
-    columns = _parse_text(body, resolved, numeric)
-    if columns is None:
-        rows = csv.reader(io.StringIO(body, newline=""))
-        try:
-            columns = _parse_cells(path, rows, header, resolved, numeric)
-        except csv.Error as exc:  # e.g. a cell over csv's field size limit
-            raise BadConfig(f"cannot read track file {path}: {exc}")
-    del body
-    values, kind, raws = columns
+    values, kind, raws = _ingest(path, dict(schema or {}))
 
     kinds = [AgentKind.of(raw) if raw and raw.strip() else CAR
              for raw in raws]
@@ -533,7 +676,11 @@ def load_tracks(
     pos = motion[:, 0:2]
     shift = np.array([max(0.0, -pos[:, 0].min()), max(0.0, -pos[:, 1].min())])
     if shift[0] > 0.0 or shift[1] > 0.0:
-        pos += shift
+        with np.errstate(over="ignore"):
+            pos += shift
+        over = ~np.isfinite(pos).all(axis=1)
+        if over.any():
+            raise NonFinite(int(order[over].min()))
     extent = np.column_stack([values["width"], values["height"]])[order]
     return Scenario(frame_rate, frame[order], ids[order], motion, extent,
                     mass[order], kind[order], kinds, path, offset=shift)

@@ -566,6 +566,26 @@ def test_cli_overflowing_field_total_exits_2(tmp_path, command, flags):
     assert not list(tmp_path.glob("out.csv*.json"))
 
 
+def test_cli_position_overflowing_the_origin_shift_exits_2(tmp_path):
+    """Finite x cells of -1e308, 1e308 and 1.5e308: the load-time shift
+    of 1e308 carries the last two past the float range, so the load
+    refuses the first file row it overflows."""
+    scenario = tmp_path / "far.csv"
+    rows = ["frame,id,x,y,xVelocity,yVelocity,width,height"]
+    for f in range(3):
+        rows += [f"{f},0,-1e308,0,0,0,4.5,2", f"{f},1,1e308,0,0,0,4.5,2",
+                 f"{f},2,1.5e308,0,0,0,4.5,2"]
+    scenario.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "cmp.csv"
+    proc = run_cli("compare", "--scenario", scenario, "--ego-id", "0",
+                   "--out", out)
+    assert proc.returncode == 2
+    assert proc.stderr == ("risknet: input error: non-finite value in "
+                           "data row 1\n")
+    assert not out.exists()
+    assert not list(tmp_path.glob("cmp.csv*"))
+
+
 def test_cli_config_file_and_set_precedence(cutin, tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(

@@ -17,7 +17,7 @@ from conftest import (
     dense_scenario,
     make_state,
 )
-from risknet.baselines import evaluate_all
+from risknet.baselines import BaselineConfig, RssParams, evaluate_all
 from risknet.errors import BadConfig, EmptyFrame, NumericError
 from risknet.field import (
     AgentColumns,
@@ -97,6 +97,26 @@ def test_params_validation():
             RiskFieldParams(k=dict(PARAMS.k, truck=bad))
         with pytest.raises(BadConfig):
             RiskFieldParams(C_default=bad)
+
+
+NAN_CHECKED = {
+    RiskFieldParams: ("beta", "wave_speed", "r_min", "R", "alpha_cap"),
+    RssParams: ("rho", "a_max_accel", "b_min_brake", "b_max_brake"),
+    BaselineConfig: ("ttc_threshold", "thw_threshold", "lane_half_width"),
+    GridSpec: ("cell", "width", "height"),
+}
+GRID = dict(origin=(0.0, 0.0), cell=1.0, width=4, height=3)
+
+
+@pytest.mark.parametrize("cls, name", [
+    pytest.param(cls, name, id=f"{cls.__name__}.{name}")
+    for cls, names in NAN_CHECKED.items() for name in names])
+def test_nan_parameter_is_refused(cls, name):
+    # a `<= 0` range check lets NaN through; with R = NaN no agent is in
+    # range, so every force would read 0.0
+    base = GRID if cls is GridSpec else {}
+    with pytest.raises(BadConfig):
+        cls(**{**base, name: math.nan})
 
 
 # ---- interaction energy ----

@@ -1,6 +1,8 @@
 """Scene model: ingestion, graphs, geometry, and synthetic archetypes."""
 
 import csv
+import io
+import json
 import math
 import os
 import tempfile
@@ -11,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import risknet.scene as scene
 from conftest import constant_velocity_scenario, make_state
+from risknet import cli
 from risknet.baselines import bumper_gap
 from risknet.errors import (
     BadConfig,
@@ -21,6 +25,7 @@ from risknet.errors import (
     NonContiguousTrack,
     NonFinite,
     NonIntegral,
+    NonPositive,
 )
 from risknet.field import (
     RiskFieldParams,
@@ -484,6 +489,297 @@ def test_columnar_ingest_rejects_like_reference_loader(table):
         assert_same_error(got, want)
     else:
         assert_same_scene(got, want)
+
+
+# ---- the ingest cache beside the CSV ----
+
+SIDECAR = ".tracks.csv.risknet.npy"
+CACHE_HEADER = HEADER + ["class", "mass"]
+
+
+def cache_rows(blank_mass=False):
+    """Rows out of (frame, id) order, with a negative x (a nonzero
+    offset), -0.0 cells, an unknown label and, with ``blank_mass``, a
+    blank mass cell that sends the parse down the csv path."""
+    rows = []
+    for f in range(4):
+        rows.append([f, 5, 30.0 - 2 * f, 7.0, -2.0, "-0.0", 4.5, 2.0,
+                     "van", 1300.0])
+        rows.append([f, 1, -12.5 + f, "-0.0", 10.0, 0.0, 4.5, 2.0,
+                     "car", 1500.0])
+        rows.append([f, 2, 8.0 + 1.5 * f, 3.5, 12.0, 0.25, 12.0, 2.5,
+                     "Truck", "" if blank_mass and f == 2 else 15000.0])
+    return rows[::-1]
+
+
+@pytest.fixture
+def cached(monkeypatch):
+    """Lower the floor so that the small files below are cached."""
+    monkeypatch.setattr(scene, "_CACHE_FLOOR", 0)
+
+
+def assert_bit_identical(got, want):
+    for name in ("frame", "agent_id", "motion", "extent", "mass", "kind",
+                 "offset"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        if a.dtype == np.float64:  # on the bits, so -0.0 counts
+            a, b = a.view(np.int64), b.view(np.int64)
+        assert np.array_equal(a, b), name
+    assert list(got.kinds) == list(want.kinds)
+    assert (np.array(got.bounds).view(np.int64).tolist()
+            == np.array(want.bounds).view(np.int64).tolist())
+
+
+def forbid_decode(monkeypatch):
+    """Make a decode of the file's text fail the test: a hit has none."""
+    def fail(*args):
+        raise AssertionError("the file was decoded on a cache hit")
+    monkeypatch.setattr(scene, "_decode", fail)
+
+
+@pytest.mark.parametrize("blank_mass", [False, True],
+                         ids=["loadtxt", "csv_reader"])
+def test_cache_hit_matches_parse_bit_for_bit(cached, monkeypatch, tmp_path,
+                                             blank_mass):
+    path = tmp_path / "tracks.csv"
+    write_csv(path, cache_rows(blank_mass), header=CACHE_HEADER)
+    miss = load_tracks(str(path), kind_defaults={"truck": 9000.0})
+    assert (tmp_path / SIDECAR).is_file()
+    assert miss.offset[0] == 12.5
+    forbid_decode(monkeypatch)
+    hit = load_tracks(str(path), kind_defaults={"truck": 9000.0})
+    assert_bit_identical(hit, miss)
+    assert [k.label for k in hit.kinds] == ["truck", "car", "van"]
+    # the mass default is filled after the cache, on every load
+    for default in (9000.0, 7000.0):
+        sc = load_tracks(str(path), kind_defaults={"truck": default})
+        assert sc.mass[sc.row(2, 2)] == (default if blank_mass else 15000.0)
+
+
+def test_cache_same_size_content_change_is_a_miss(cached, tmp_path):
+    path = tmp_path / "tracks.csv"
+    write_csv(path, cache_rows(), header=CACHE_HEADER)
+    load_tracks(str(path))
+    stale = (tmp_path / SIDECAR).read_bytes()
+    text = path.read_bytes()
+    path.write_bytes(text.replace(b"-12.5", b"-12.4"))
+    assert path.stat().st_size == len(text)
+    sc = load_tracks(str(path))
+    assert sc.offset[0] == 12.4
+    assert (tmp_path / SIDECAR).read_bytes() != stale
+    assert_bit_identical(load_tracks(str(path)), sc)
+
+
+def _truncated(good):
+    return good[:len(good) // 2]
+
+
+def _garbage(good):
+    return bytes(range(256)) * 8
+
+
+def _pickled(good):
+    buf = io.BytesIO()
+    np.save(buf, np.array([{"a": 1}], dtype=object))
+    return buf.getvalue()
+
+
+def _huge_shape(good):
+    # one array whose header claims 2**40 bytes; the padding keeps the
+    # header length
+    buf = io.BytesIO()
+    np.save(buf, np.zeros(3, np.uint8))
+    spoiled = buf.getvalue().replace(b"(3,), }" + b" " * 12,
+                                     b"(1099511627776,), }")
+    assert b"1099511627776" in spoiled
+    return spoiled
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda good: b"",
+    _truncated,
+    lambda good: good[:-1],
+    lambda good: good + b"\0",
+    _garbage,
+    _pickled,
+    _huge_shape,
+    lambda good: good.replace(b"risknet-ingest-1", b"risknet-ingest-0"),
+], ids=["empty", "truncated", "one_byte_short", "trailing_byte", "garbage",
+        "pickled", "huge_shape", "other_format"])
+def test_cache_spoiled_sidecar_is_a_miss_and_rewritten(cached, tmp_path,
+                                                       capfd, spoil):
+    path = tmp_path / "tracks.csv"
+    write_csv(path, cache_rows(), header=CACHE_HEADER)
+    want = load_tracks(str(path))
+    sidecar = tmp_path / SIDECAR
+    good = sidecar.read_bytes()
+    sidecar.write_bytes(spoil(good))
+    assert_bit_identical(load_tracks(str(path)), want)
+    assert sidecar.read_bytes() == good
+    assert capfd.readouterr() == ("", "")
+    assert sorted(os.listdir(tmp_path)) == [SIDECAR, "tracks.csv"]
+
+
+def _refuse(*args, **kwargs):
+    raise PermissionError(13, "Permission denied")
+
+
+def _disk_full(*args, **kwargs):
+    raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("stage", ["mkstemp", "save", "replace"])
+def test_cache_refused_write_leaves_nothing(cached, monkeypatch, tmp_path,
+                                            capfd, stage):
+    path = tmp_path / "tracks.csv"
+    write_csv(path, cache_rows(), header=CACHE_HEADER)
+    want = load_tracks(str(path))
+    os.remove(tmp_path / SIDECAR)
+    if stage == "mkstemp":
+        monkeypatch.setattr(tempfile, "mkstemp", _refuse)
+    elif stage == "save":
+        monkeypatch.setattr(np, "save", _disk_full)
+    else:
+        monkeypatch.setattr(os, "replace", _refuse)
+    for _ in range(2):
+        assert_bit_identical(load_tracks(str(path)), want)
+        assert os.listdir(tmp_path) == ["tracks.csv"]
+    assert capfd.readouterr() == ("", "")
+
+
+def test_cache_read_only_directory_leaves_nothing(cached, tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    path = data / "tracks.csv"
+    write_csv(path, cache_rows(), header=CACHE_HEADER)
+    data.chmod(0o555)
+    try:
+        try:
+            (data / "probe").touch()
+        except PermissionError:
+            pass
+        else:  # e.g. root, whom directory modes do not bind
+            pytest.skip("this user can write to a read-only directory")
+        first, second = load_tracks(str(path)), load_tracks(str(path))
+        assert os.listdir(data) == ["tracks.csv"]
+    finally:
+        data.chmod(0o755)
+    assert_bit_identical(second, first)
+    assert_bit_identical(first, load_tracks(str(path)))
+
+
+# defect: the (row, column, cell) edits of cache_rows(), the error and
+# the data row it names (None for an error that names none), and whether
+# the parse passes (so that the sidecar is written)
+FAILURES = {
+    "non_finite": ([(3, "x", "nan")], NonFinite, 3, False),
+    "unparseable": ([(5, "xVelocity", "abc")], NonFinite, 5, False),
+    "non_integral": ([(4, "frame", "2.5")], NonIntegral, 4, True),
+    "non_positive": ([(6, "width", "-4.5")], NonPositive, 6, True),
+    "duplicate": ([(7, "id", "5")], BadConfig, None, True),
+    "gap": ([(8, "frame", "9")], NonContiguousTrack, None, True),
+    "shift_overflow": ([(0, "x", "-1e308"), (1, "x", "1e308"),
+                        (2, "x", "1.5e308")], NonFinite, 1, True),
+}
+
+
+@pytest.mark.parametrize("defect", FAILURES)
+def test_cache_failing_file_fails_alike_twice(cached, tmp_path, defect):
+    """A file the parse refuses writes no sidecar; one that a check after
+    the parse refuses keeps its parse, and raises alike on the hit."""
+    edits, error, row, parsed = FAILURES[defect]
+    rows = cache_rows()
+    for k, column, cell in edits:
+        rows[k][CACHE_HEADER.index(column)] = cell
+    path = tmp_path / "tracks.csv"
+    write_csv(path, rows, header=CACHE_HEADER)
+    errors = []
+    for _ in range(2):
+        with pytest.raises(error) as err:
+            load_tracks(str(path))
+        errors.append(err.value)
+        assert getattr(err.value, "row_index", None) == row
+        assert sorted(os.listdir(tmp_path)) == \
+            [SIDECAR] * parsed + ["tracks.csv"]
+    assert_same_error(*errors)
+    assert str(errors[0]) == str(errors[1])
+
+
+def test_cache_other_column_mapping_is_a_miss(cached, monkeypatch,
+                                              tmp_path):
+    path = tmp_path / "tracks.csv"
+    rows = [r + [float(r[2]) + 100.0] for r in cache_rows()]
+    write_csv(path, rows, header=CACHE_HEADER + ["x_alt"])
+    plain = load_tracks(str(path))
+    alt = load_tracks(str(path), schema={"x": "x_alt"})
+    assert alt.offset[0] == 0.0 and plain.offset[0] == 12.5
+    assert np.array_equal(alt.motion[:, 0], plain.motion[:, 0] + 87.5)
+    assert_bit_identical(load_tracks(str(path), schema={"x": "x_alt"}),
+                         alt)
+    # the sidecar now holds the alt mapping, so this load parses again
+    assert_bit_identical(load_tracks(str(path)), plain)
+    with pytest.raises(MissingColumn):
+        load_tracks(str(path), schema={"x": "nope"})
+    # a schema that resolves to the same columns is the same entry
+    forbid_decode(monkeypatch)
+    assert_bit_identical(load_tracks(str(path), schema={"x": "x"}), plain)
+
+
+def test_cache_floor(monkeypatch, tmp_path):
+    path = tmp_path / "tracks.csv"
+    write_csv(path, cache_rows(), header=CACHE_HEADER)
+    assert scene._CACHE_FLOOR == 1 << 20  # test fixtures stay uncached
+    load_tracks(str(path))
+    size = path.stat().st_size
+    monkeypatch.setattr(scene, "_CACHE_FLOOR", size + 1)
+    load_tracks(str(path))
+    assert os.listdir(tmp_path) == ["tracks.csv"]
+    monkeypatch.setattr(scene, "_CACHE_FLOOR", size)
+    load_tracks(str(path))
+    assert sorted(os.listdir(tmp_path)) == [SIDECAR, "tracks.csv"]
+
+
+def test_cache_sidecar_bytes_are_reproducible(cached, tmp_path):
+    written = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        path = tmp_path / name / "tracks.csv"
+        write_csv(path, cache_rows(blank_mass=True), header=CACHE_HEADER)
+        load_tracks(str(path))
+        written.append((tmp_path / name / SIDECAR).read_bytes())
+        os.remove(tmp_path / name / SIDECAR)
+        load_tracks(str(path), kind_defaults={"truck": 1.0})
+        written.append((tmp_path / name / SIDECAR).read_bytes())
+    assert written == written[:1] * 4
+
+
+def test_cache_train_dataset_ignores_sidecars(cached, tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    for name, specs in (("a.csv", [(0, 0.0, 0.0, 5.0, 0.0),
+                                   (1, 8.0, 3.0, 4.0, 0.0)]),
+                        ("b.csv", [(0, 2.0, -1.0, 6.0, 0.5),
+                                   (1, -6.0, 2.0, 5.0, 0.0)])):
+        export_tracks(constant_velocity_scenario(specs, n_frames=5,
+                                                 frame_rate=5.0),
+                      str(data / name))
+    settings = ["--set", "predictor.d_h=4", "--set", "predictor.modes=2",
+                "--set", "predictor.t_h=3", "--set", "predictor.t_f=2",
+                "--set", "io.frame_rate=5", "--epochs", "1", "--seed", "3"]
+    runs = []
+    for run in ("run1", "run2"):
+        out = tmp_path / run
+        assert cli.main(["train", "--dataset", str(data), *settings,
+                         "--out", str(out)]) == 0
+        runs.append([(out / name).read_bytes()
+                     for name in ("model.f32", "loss.csv", "run.json")])
+        assert json.loads((out / "run.json").read_text())["dataset"] == \
+            ["a.csv", "b.csv"]
+    assert sorted(os.listdir(data)) == [
+        ".a.csv.risknet.npy", ".b.csv.risknet.npy", "a.csv", "b.csv"]
+    assert runs[0] == runs[1]
+    assert "trained 1 epochs on 4 windows" in capsys.readouterr().out
 
 
 # ---- lookups against a brute-force row oracle ----
