@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import typing
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Sequence, Tuple, Union
 
@@ -70,6 +71,19 @@ _NESTED: Dict[type, Dict[str, type]] = {
 }
 
 
+def _typed(value: Any, kind: Any) -> bool:
+    """Whether a JSON value has a field's type: an int field takes an
+    int (not a bool), a float field any number, a mapping an object of
+    such values, and a union any of its members."""
+    args = typing.get_args(kind)
+    if typing.get_origin(kind) is Union:
+        return any(_typed(value, arg) for arg in args)
+    if typing.get_origin(kind) is dict:
+        return isinstance(value, dict) and all(
+            _typed(v, args[1]) for v in value.values())
+    return type(value) in ((int, float) if kind is float else (kind,))
+
+
 def _build(cls: type, data: Any, path: str) -> Any:
     if not isinstance(data, dict):
         raise BadConfig(f"config section {path or 'root'} must be an object")
@@ -79,11 +93,15 @@ def _build(cls: type, data: Any, path: str) -> Any:
         where = f" in {path}" if path else ""
         raise BadConfig(f"unknown config keys{where}: {', '.join(unknown)}")
     nested = _NESTED.get(cls, {})
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, value in data.items():
         child = f"{path}.{key}" if path else key
         if key in nested:
             kwargs[key] = _build(nested[key], value, child)
+        elif not _typed(value, types[key]):
+            raise BadConfig(f"config key {child} has the wrong type: "
+                            f"{value!r}")
         elif isinstance(value, float) and math.isnan(value):
             # NaN passes every ordered range check, so refuse it here
             raise BadConfig(f"config key {child} is NaN")

@@ -249,10 +249,7 @@ def frame_field(scenario: Scenario, ego_id: int,
         scenario.extent[r, 0], scenario.mass[r], k[scenario.kind[r]],
         np.full(r.shape, params.C_default)) for r in (ego_rows[:, None], rows))
     present = rows != ego_rows[:, None]
-    # offsets from the ego, so the centre is the origin (x - 0.0 is x)
-    offsets = (others.position - ego.position).reshape(-1, 2).tolist()
-    near = present & np.reshape(in_radius(offsets, (0.0, 0.0), params.R),
-                                rows.shape)
+    near = present & in_radius(others.position, ego.position, params.R)
     force = force_terms(ego, others, params)[1]
     return FrameField(ego_id, scenario.frame[ego_rows], ego, others, present,
                       near, force,

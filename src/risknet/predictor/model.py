@@ -687,6 +687,7 @@ def nll_loss(pred: MixturePrediction, truth: np.ndarray) -> float:
 
 # ==================== prediction metrics ====================
 
+@np.errstate(over="ignore", invalid="ignore")
 def metrics(pred: MixturePrediction, truth: np.ndarray) -> Dict[str, float]:
     """Displacement and likelihood metrics for one prediction.
 

@@ -120,11 +120,12 @@ def load_model(
     except OSError as exc:
         raise ModelFormatError(f"unreadable model payload: {exc}") from exc
     total = sum(t.data.size for _, t in items)
-    values = np.frombuffer(raw, dtype=DTYPE)
-    if values.size != total:
+    if len(raw) != 4 * total:
         raise ModelFormatError(
-            f"payload holds {values.size} values, expected {total}"
-        )
+            f"payload holds {len(raw)} bytes, expected {4 * total}")
+    values = np.frombuffer(raw, dtype=DTYPE)
+    if not np.isfinite(values).all():
+        raise ModelFormatError("payload holds a non-finite parameter")
     cursor = 0
     for _, t in items:
         n = t.data.size

@@ -6,14 +6,14 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..errors import BadConfig, NonFiniteLoss
+from ..errors import BadConfig, DegenerateCovariance, NonFiniteLoss
 from ..scene import (
     CAR,
     CAR_EXTENT,
     DEFAULT_MASSES,
     AgentState,
     Scenario,
-    build_graph,
+    in_radius,
     scenario_from_states,
 )
 from . import autodiff as ad
@@ -35,7 +35,8 @@ from .model import (
     parameter_items,
     validate_mixtures,
 )
-# unused here, kept importable: bench/tracing.py binds these two names
+# unused here, kept importable: bench/tracing.py binds these three names
+from ..scene import build_graph  # noqa: F401
 from .model import decode, encode  # noqa: F401
 
 
@@ -117,19 +118,27 @@ class TrainingSample:
     dt: float
 
 
-def _star_steps(scenario: Scenario, target: int, frames: Sequence[int],
-                center: np.ndarray, radius: float) -> List[HistoryStep]:
-    """The target's star at each frame: the target and its ``build_graph``
-    neighbours (ascending by id), with their features read from the table
-    rows, the ``motion`` row with the centre subtracted from its
-    position."""
-    ids = [np.array([target] + build_graph(scenario, target, f, radius)
-                    .neighbors(target)) for f in frames]
-    rows = [scenario.row(a, f) for f, step in zip(frames, ids)
-            for a in step.tolist()]
-    x = scenario.motion[rows]
-    x[:, :2] -= center
-    return list(zip(ids, np.split(x, np.cumsum([len(i) for i in ids[:-1]]))))
+def _star_steps(scenario: Scenario, rows: np.ndarray, centers: np.ndarray,
+                radius: float) -> List[List[HistoryStep]]:
+    """Each window's history: at step s of window w, the star of the
+    target's table row ``rows[w, s]`` (the target, then every other agent
+    of its frame within ``radius``, ascending by id) and their ``motion``
+    rows less ``centers[w]`` in position.  One ``in_radius`` pass over
+    the frames of the distinct rows serves every window."""
+    own = np.unique(rows)
+    # each distinct row, then the other rows of its frame
+    cols = np.concatenate((own[:, None], scenario.others_at(own)), axis=1)
+    xy = scenario.motion[:, 0:2]
+    keep = in_radius(xy[cols], xy[own, None], radius) & (cols != own[:, None])
+    keep[:, 0] = True
+    at = np.searchsorted(own, rows.ravel())  # (window, step) order
+    star, size = cols[at][keep[at]], keep.sum(axis=1)[at]
+    ids, x = scenario.agent_id[star], scenario.motion[star]
+    x[:, :2] -= np.repeat(centers, size.reshape(rows.shape).sum(axis=1), 0)
+    cut = [0, *size.cumsum().tolist()]
+    steps = [(ids[a:b], x[a:b]) for a, b in zip(cut, cut[1:])]
+    t = rows.shape[1]
+    return [steps[i:i + t] for i in range(0, len(steps), t)]
 
 
 def extract_windows(
@@ -145,33 +154,33 @@ def extract_windows(
     the window.
     """
     t_h, t_f = hyper.t_h, hyper.t_f
-    samples: List[TrainingSample] = []
-    agent_ids = sorted(targets) if targets is not None else sorted(
-        scenario.agents.keys()
-    )
-    for target in agent_ids:
+    length = t_h + t_f
+    windows = [np.empty((0, length), dtype=np.intp)]
+    for target in sorted(scenario.agents if targets is None else targets):
         if target not in scenario.agents:
             raise BadConfig(f"unknown target agent {target}")
-        info = scenario.agents[target]
-        first = info.first_frame + (t_h - 1)
-        last = info.last_frame - t_f
-        for t0 in range(first, last + 1):
-            frames = list(range(t0 - t_h + 1, t0 + t_f + 1))
-            now = scenario.motion[scenario.row(target, t0)]
-            center = now[0:2].copy()
-            steps = _star_steps(scenario, target, frames[:t_h], center,
-                                radius)
-            involved = {a for ids, _ in steps for a in ids.tolist()}
-            if not all(
-                scenario.has_state(a, f) for a in involved for f in frames
-            ):
-                continue
-            x0 = np.array([0.0, 0.0, now[2], now[3]])
-            future = [scenario.row(target, f) for f in frames[t_h:]]
-            truth = scenario.motion[future, 0:2] - center
+        # a track has no gaps, so its rows are its frames in order
+        track = np.flatnonzero(scenario.agent_id == target)
+        windows.append(track[np.arange(track.size - length + 1)[:, None]
+                             + np.arange(length)])
+    rows = np.concatenate(windows)
+    if not rows.size:
+        return []
+    centers = scenario.motion[rows[:, t_h - 1], 0:2]
+    samples: List[TrainingSample] = []
+    for row, center, steps in zip(rows, centers, _star_steps(
+            scenario, rows[:, :t_h], centers, radius)):
+        # an agent at both ends of the window is at every frame of it
+        ends = scenario.frame[row[[0, -1]]].tolist()
+        involved = {a for ids, _ in steps for a in ids.tolist()}
+        if all(scenario.has_state(a, f) for a in involved for f in ends):
+            now = scenario.motion[row[t_h - 1]]
             samples.append(TrainingSample(
-                target_id=target, frame=t0, steps=steps, x0=x0,
-                truth=truth, offset=center, dt=scenario.dt,
+                target_id=int(scenario.agent_id[row[0]]),
+                frame=int(scenario.frame[row[t_h - 1]]), steps=steps,
+                x0=np.array([0.0, 0.0, now[2], now[3]]),
+                truth=scenario.motion[row[t_h:], 0:2] - center,
+                offset=center, dt=scenario.dt,
             ))
     return samples
 
@@ -221,6 +230,7 @@ def _window_loss(
 
 # ==================== training loop ====================
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     dataset: Sequence[TrainingSample],
     hyper: TrainHyper,
@@ -375,6 +385,7 @@ def corpus_windows(
 
 # ==================== inference on scenarios ====================
 
+@np.errstate(over="ignore", invalid="ignore")
 def predict_frame(
     cell: GraphCellParams,
     dec: DecoderParams,
@@ -415,12 +426,13 @@ def predict_frame(
         by_length.setdefault(length, []).append(agent_id)
     preds: Dict[int, MixturePrediction] = {}
     for length, group in by_length.items():
-        frames = range(frame - length + 1, frame + 1)
-        anchors = [scenario.row(a, frame) for a in group]
+        history = np.array([[scenario.row(a, f)
+                             for f in range(frame - length + 1, frame + 1)]
+                            for a in group])
+        anchors = history[:, -1]
         centers = scenario.motion[anchors, 0:2]
-        steps, rows = pack_histories([
-            _star_steps(scenario, agent_id, frames, center, radius)
-            for agent_id, center in zip(group, centers)])
+        steps, rows = pack_histories(
+            _star_steps(scenario, history, centers, radius))
         with ad.no_grad():
             hiddens = encode_packed(cell, steps)
         targets = [r[a] for r, a in zip(rows, group)]
@@ -434,8 +446,11 @@ def predict_frame(
             pred.anchor = scenario.row_state(row)
             preds[agent_id] = pred
     preds = {a: preds[a] for a in agent_ids}
-    if preds:
-        validate_mixtures(list(preds.values()))
+    try:
+        if preds:
+            validate_mixtures(list(preds.values()))
+    except ValueError as exc:  # a rollout that overflowed
+        raise DegenerateCovariance(f"forecast at frame {frame}: {exc}")
     return preds
 
 

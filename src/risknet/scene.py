@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import os
+import stat
 import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -252,21 +253,25 @@ class Scenario:
 
     def padded_rows(self, ego_id: int) -> Tuple[np.ndarray, np.ndarray]:
         """The ego's table row at each of its F frames, (F,), and the
-        other rows of those frames, (F, N >= 1), ascending by id and
-        padded after them with the ego's row."""
+        other rows of those frames, (F, N >= 1), as ``others_at``."""
         info = self.agents.get(ego_id)
         if info is None:
             raise BadConfig(f"ego {ego_id} not in scenario")
         # a track has no gaps, so the ego's frames are one run of rows
         lo = self._rows[info.first_frame][0]
         hi = self._rows[info.last_frame][1]
-        is_ego = self.agent_id[lo:hi] == ego_id
-        ego, other = np.flatnonzero(is_ego) + lo, np.flatnonzero(~is_ego)
-        step = self.frame[lo:hi][other] - info.first_frame
-        col = np.arange(other.size) - np.searchsorted(step, step)
-        rows = np.repeat(ego[:, None], max(1, col.max(initial=-1) + 1), 1)
-        rows[step, col] = other + lo
-        return ego, rows
+        ego = np.flatnonzero(self.agent_id[lo:hi] == ego_id) + lo
+        return ego, self.others_at(ego)
+
+    def others_at(self, rows: np.ndarray) -> np.ndarray:
+        """The other rows of each given row's frame, (k, N >= 1),
+        ascending by id and padded after them with the row itself."""
+        frame = self.frame[rows]
+        lo = np.searchsorted(self.frame, frame)[:, None]
+        hi = np.searchsorted(self.frame, frame, side="right")[:, None]
+        cols = lo + np.arange(max(1, (hi - lo).max(initial=1) - 1))
+        cols += cols >= rows[:, None]  # step over the row itself
+        return np.where(cols < hi, cols, rows[:, None])
 
     def state(self, agent_id: int, frame: int) -> AgentState:
         return self.row_state(self.row(agent_id, frame))
@@ -571,6 +576,8 @@ def _write_entry(path: str, digest: str, header: List[str],
             for name in resolved:
                 if name != "class":
                     np.save(fh, values[name])
+        # whoever may read the CSV may read its parse
+        os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode) & 0o666)
         os.replace(tmp, sidecar)
     except OSError:
         with contextlib.suppress(OSError):
@@ -744,12 +751,26 @@ class InteractionGraph:
                        if agent_id in (a, b)})
 
 
-def in_radius(points: Sequence, center: Sequence, radius: float) -> List[bool]:
-    """Whether each (x, y) point lies within ``radius`` of ``center``,
-    inclusive: the one radius rule.  It is math.hypot's; np.hypot rounds
-    some ties the other way."""
-    cx, cy = center
-    return [math.hypot(x - cx, y - cy) <= radius for x, y in points]
+def in_radius(points: np.ndarray, center: np.ndarray,
+              radius: float) -> np.ndarray:
+    """Whether each (x, y) point of the ``(..., 2)`` array lies within
+    ``radius`` of ``center``, inclusive, decided exactly as
+    ``math.hypot(x - cx, y - cy) <= radius``: the one radius rule.
+
+    ``np.hypot`` decides every point whose distance h lies outside the
+    tie band ``|h - radius| <= radius * 2**-32`` (at least the smallest
+    normal float); ``math.hypot`` decides the rest and any non-finite h.
+    Both are within 1 ulp of the true distance (CPython's from 3.10 on),
+    so outside the band they agree; inside it they may round to opposite
+    sides of ``radius`` (README, "Radius membership")."""
+    d = np.subtract(points, center)
+    h = np.hypot(d[..., 0], d[..., 1])
+    near = h <= radius
+    band = max(radius * 2.0 ** -32, 2.0 ** -1022)
+    tie = (np.abs(h - radius) <= band) | ~np.isfinite(h)
+    if tie.any():
+        near[tie] = [math.hypot(x, y) <= radius for x, y in d[tie].tolist()]
+    return near
 
 
 def build_graph(
@@ -759,11 +780,11 @@ def build_graph(
     at ``frame``, reading positions from the frame's table rows."""
     e = scenario.row(ego_id, frame)
     a, b = scenario.frame_rows(frame)
-    xy = scenario.motion[a:b, 0:2].tolist()
+    xy = scenario.motion[a:b, 0:2]
+    near = in_radius(xy, xy[e - a], radius)
+    near[e - a] = False
     return InteractionGraph(ego_id, frame, radius, frozenset(
-        (ego_id, aid) for aid, near in zip(scenario.frame_ids(frame),
-                                           in_radius(xy, xy[e - a], radius))
-        if near and aid != ego_id))
+        (ego_id, aid) for aid in scenario.agent_id[a:b][near].tolist()))
 
 
 # ==================== synthetic archetypes ====================

@@ -476,6 +476,29 @@ def ekf_propagate(state, cov, control, Q, dt):
     return F @ state + G @ control, F @ cov @ F.T + G @ Q @ G.T
 
 
+# ---- star history steps ----
+#
+# The per-target star builder the one-pass radius rule replaced: at each
+# frame, the target and every other agent within the radius by
+# math.hypot, ascending by id, with their motion rows less the centre.
+# It reads the scenario's table columns only.
+
+def star_steps(scenario, target, frames, center, radius):
+    steps = []
+    for f in frames:
+        rows = np.flatnonzero(scenario.frame == f).tolist()
+        ids = scenario.agent_id.tolist()
+        own = next(r for r in rows if ids[r] == target)
+        ox, oy = scenario.motion[own, 0:2].tolist()
+        near = sorted((r for r in rows if r != own and math.hypot(
+            scenario.motion[r, 0] - ox, scenario.motion[r, 1] - oy)
+            <= radius), key=ids.__getitem__)
+        x = scenario.motion[[own] + near]
+        x[:, :2] -= center
+        steps.append((np.array([target] + [ids[r] for r in near]), x))
+    return steps
+
+
 # ---- reference history packer ----
 #
 # The dict-and-graph packer the array star packer replaced: each history

@@ -2,17 +2,22 @@
 
 Config tests exercise risknet.config in process; CLI tests drive the
 module entry point through subprocess so exit codes, console text, and
-artifact bytes are all checked end to end.
+artifact bytes are all checked end to end.  The fuzz test at the end
+calls cli.main in process, so that it can run many cases.
 """
 
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import constant_velocity_scenario, make_state
 from risknet.config import (
@@ -1161,3 +1166,146 @@ def test_cli_schema_remap_matches_canonical(cutin, tmp_path):
                    "--set", "io.frame_rate=10", "--out", tmp_path / "x.csv")
     assert proc.returncode == 2
     assert "required column missing" in proc.stderr
+
+
+# ==================== fuzzed inputs ====================
+#
+# cli.main in process on mutated track, config, model and prediction
+# files: every run ends with exit 0, or 2 or 3 and one error line, and
+# never with a traceback.
+
+FUZZ_CELLS = ["", "nan", "inf", "-inf", "1e308", "-1e308", "1e400", "0",
+              "-0.0", "1e-320", "2.5", "-3", "7", "x", '"car"', "truck",
+              " ", "1_0", "١", '"']
+FUZZ_VALUES = [None, True, False, 0, 1, -1, 2, 0.5, -2.5, 1e308, -1e308,
+               math.nan, math.inf, "", "x", [], {}, [1.0, 2.0]]
+
+# command -> (argv, the files it reads besides the tracks and config)
+FUZZ_COMMANDS = {
+    "eval": (["eval", "--ego-id", "0", "--out", "{out}/e.csv"], ()),
+    "compare": (["compare", "--ego-id", "0", "--out", "{out}/c.csv"], ()),
+    "map": (["map", "--ego-id", "0", "--frame", "5", "--cell", "2",
+             "--bounds", "0,0,40,10", "--out", "{out}/m"], ()),
+    "map_prob": (["map", "--ego-id", "0", "--frame", "5", "--cell", "2",
+                  "--bounds", "0,0,40,10", "--probabilistic", "--model",
+                  "{dir}/model.json", "--out", "{out}/mp"],
+                 ("model.json", "model.f32")),
+    "predict": (["predict", "--ego-id", "0", "--frame", "5", "--model",
+                 "{dir}/model.json", "--out", "{out}/p.json"],
+                ("model.json", "model.f32")),
+    "metrics": (["metrics", "--ego-id", "0", "--model",
+                 "{dir}/model.json"], ("model.json", "model.f32")),
+    "metrics_pred": (["metrics", "--ego-id", "0", "--frame", "5",
+                      "--prediction", "{dir}/pred.json"], ("pred.json",)),
+    "train": (["train", "--dataset", "{dir}/data", "--out", "{out}/run"],
+              ()),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs():
+    """The valid files every fuzz case mutates one of, as bytes."""
+    import tempfile
+
+    hyper = TrainHyper(d_h=4, modes=2, t_h=3, t_f=2, dt=0.2, lr=0.05,
+                       epochs=1, seed=3)
+    cfg = config_to_dict(RunConfig(predictor=hyper,
+                                   io=IOConfig(frame_rate=5.0)))
+    with tempfile.TemporaryDirectory() as tmp:
+        export_cv(f"{tmp}/tracks.csv",
+                  [(0, 0.0, 0.0, 5.0, 0.2), (1, 8.0, 3.0, 4.0, -0.1),
+                   (2, -6.0, -2.5, 6.0, 0.0)], n_frames=12, frame_rate=5.0)
+        save_model(f"{tmp}/model", *init_model(hyper), hyper)
+        files = {name: Path(tmp, name).read_bytes()
+                 for name in ("tracks.csv", "model.json", "model.f32")}
+    files["run.json"] = json.dumps(cfg).encode()
+    files["pred.json"] = json.dumps(prediction_payload()).encode()
+    return files
+
+
+def _json_paths(node, path=()):
+    yield path
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _json_paths(child, path + (key,))
+
+
+@st.composite
+def fuzz_cases(draw):
+    """A command, the file it reads that is mutated, and the mutation."""
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    name = draw(st.sampled_from(
+        ["tracks.csv", "run.json", *FUZZ_COMMANDS[command][1]]))
+    return command, name, draw(st.data())
+
+
+def _mutate(raw, name, data):
+    if data.draw(st.integers(0, 9)) == 0:  # cut anywhere
+        return raw[:data.draw(st.integers(0, len(raw)))]
+    if name.endswith(".f32"):
+        values = np.frombuffer(raw, "<f4").copy()
+        values[data.draw(st.integers(0, values.size - 1))] = data.draw(
+            st.sampled_from([np.nan, np.inf, -np.inf, 3e38, -0.0]))
+        return values.tobytes()
+    if name.endswith(".json"):
+        doc = json.loads(raw)
+        *parent, key = data.draw(st.sampled_from(list(_json_paths(doc))[1:]))
+        node = doc
+        for k in parent:
+            node = node[k]
+        how = data.draw(st.sampled_from(["set", "drop", "extra"]))
+        if how == "drop":
+            del node[key]
+        elif how == "extra" and isinstance(node, dict):
+            node["extra"] = 1
+        else:
+            node[key] = data.draw(st.sampled_from(FUZZ_VALUES))
+        return json.dumps(doc).encode()
+    lines = raw.decode().split("\r\n")
+    i = data.draw(st.integers(0, len(lines) - 2))
+    how = data.draw(st.sampled_from(["cell", "cell", "drop", "repeat"]))
+    if how == "cell":
+        cells = lines[i].split(",")
+        cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(
+            st.sampled_from(FUZZ_CELLS))
+        lines[i] = ",".join(cells)
+    elif how == "drop":
+        del lines[i]
+    else:
+        lines.insert(i, lines[i])
+    return "\r\n".join(lines).encode()
+
+
+@given(case=fuzz_cases())
+@settings(max_examples=150, deadline=None)
+def test_cli_mutated_inputs_exit_cleanly(fuzz_inputs, case):
+    import contextlib
+    import io
+    import tempfile
+
+    from risknet import cli
+
+    command, name, data = case
+    with tempfile.TemporaryDirectory() as tmp:
+        os.mkdir(f"{tmp}/data")
+        os.mkdir(f"{tmp}/out")
+        for file, raw in fuzz_inputs.items():
+            if file == name:
+                raw = _mutate(raw, name, data)
+            where = "data/" if file == "tracks.csv" else ""
+            with open(f"{tmp}/{where}{file}", "wb") as fh:
+                fh.write(raw)
+        argv, _ = FUZZ_COMMANDS[command]
+        argv = [a.format(dir=tmp, out=f"{tmp}/out") for a in argv]
+        if command != "train":
+            argv += ["--scenario", f"{tmp}/data/tracks.csv"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv + ["--config", f"{tmp}/run.json"])
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    assert code in (0, 2, 3), err.getvalue()
+    if code:
+        (line,) = err.getvalue().splitlines()
+        assert line.startswith(("risknet: input error: ",
+                                "risknet: numeric error: ")), line

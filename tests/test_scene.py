@@ -49,6 +49,7 @@ from risknet.scene import (
     make_archetype,
     scenario_from_states,
 )
+from risknet.predictor.train import _star_steps
 
 HEADER = ["frame", "id", "x", "y", "xVelocity", "yVelocity",
           "width", "height"]
@@ -648,6 +649,17 @@ def test_cache_refused_write_leaves_nothing(cached, monkeypatch, tmp_path,
     assert capfd.readouterr() == ("", "")
 
 
+@pytest.mark.parametrize("mode", [0o644, 0o640])
+def test_cache_sidecar_takes_the_csv_read_write_bits(cached, tmp_path, mode):
+    path = tmp_path / "tracks.csv"
+    write_csv(path, cache_rows(), header=CACHE_HEADER)
+    path.chmod(mode | 0o100)  # an execute bit, which the sidecar drops
+    if path.stat().st_mode & 0o777 != mode | 0o100:
+        pytest.skip("this file system does not keep file modes")
+    load_tracks(str(path))
+    assert (tmp_path / SIDECAR).stat().st_mode & 0o777 == mode
+
+
 def test_cache_read_only_directory_leaves_nothing(cached, tmp_path):
     data = tmp_path / "data"
     data.mkdir()
@@ -887,6 +899,94 @@ def test_frame_field_neighbours_are_build_graph_edges(rows, data):
                 a for a in sc.frame_ids(f) if a != ego]
             assert {(ego, b) for b in sc.agent_id[rows_f[near]].tolist()
                     } == build_graph(sc, ego, f, RADIUS).edges
+
+
+@st.composite
+def radius_cases(draw):
+    """A radius from 1e-300 to 1e300, a centre, and points around it: 500
+    at the radius and up to 4 ulp either side at seeded random angles,
+    plus points on the centre, beyond float range (differences that
+    overflow to inf) and not numbers."""
+    radius = draw(st.floats(1.0, 10.0)) * 10.0 ** draw(st.integers(-300, 299))
+    center = draw(st.sampled_from(
+        [(0.0, 0.0), (radius / 3, -radius / 7), (-1e308, 1e308)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ulps = rng.integers(-4, 5, 500)
+    r = np.full(ulps.shape, radius)
+    for k in range(4):
+        r = np.where(ulps > k, np.nextafter(r, np.inf), r)
+        r = np.where(ulps < -k, np.nextafter(r, 0.0), r)
+    angle = rng.uniform(0.0, 2 * np.pi, ulps.shape)
+    ties = np.stack([r * np.cos(angle), r * np.sin(angle)], axis=1) + center
+    odd = draw(st.lists(st.sampled_from(
+        [center, (1e308, -1e308), (-1.5e308, 0.0), (math.inf, math.nan),
+         (math.nan, center[1]), (-math.inf, center[1])]), max_size=6))
+    return ties.tolist() + odd, center, radius
+
+
+@given(radius_cases())
+@settings(max_examples=200, deadline=None)
+def test_in_radius_is_math_hypot(case):
+    """The array rule decides every point as math.hypot does, also where
+    np.hypot rounds to the other side of the radius."""
+    points, (cx, cy), radius = case
+    want = [math.hypot(x - cx, y - cy) <= radius for x, y in points]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = scene.in_radius(np.array(points), (cx, cy), radius)
+    assert got.dtype == bool and got.tolist() == want
+
+
+def test_in_radius_ties_and_shapes():
+    ties = np.array(RADIUS_TIES)
+    want = [math.hypot(x, y) <= RADIUS for x, y in RADIUS_TIES]
+    # np.hypot alone would answer True and False for the last two
+    assert want == [True, True, False, True, False, True]
+    assert scene.in_radius(ties, (0.0, 0.0), RADIUS).tolist() == want
+    # a (2, 3, 2) block against one centre per row of it
+    centers = np.array([[[1.0, 2.0]], [[-3.0, 0.5]]])
+    block = ties.reshape(2, 3, 2) + centers
+    assert scene.in_radius(block, centers, RADIUS).tolist() == [
+        [math.hypot(x - cx, y - cy) <= RADIUS for x, y in row]
+        for row, ((cx, cy),) in zip(block.tolist(), centers.tolist())]
+
+
+@given(rows=multi_agent_rows(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_star_steps_match_per_target_oracle(rows, data):
+    """Every window's stars, ids and features, equal the per-target
+    math.hypot builder's bit for bit, for agents at the radius and 1 ulp
+    either side of it, with windows sharing rows."""
+    frames = range(min(f for f, *_ in rows), max(f for f, *_ in rows) + 1)
+    ties = st.lists(st.sampled_from(RADIUS_TIES), min_size=len(frames),
+                    max_size=len(frames))
+    rows = rows + [(f, 99, 0.0, 0.0) for f in frames] + [
+        (f, 100 + k, x, y)
+        for k in range(data.draw(st.integers(1, 3)))
+        for f, (x, y) in zip(frames, data.draw(ties))]
+    sc = scenario_from_states(
+        [make_state(aid, f, (x + 0.25, y), (1.0, 0.5), (0.1, -0.2))
+         for f, aid, x, y in rows], 25.0)
+    length = data.draw(st.integers(1, 4))
+    windows = [(aid, range(t0, t0 + length))
+               for aid, info in sc.agents.items()
+               for t0 in range(info.first_frame,
+                               info.last_frame - length + 2)]
+    if not windows:
+        return
+    history = np.array([[sc.row(aid, f) for f in span]
+                        for aid, span in windows])
+    centers = sc.motion[history[:, -1], 0:2] + data.draw(
+        st.sampled_from([0.0, 0.125, -3.75]))
+    got = _star_steps(sc, history, centers, RADIUS)
+    assert len(got) == len(windows)
+    for steps, (aid, span), center in zip(got, windows, centers):
+        want = oracles.star_steps(sc, aid, span, center, RADIUS)
+        assert len(steps) == len(want)
+        for (ids, x), (want_ids, want_x) in zip(steps, want):
+            assert ids.dtype == want_ids.dtype
+            assert ids.tolist() == want_ids.tolist()
+            assert x.dtype == want_x.dtype and x.shape == want_x.shape
+            assert np.array_equal(x.view(np.int64), want_x.view(np.int64))
 
 
 @given(rows=multi_agent_rows(), early=st.data())
