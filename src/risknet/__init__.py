@@ -34,12 +34,10 @@ from .predictor import (
 from .prob import (
     RiskTimeSeries,
     cumulative_risk,
-    expected_pair_risk,
     expected_risk_series,
     mode_risk,
     probabilistic_raster,
     replay_prediction,
-    total_expected_risk,
 )
 from .scene import (
     AgentState,
@@ -78,7 +76,6 @@ __all__ = [
     "encode",
     "errors",
     "evaluate_all",
-    "expected_pair_risk",
     "expected_risk_series",
     "field",
     "gradient_check",
@@ -97,6 +94,5 @@ __all__ = [
     "save_model",
     "scene",
     "total_directional_force",
-    "total_expected_risk",
     "train",
 ]

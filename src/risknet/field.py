@@ -117,6 +117,20 @@ def agent_columns(states: Sequence[AgentState], params: RiskFieldParams,
     return AgentColumns(table[:, 0:2], table[:, 2:4], *table[:, 4:].T)
 
 
+def table_columns(scenario: Scenario, rows: np.ndarray,
+                  params: RiskFieldParams,
+                  c_of: Optional[Mapping[int, float]] = None) -> AgentColumns:
+    """The agents of the scenario's table rows as columns of the shape
+    of ``rows``, read straight from the table; C by id."""
+    k = np.array([params.k[kind.category] for kind in scenario.kinds])
+    C = np.full(rows.shape, params.C_default) if c_of is None else np.array(
+        [_c_for(c_of, a, params) for a in scenario.agent_id[rows].flat],
+        float).reshape(rows.shape)
+    return AgentColumns(scenario.motion[rows, 0:2], scenario.motion[rows, 2:4],
+                        scenario.extent[rows, 0], scenario.mass[rows],
+                        k[scenario.kind[rows]], C)
+
+
 def force_terms(ego: AgentColumns, other: AgentColumns,
                 params: RiskFieldParams) -> Tuple[np.ndarray, ...]:
     """Energy (J), force (N) and center distance r (m) of every pair;
@@ -129,8 +143,9 @@ def force_terms(ego: AgentColumns, other: AgentColumns,
     else:
         mu = ego.mass * other.mass / (ego.mass + other.mass)
     energy = 0.5 * other.k * other.C * mu * rel_sq
-    d = other.position - ego.position
-    r = np.hypot(d[..., 0], d[..., 1])
+    # per coordinate, as in_radius: faster than a (..., 2) broadcast
+    r = np.hypot(other.position[..., 0] - ego.position[..., 0],
+                 other.position[..., 1] - ego.position[..., 1])
     floor = np.maximum(params.r_min, 0.5 * (ego.length + other.length))
     return energy, energy / np.maximum(r, floor), r
 
@@ -243,11 +258,8 @@ def frame_field(scenario: Scenario, ego_id: int,
     ego is in, as one evaluation read from the scenario table; every agent
     has the road condition C_default."""
     ego_rows, rows = scenario.padded_rows(ego_id)
-    k = np.array([params.k[kind.category] for kind in scenario.kinds])
-    ego, others = (AgentColumns(
-        scenario.motion[r, 0:2], scenario.motion[r, 2:4],
-        scenario.extent[r, 0], scenario.mass[r], k[scenario.kind[r]],
-        np.full(r.shape, params.C_default)) for r in (ego_rows[:, None], rows))
+    ego, others = (table_columns(scenario, r, params)
+                   for r in (ego_rows[:, None], rows))
     present = rows != ego_rows[:, None]
     near = present & in_radius(others.position, ego.position, params.R)
     force = force_terms(ego, others, params)[1]
@@ -303,17 +315,17 @@ def raster_field(probe: AgentState, others: AgentColumns, weights: np.ndarray,
                  grid: GridSpec, params: RiskFieldParams,
                  frame: int) -> RiskRaster:
     """Sum of weight times directional force on the probe at each cell
-    center, over the others within R of it, one grid row per call."""
+    center, over the others ``in_radius`` of it, one grid row per call."""
     ego = agent_columns([probe], params)
     xs, ys = grid.center(np.arange(grid.height), np.arange(grid.width))
     values = np.zeros((grid.height, grid.width))
     for row, y in enumerate(ys):
-        centers = np.stack([xs, np.full(grid.width, y)], axis=1)
-        placed = ego._replace(position=centers[:, None, :])
-        _, force, r = force_terms(placed, others, params)
+        centers = np.stack([xs, np.full(grid.width, y)], axis=1)[:, None, :]
+        placed = ego._replace(position=centers)
+        near = in_radius(others.position, centers, params.R)
+        force = force_terms(placed, others, params)[1]
         directional = directional_terms(placed, others, force, params)[2]
-        values[row] = sum_others(
-            np.where(r <= params.R, directional, 0.0) * weights)
+        values[row] = sum_others(np.where(near, directional, 0.0) * weights)
     if not np.isfinite(values).all() or (values < 0).any():
         raise BadConfig("raster produced non-finite or negative values")
     return RiskRaster(grid=grid, frame=frame, values=values)
@@ -337,11 +349,11 @@ def rasterize(
     lo, hi = scenario.span()
     if frame < lo or frame > hi:
         raise EmptyFrame(frame)
-    # states_at is ascending by id, the order totals sum in
-    others = [s for s in scenario.states_at(frame)
-              if s.agent_id != probe.agent_id]
-    return raster_field(probe, agent_columns(others, params, c_of),
-                        np.ones(len(others)), grid, params, frame)
+    # a frame's rows are ascending by id, the order totals sum in
+    rows = np.arange(*scenario.frame_rows(frame))
+    rows = rows[scenario.agent_id[rows] != probe.agent_id]
+    return raster_field(probe, table_columns(scenario, rows, params, c_of),
+                        np.ones(rows.size), grid, params, frame)
 
 
 # ---- raster file I/O ----

@@ -18,7 +18,8 @@ gradient checker and inference all run the same code.
 import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -87,25 +88,53 @@ class DecoderParams:
 
 GATES = ("reset", "update", "cand")
 GATE_PARTS = ("w_self", "w_nbr", "u_self", "u_nbr", "bias")
+HEAD_PARTS = ("w_u", "b_u", "w_s", "b_s")
+
+
+def parameter_shapes(hyper) -> Iterator[Tuple[str, Tuple[int, ...]]]:
+    """Name and shape of every trainable tensor of a model of
+    ``hyper.d_h`` and ``hyper.modes``, in canonical order (also the
+    serialization order); allocates nothing."""
+    d_h, modes = hyper.d_h, hyper.modes
+    gate = {"w_self": (d_h, D_IN), "w_nbr": (d_h, D_IN),
+            "u_self": (d_h, d_h), "u_nbr": (d_h, d_h), "bias": (d_h,)}
+    head = {"w_u": (2, d_h), "b_u": (2,), "w_s": (2, d_h), "b_s": (2,)}
+    for g in GATES:
+        yield from ((f"cell.{g}.{part}", gate[part]) for part in GATE_PARTS)
+    yield "dec.w_att", (STATE_DIM, d_h)
+    for i in range(modes):
+        yield from ((f"dec.head{i}.{part}", head[part]) for part in HEAD_PARTS)
+    yield "dec.w_pi", (modes, d_h)
+    yield "dec.b_pi", (modes,)
+
+
+def assemble_model(
+    hyper, arrays: Iterable[np.ndarray]
+) -> Tuple[GraphCellParams, DecoderParams]:
+    """The model whose tensors are ``arrays``, in ``parameter_shapes``
+    order."""
+    arrays = iter(arrays)
+
+    def take(n: int) -> List[Tensor]:
+        return [ad.parameter(next(arrays)) for _ in range(n)]
+
+    cell = GraphCellParams(hyper.d_h, *(GateBlock(*take(len(GATE_PARTS)))
+                                        for _ in GATES))
+    w_att = take(1)
+    heads = [ModeHead(*take(len(HEAD_PARTS))) for _ in range(hyper.modes)]
+    return cell, DecoderParams(hyper.d_h, hyper.modes, hyper.t_f, hyper.dt,
+                               *w_att, heads, *take(2))
 
 
 def parameter_items(
     cell: GraphCellParams, dec: DecoderParams
 ) -> List[Tuple[str, Tensor]]:
-    """All trainable tensors in canonical order (also the serialization
-    order)."""
-    items: List[Tuple[str, Tensor]] = []
-    for gate_name in GATES:
-        gate: GateBlock = getattr(cell, gate_name)
-        for part in GATE_PARTS:
-            items.append((f"cell.{gate_name}.{part}", getattr(gate, part)))
-    items.append(("dec.w_att", dec.w_att))
-    for i, head in enumerate(dec.heads):
-        for part in ("w_u", "b_u", "w_s", "b_s"):
-            items.append((f"dec.head{i}.{part}", getattr(head, part)))
-    items.append(("dec.w_pi", dec.w_pi))
-    items.append(("dec.b_pi", dec.b_pi))
-    return items
+    """All trainable tensors with their names, in canonical order."""
+    tensors = [getattr(getattr(cell, g), part)
+               for g in GATES for part in GATE_PARTS]
+    tensors += [dec.w_att, *(getattr(h, part) for h in dec.heads
+                             for part in HEAD_PARTS), dec.w_pi, dec.b_pi]
+    return [(name, t) for (name, _), t in zip(parameter_shapes(dec), tensors)]
 
 
 # ==================== encoder ====================

@@ -1,6 +1,7 @@
 """Model serialization: JSON manifest plus raw float32 parameter payload."""
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -9,7 +10,13 @@ from typing import Tuple
 import numpy as np
 
 from ..errors import ModelFormatError
-from .model import DecoderParams, GraphCellParams, parameter_items
+from .model import (
+    DecoderParams,
+    GraphCellParams,
+    assemble_model,
+    parameter_items,
+    parameter_shapes,
+)
 from .train import TrainHyper
 
 FORMAT_NAME = "risknet-model"
@@ -59,8 +66,6 @@ def load_model(
 ) -> Tuple[GraphCellParams, DecoderParams, TrainHyper]:
     """Load a model saved by save_model, rejecting format, version,
     name, shape, and size mismatches."""
-    from .train import init_model
-
     try:
         with open(manifest_path) as fh:
             manifest = json.load(fh)
@@ -92,22 +97,25 @@ def load_model(
                                    f"finite {f.type.__name__}: {value!r}")
     hyper = TrainHyper(**hyper_dict)
 
-    cell, dec = init_model(hyper)
-    items = parameter_items(cell, dec)
+    # every check reads only the manifest and the payload's length, so a
+    # manifest that declares a huge model is refused before any allocation
     declared = manifest.get("params")
-    if not isinstance(declared, list) or len(declared) != len(items):
+    if not isinstance(declared, list):
         raise ModelFormatError("manifest parameter list malformed")
-    for entry, (name, t) in zip(declared, items):
+    shapes = list(itertools.islice(parameter_shapes(hyper), len(declared) + 1))
+    if len(shapes) != len(declared):
+        raise ModelFormatError("manifest parameter list malformed")
+    for entry, (name, shape) in zip(declared, shapes):
         if not isinstance(entry, dict):
             raise ModelFormatError(f"parameter entry for {name} malformed")
         if entry.get("name") != name:
             raise ModelFormatError(
                 f"parameter order mismatch: {entry.get('name')!r} != {name!r}"
             )
-        if entry.get("shape") != list(t.data.shape):
+        if entry.get("shape") != list(shape):
             raise ModelFormatError(
                 f"shape mismatch for {name}: manifest {entry.get('shape')} "
-                f"!= expected {list(t.data.shape)}"
+                f"!= expected {list(shape)}"
             )
 
     payload = manifest.get("payload")
@@ -119,16 +127,15 @@ def load_model(
             raw = fh.read()
     except OSError as exc:
         raise ModelFormatError(f"unreadable model payload: {exc}") from exc
-    total = sum(t.data.size for _, t in items)
-    if len(raw) != 4 * total:
+    sizes = [math.prod(shape) for _, shape in shapes]
+    if len(raw) != 4 * sum(sizes):
         raise ModelFormatError(
-            f"payload holds {len(raw)} bytes, expected {4 * total}")
+            f"payload holds {len(raw)} bytes, expected {4 * sum(sizes)}")
     values = np.frombuffer(raw, dtype=DTYPE)
     if not np.isfinite(values).all():
         raise ModelFormatError("payload holds a non-finite parameter")
-    cursor = 0
-    for _, t in items:
-        n = t.data.size
-        t.data = values[cursor:cursor + n].astype(float).reshape(t.data.shape)
-        cursor += n
+    chunks = np.split(values, list(itertools.accumulate(sizes))[:-1])
+    cell, dec = assemble_model(hyper, (
+        chunk.astype(float).reshape(shape)
+        for chunk, (_, shape) in zip(chunks, shapes)))
     return cell, dec, hyper

@@ -19,20 +19,19 @@ from ..scene import (
 from . import autodiff as ad
 from .autodiff import Tensor
 from .model import (
-    D_IN,
     DecoderParams,
-    GateBlock,
     GraphCellParams,
     HistoryStep,
     MixturePrediction,
-    ModeHead,
     PackedStep,
     _decode_graph,
     _mixture_nll,
+    assemble_model,
     decode_batch,
     encode_packed,
     pack_histories,
     parameter_items,
+    parameter_shapes,
     validate_mixtures,
 )
 # unused here, kept importable: bench/tracing.py binds these three names
@@ -67,36 +66,8 @@ def init_model(hyper: TrainHyper) -> Tuple[GraphCellParams, DecoderParams]:
     """Fresh parameters, each entry drawn uniform(-0.1, 0.1) from the
     seeded generator in canonical parameter order."""
     rng = np.random.default_rng(hyper.seed)
-
-    def draw(*shape) -> Tensor:
-        return ad.parameter(rng.uniform(-0.1, 0.1, shape))
-
-    def gate() -> GateBlock:
-        return GateBlock(
-            w_self=draw(hyper.d_h, D_IN),
-            w_nbr=draw(hyper.d_h, D_IN),
-            u_self=draw(hyper.d_h, hyper.d_h),
-            u_nbr=draw(hyper.d_h, hyper.d_h),
-            bias=draw(hyper.d_h),
-        )
-
-    cell = GraphCellParams(d_h=hyper.d_h, reset=gate(), update=gate(),
-                           cand=gate())
-    dec = DecoderParams(
-        d_h=hyper.d_h,
-        modes=hyper.modes,
-        horizon=hyper.t_f,
-        dt=hyper.dt,
-        w_att=draw(4, hyper.d_h),
-        heads=[
-            ModeHead(w_u=draw(2, hyper.d_h), b_u=draw(2),
-                     w_s=draw(2, hyper.d_h), b_s=draw(2))
-            for _ in range(hyper.modes)
-        ],
-        w_pi=draw(hyper.modes, hyper.d_h),
-        b_pi=draw(hyper.modes),
-    )
-    return cell, dec
+    return assemble_model(hyper, (rng.uniform(-0.1, 0.1, shape)
+                                  for _, shape in parameter_shapes(hyper)))
 
 
 # ==================== dataset windows ====================

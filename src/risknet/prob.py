@@ -13,26 +13,28 @@ import numpy as np
 
 from .errors import BadConfig
 from .field import (
+    AgentColumns,
     GridSpec,
     RiskFieldParams,
     RiskRaster,
-    _c_for,
     agent_columns,
     directional_force,
+    directional_terms,
+    force_terms,
     raster_field,
+    sum_others,
+    table_columns,
 )
 from .predictor.model import MixturePrediction, PredictionMode
-from .scene import AgentState, InteractionGraph, Scenario, build_graph
+from .scene import AgentState, Scenario, in_radius
 
 
-def estimate_velocity(
-    x_now: np.ndarray, x_hat: np.ndarray, p: int, dt: float
-) -> np.ndarray:
+def estimate_velocity(x_now, x_hat, p, dt) -> np.ndarray:
     """Finite-difference velocity from the current position to the
-    position predicted p steps ahead."""
-    if p < 1:
+    position predicted p steps ahead; p and dt may be arrays."""
+    if np.any(np.less(p, 1)):
         raise BadConfig("prediction step p must be >= 1")
-    if dt <= 0:
+    if np.any(np.less_equal(dt, 0)):
         raise BadConfig("dt must be positive")
     return (np.asarray(x_hat, float) - np.asarray(x_now, float)) / (p * dt)
 
@@ -48,10 +50,11 @@ def _require_anchor(pred: MixturePrediction, p: int) -> AgentState:
     return pred.anchor
 
 
-def _ghost(anchor: AgentState, position: np.ndarray,
-           velocity: np.ndarray) -> AgentState:
-    return replace(anchor, position=np.asarray(position, float),
-                   velocity=np.asarray(velocity, float))
+def _lead(ego_position, ego_velocity, anchor_position, x_hat, p, dt):
+    """The ego's position at constant velocity p * dt ahead, and the
+    other agent's finite-difference velocity from its anchor to x_hat."""
+    return (ego_position + ego_velocity * (p * dt),
+            estimate_velocity(anchor_position, x_hat, p, dt))
 
 
 def mode_risk(
@@ -67,55 +70,36 @@ def mode_risk(
     The other agent is placed at the mode's predicted position with a
     finite-difference velocity estimate from its anchor; the ego is
     extrapolated at constant velocity over the same lead time.  The
-    result does not depend on the mode's probability.
+    result does not depend on the mode's probability.  This is one
+    column of ``expected_risk_series``' evaluation.
     """
     anchor = _require_anchor(pred, p)
-    mode = pred.modes[mode_index]
-    x_hat = mode.states[p - 1, :2]
-    v_hat = estimate_velocity(anchor.position, x_hat, p, pred.dt)
-    lead = p * pred.dt
-    ego_future = replace(ego, position=ego.position + ego.velocity * lead)
-    sample = directional_force(ego_future, _ghost(anchor, x_hat, v_hat),
-                               params, C)
+    x_hat = pred.modes[mode_index].states[p - 1, :2]
+    ego_at, v_hat = _lead(ego.position, ego.velocity, anchor.position, x_hat,
+                          p, pred.dt)
+    sample = directional_force(
+        replace(ego, position=ego_at),
+        replace(anchor, position=x_hat, velocity=v_hat), params, C)
     return sample.directional_force
 
 
-def expected_pair_risk(
-    pred: MixturePrediction,
-    p: int,
-    ego: AgentState,
-    params: RiskFieldParams,
-    C: Optional[float] = None,
-) -> float:
-    """Probability-weighted risk over all modes: a convex combination of
-    the per-mode risks."""
-    return sum(
-        pred.modes[l].pi * mode_risk(ego, pred, l, p, params, C)
-        for l in range(len(pred.modes))
-    )
-
-
-def total_expected_risk(
-    predictions: Mapping[int, MixturePrediction],
-    graph: InteractionGraph,
-    p: int,
-    ego: AgentState,
-    params: RiskFieldParams,
-    c_of: Optional[Mapping[int, float]] = None,
-) -> float:
-    """Expected risk summed over graph neighbors, ascending by agent id.
-
-    Neighbors without a prediction are skipped: agents that churn out of
-    the scene cannot be forecast and contribute nothing.
-    """
-    total = 0.0
-    for nid in graph.neighbors(ego.agent_id):
-        pred = predictions.get(nid)
-        if pred is None:
-            continue
-        total += expected_pair_risk(pred, p, ego, params,
-                                    _c_for(c_of, nid, params))
-    return total
+def _ghosts(preds: Sequence[MixturePrediction], first: int, last: int,
+            params: RiskFieldParams, c_of: Optional[Mapping[int, float]]):
+    """The modes of the predictions at steps first..last, in order, from
+    the mode arrays: the anchors' columns repeated per mode (C by anchor
+    id), π, each mode's dt, its states ``(G, last - first + 1, 4)``, and
+    each prediction's mode count.  A prediction without an anchor or
+    too short for the last step is refused."""
+    anchors = agent_columns([_require_anchor(pred, last) for pred in preds],
+                            params, c_of)
+    counts = [len(pred.modes) for pred in preds]
+    anchors = AgentColumns(*(np.repeat(c, counts, axis=0) for c in anchors))
+    modes = [mode for pred in preds for mode in pred.modes]
+    pi = np.array([mode.pi for mode in modes], dtype=float)
+    dt = np.repeat([pred.dt for pred in preds], counts).astype(float)
+    states = np.array([mode.states[first - 1:last, :4] for mode in modes],
+                      dtype=float).reshape(len(modes), last - first + 1, 4)
+    return anchors, pi, dt, states, counts
 
 
 # ==================== horizon weighting ====================
@@ -197,11 +181,20 @@ def expected_risk_series(
 ) -> RiskTimeSeries:
     """Expected total risk for the ego over every prediction step.
 
-    The interaction graph is built at the prediction frame; the horizon
-    is taken from the predictions unless given explicitly.
+    The neighbours are the agents ``in_radius`` of the ego at the
+    prediction frame; those without a prediction, such as agents that
+    churn out of the scene, contribute nothing.  Every neighbour's
+    modes at every step are the columns of one ``(t_f, modes)`` field
+    evaluation, each as ``mode_risk`` defines it.  A step's value sums π
+    times the mode risk over each neighbour's modes in mode order, then
+    over the neighbours ascending by id.  The horizon is taken from the
+    predictions unless given explicitly.
     """
-    graph = build_graph(scenario, ego_id, frame, params.R)
-    ego = scenario.state(ego_id, frame)
+    e = scenario.row(ego_id, frame)
+    a, b = scenario.frame_rows(frame)
+    xy = scenario.motion[a:b, 0:2]
+    near = in_radius(xy, xy[e - a], params.R) & (np.arange(a, b) != e)
+    ids = [i for i in scenario.agent_id[a:b][near].tolist() if i in predictions]
     if horizon is None:
         horizons = {pred.horizon for pred in predictions.values()}
         if len(horizons) > 1:
@@ -209,10 +202,23 @@ def expected_risk_series(
         if not horizons:
             raise BadConfig("horizon required when no predictions exist")
         horizon = horizons.pop()
-    values = np.array([
-        total_expected_risk(predictions, graph, p, ego, params, c_of)
-        for p in range(1, horizon + 1)
-    ])
+    if horizon < 1:
+        raise BadConfig("horizon must be >= 1")
+    anchors, pi, dt, states, counts = _ghosts(
+        [predictions[i] for i in ids], 1, horizon, params, c_of)
+    ego = table_columns(scenario, np.array([e]), params)
+    x_hat = states[:, :, :2].transpose(1, 0, 2)  # (t_f, modes, 2)
+    ego_at, v_hat = _lead(ego.position, ego.velocity, anchors.position, x_hat,
+                          np.arange(1, horizon + 1)[:, None, None],
+                          dt[:, None])
+    ego = ego._replace(position=ego_at)
+    ghosts = anchors._replace(position=x_hat, velocity=v_hat)
+    force = force_terms(ego, ghosts, params)[1]
+    risk = directional_terms(ego, ghosts, force, params)[2] * pi
+    values = np.zeros(horizon)
+    bounds = np.cumsum([0, *counts])
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        values = values + sum_others(risk[:, lo:hi])
     if isinstance(weights, str):
         preset = weights
         w = horizon_weights(preset, horizon)
@@ -245,12 +251,9 @@ def replay_prediction(
     if absent:
         raise BadConfig(
             f"agent {agent_id} absent at frame {absent[0]}; cannot replay")
-    states = [scenario.state(agent_id, f) for f in frames]
-    mode = PredictionMode(
-        pi=1.0,
-        states=np.array([[*s.position, *s.velocity] for s in states], float),
-        covariances=np.zeros((t_f, 4, 4)),
-    )
+    rows = [scenario.row(agent_id, f) for f in frames]
+    mode = PredictionMode(pi=1.0, states=scenario.motion[rows, 0:4],
+                          covariances=np.zeros((t_f, 4, 4)))
     return MixturePrediction(
         modes=[mode], dt=scenario.dt,
         anchor=scenario.state(agent_id, frame),
@@ -276,15 +279,9 @@ def probabilistic_raster(
     per-mode finite-difference velocities remain the contract of
     mode_risk, where no such degeneracy is required.
     """
-    ghosts, weights = [], []
-    for agent_id in sorted(predictions.keys()):
-        if agent_id == ego.agent_id:
-            continue
-        pred = predictions[agent_id]
-        anchor = _require_anchor(pred, p)
-        for mode in pred.modes:
-            ghosts.append(_ghost(anchor, mode.states[p - 1, :2],
-                                 mode.states[p - 1, 2:4]))
-            weights.append(mode.pi)
-    return raster_field(ego, agent_columns(ghosts, params, c_of),
-                        np.array(weights), grid, params, ego.frame + p)
+    anchors, pi, _, states, _ = _ghosts(
+        [predictions[a] for a in sorted(predictions) if a != ego.agent_id],
+        p, p, params, c_of)
+    ghosts = anchors._replace(position=states[:, 0, :2],
+                              velocity=states[:, 0, 2:4])
+    return raster_field(ego, ghosts, pi, grid, params, ego.frame + p)

@@ -762,14 +762,18 @@ def in_radius(points: np.ndarray, center: np.ndarray,
     normal float); ``math.hypot`` decides the rest and any non-finite h.
     Both are within 1 ulp of the true distance (CPython's from 3.10 on),
     so outside the band they agree; inside it they may round to opposite
-    sides of ``radius`` (README, "Radius membership")."""
-    d = np.subtract(points, center)
-    h = np.hypot(d[..., 0], d[..., 1])
+    sides of ``radius`` (README, "Radius membership").  Offsets are taken
+    per coordinate, several times faster than a ``(..., 2)`` broadcast."""
+    points, center = np.asarray(points), np.asarray(center)
+    dx = points[..., 0] - center[..., 0]
+    dy = points[..., 1] - center[..., 1]
+    h = np.hypot(dx, dy)
     near = h <= radius
     band = max(radius * 2.0 ** -32, 2.0 ** -1022)
     tie = (np.abs(h - radius) <= band) | ~np.isfinite(h)
     if tie.any():
-        near[tie] = [math.hypot(x, y) <= radius for x, y in d[tie].tolist()]
+        near[tie] = [math.hypot(x, y) <= radius
+                     for x, y in zip(dx[tie].tolist(), dy[tie].tolist())]
     return near
 
 

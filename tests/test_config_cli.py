@@ -1179,6 +1179,13 @@ FUZZ_CELLS = ["", "nan", "inf", "-inf", "1e308", "-1e308", "1e400", "0",
               " ", "1_0", "١", '"']
 FUZZ_VALUES = [None, True, False, 0, 1, -1, 2, 0.5, -2.5, 1e308, -1e308,
                math.nan, math.inf, "", "x", [], {}, [1.0, 2.0]]
+# Large ints go only into a model manifest's hyperparameters, which
+# load_model checks against the declared shapes and the payload before it
+# builds anything.  run.json gets none: a training config with that d_h
+# allocates by design, as does a model's t_f, the length of every
+# forecast it decodes.
+FUZZ_LARGE = [10**6, 10**9, 2**62]
+FUZZ_HYPER = sorted(set(TrainHyper.__dataclass_fields__) - {"t_f"})
 
 # command -> (argv, the files it reads besides the tracks and config)
 FUZZ_COMMANDS = {
@@ -1223,6 +1230,43 @@ def fuzz_inputs():
     return files
 
 
+@pytest.mark.parametrize("field", ["d_h", "modes"])
+def test_cli_huge_model_manifest_is_refused_before_allocating(
+        fuzz_inputs, tmp_path, field):
+    """A manifest whose hyperparameters declare a model of terabytes is
+    refused from its declared shapes, before any parameter is built."""
+    import contextlib
+    import io
+    import tracemalloc
+
+    from risknet import cli
+
+    for name, raw in fuzz_inputs.items():
+        (tmp_path / name).write_bytes(raw)
+    manifest = json.loads(fuzz_inputs["model.json"])
+    manifest["hyper"][field] = 10**6
+    (tmp_path / "model.json").write_text(json.dumps(manifest))
+    argv = ["predict", "--scenario", str(tmp_path / "tracks.csv"),
+            "--ego-id", "0", "--frame", "5", "--model",
+            str(tmp_path / "model.json"), "--out", str(tmp_path / "p.json"),
+            "--config", str(tmp_path / "run.json")]
+    err = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    (line,) = err.getvalue().splitlines()
+    assert line.startswith("risknet: input error: "), line
+    assert "mismatch" in line or "malformed" in line, line
+    assert peak < 1 << 20, peak
+    assert not (tmp_path / "p.json").exists()
+
+
 def _json_paths(node, path=()):
     yield path
     items = (node.items() if isinstance(node, dict)
@@ -1248,6 +1292,11 @@ def _mutate(raw, name, data):
         values[data.draw(st.integers(0, values.size - 1))] = data.draw(
             st.sampled_from([np.nan, np.inf, -np.inf, 3e38, -0.0]))
         return values.tobytes()
+    if name == "model.json" and data.draw(st.integers(0, 3)) == 0:
+        doc = json.loads(raw)
+        doc["hyper"][data.draw(st.sampled_from(FUZZ_HYPER))] = data.draw(
+            st.sampled_from(FUZZ_LARGE))
+        return json.dumps(doc).encode()
     if name.endswith(".json"):
         doc = json.loads(raw)
         *parent, key = data.draw(st.sampled_from(list(_json_paths(doc))[1:]))

@@ -34,11 +34,14 @@ from risknet.field import (
     total_directional_force,
     write_raster,
 )
+from risknet.predictor.model import MixturePrediction, PredictionMode
+from risknet.prob import probabilistic_raster
 from risknet.scene import (
     CAR,
     PEDESTRIAN,
     TRUCK,
     InteractionGraph,
+    build_graph,
     scenario_from_states,
 )
 
@@ -632,6 +635,96 @@ def test_dense_raster_cells_equal_totals_bitwise():
                 others, PARAMS)
             assert raster.values[row, col] == expected
     assert max(counts) >= 8 and min(counts) < max(counts)
+
+
+# An offset that math.hypot puts 1 ulp beyond 10 m and np.hypot at
+# exactly 10 m (README, "Radius membership").
+TIE_OFFSET = (8.624075758641464, 5.0621455243021884)
+
+
+def test_raster_cell_at_a_radius_tie_equals_total():
+    """The raster decides membership as build_graph does: an agent that
+    math.hypot puts beyond R adds nothing to the cell, as it adds nothing
+    to total_directional_force, though np.hypot puts it at R."""
+    probe = make_state(0, 0, (0.5, 0.5), (20.0, 0.0))
+    other = make_state(1, 0, (0.5 + TIE_OFFSET[0], 0.5 + TIE_OFFSET[1]),
+                       (10.0, 0.0))
+    sc = scenario_from_states([probe, other], 25.0)
+    grid = GridSpec(origin=(0.0, 0.0), cell=1.0, width=1, height=1)
+    assert grid.center(0, 0) == (0.5, 0.5)
+    assert np.hypot(*TIE_OFFSET) == 10.0
+    for R, edges in ((10.0, set()), (math.nextafter(10.0, 11.0), {(0, 1)})):
+        params = RiskFieldParams(R=R)
+        graph = build_graph(sc, 0, 0, R)
+        assert graph.edges == edges
+        total = total_directional_force(sc.state(0, 0), graph,
+                                        sc.states_at(0), params)
+        cell = rasterize(sc, 0, sc.state(0, 0), grid, params).values[0, 0]
+        assert cell == total
+        assert (cell > 0.0) == bool(edges)
+
+
+@st.composite
+def radius_tie_rasters(draw):
+    """A small grid, a radius, and agents at the radius or 1 ulp either
+    side of it from a random cell centre, at seeded random angles.  About
+    1 in 500 such offsets is one that np.hypot and math.hypot round to
+    opposite sides of R, so an agent drawn as a tie takes the first such
+    angle of 512 candidates."""
+    grid = GridSpec(origin=(draw(st.floats(-20.0, 20.0)),
+                            draw(st.floats(-20.0, 20.0))),
+                    cell=draw(st.sampled_from([0.5, 1.0, 3.0, 7.25])),
+                    width=draw(st.integers(1, 4)),
+                    height=draw(st.integers(1, 3)))
+    R = draw(st.sampled_from([5.0, 10.0, 12.5, 50.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    agents = []
+    for tie in draw(st.lists(st.booleans(), min_size=1, max_size=6)):
+        cx, cy = grid.center(int(rng.integers(grid.height)),
+                             int(rng.integers(grid.width)))
+        r = np.array([math.nextafter(R, 0.0), R, math.nextafter(R, 2 * R)])[
+            rng.integers(3, size=512)]
+        angle = rng.uniform(0.0, 2 * math.pi, 512)
+        x, y = cx + r * np.cos(angle), cy + r * np.sin(angle)
+        split = (np.hypot(x - cx, y - cy) <= R) != [
+            math.hypot(dx, dy) <= R
+            for dx, dy in zip((x - cx).tolist(), (y - cy).tolist())]
+        k = int(np.argmax(split)) if tie else 0
+        agents.append(((x[k], y[k]), tuple(rng.uniform(-30.0, 30.0, 2))))
+    return grid, R, agents
+
+
+@given(radius_tie_rasters())
+@settings(max_examples=100, deadline=None)
+def test_raster_cells_at_radius_ties_are_build_graph_totals(case):
+    """Every cell of both raster modes equals total_directional_force over
+    build_graph's neighbours of a probe at the cell centre, bit for bit,
+    for agents at R and 1 ulp either side of it."""
+    grid, R, agents = case
+    params = RiskFieldParams(R=R)
+    states = [make_state(1 + k, 0, xy, v)
+              for k, (xy, v) in enumerate(agents)]
+    probe = make_state(0, 0, (0.0, 0.0), (20.0, 1.0))
+    sc = scenario_from_states([probe, *states], 25.0)
+    sure = {s.agent_id: MixturePrediction(modes=[PredictionMode(
+        pi=1.0, states=np.array([[*s.position, *s.velocity]]),
+        covariances=np.zeros((1, 4, 4)))], dt=sc.dt, anchor=s)
+        for s in states}
+    deterministic = rasterize(sc, 0, probe, grid, params).values
+    forecast = probabilistic_raster(sure, probe, 1, grid, params).values
+    for row in range(grid.height):
+        for col in range(grid.width):
+            placed = make_state(0, 0, grid.center(row, col), (20.0, 1.0))
+            at_cell = scenario_from_states([placed, *states], 25.0)
+            graph = build_graph(at_cell, 0, 0, R)
+            cx, cy = grid.center(row, col)
+            assert graph.edges == {
+                (0, s.agent_id) for s in states
+                if math.hypot(s.position[0] - cx, s.position[1] - cy) <= R}
+            total = total_directional_force(
+                at_cell.state(0, 0), graph, at_cell.states_at(0), params)
+            assert deterministic[row, col] == total
+            assert forecast[row, col] == total
 
 
 def test_raster_cell_halving_keeps_coincident_centers():

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-import risknet.prob as prob_mod
 from conftest import (
     constant_velocity_scenario,
     dense_raster,
@@ -28,25 +27,16 @@ from risknet.prob import (
     RiskTimeSeries,
     cumulative_risk,
     estimate_velocity,
-    expected_pair_risk,
     expected_risk_series,
     horizon_weights,
     mode_risk,
     probabilistic_raster,
     replay_prediction,
-    total_expected_risk,
 )
-from risknet.scene import InteractionGraph, build_graph, make_archetype
+from risknet.scene import build_graph, make_archetype, scenario_from_states
 
 PARAMS = RiskFieldParams()
 KC1 = RiskFieldParams(k={k: 1.0 for k in PARAMS.k})
-
-
-def star(ego_id, neighbor_ids, frame=0, radius=50.0):
-    return InteractionGraph(
-        ego_id=ego_id, frame=frame, radius=radius,
-        edges=frozenset((ego_id, n) for n in neighbor_ids),
-    )
 
 
 def prediction_of(mode_specs, anchor=None, dt=0.2):
@@ -175,26 +165,51 @@ def test_mode_risk_rejects_bad_steps_and_missing_anchor():
         mode_risk(ego, anchorless, 0, 1, KC1)
 
 
-# ---- expectation over modes ----
+# ---- expectation over modes and neighbours ----
+#
+# expected_risk_series on a scenario_from_states scene of the ego and the
+# predictions' anchors at frame 0, against the per-mode scalar mode_risk.
+
+def pair_risk(pred, p, ego, params, C=None):
+    """Probability-weighted risk of one neighbour, sum of pi_l times
+    mode_risk in mode order: the reference the series sums."""
+    return sum(mode.pi * mode_risk(ego, pred, l, p, params, C)
+               for l, mode in enumerate(pred.modes))
+
+
+def neighbour_risk(predictions, neighbours, p, ego, params, c_of=None):
+    """pair_risk summed over the predicted neighbours ascending by id."""
+    total = 0.0
+    for nid in sorted(neighbours):
+        if nid in predictions:
+            total += pair_risk(predictions[nid], p, ego, params,
+                               (c_of or {}).get(nid))
+    return total
+
+
+def fused_step(ego, predictions, params=KC1, c_of=None, horizon=None):
+    """The first step of the series of the ego among the anchors."""
+    sc = scenario_from_states(
+        [ego, *(pred.anchor for pred in predictions.values())], 5.0)
+    return expected_risk_series(sc, ego.agent_id, ego.frame, predictions,
+                                params, horizon=horizon, c_of=c_of).values[0]
+
 
 def test_expected_pair_risk_single_mode_equals_mode_risk():
     ego = make_state(0, velocity=(15.0, 0.0))
     anchor = make_state(1, position=(30.0, 2.0), velocity=(5.0, 0.0))
     pred = prediction_of([(1.0, [(31.0, 2.0, 0.0, 0.0)])], anchor=anchor)
-    assert expected_pair_risk(pred, 1, ego, KC1) == mode_risk(
-        ego, pred, 0, 1, KC1)
+    assert fused_step(ego, {1: pred}) == mode_risk(ego, pred, 0, 1, KC1)
 
 
-def test_expected_pair_risk_hand_weighted_sum(monkeypatch):
-    risks = {0: 10.0, 1: 30.0}
-    monkeypatch.setattr(
-        prob_mod, "mode_risk",
-        lambda ego, pred, l, p, params, C=None: risks[l])
+def test_expected_pair_risk_hand_weighted_sum():
     ego = make_state(0, velocity=(15.0, 0.0))
     anchor = make_state(1, position=(30.0, 0.0))
     pred = prediction_of([(0.25, [(31.0, 0.0, 0.0, 0.0)]),
                           (0.75, [(40.0, 0.0, 0.0, 0.0)])], anchor=anchor)
-    assert prob_mod.expected_pair_risk(pred, 1, ego, KC1) == 25.0
+    risks = [mode_risk(ego, pred, l, 1, KC1) for l in (0, 1)]
+    assert risks[0] != risks[1]
+    assert fused_step(ego, {1: pred}) == 0.25 * risks[0] + 0.75 * risks[1]
 
 
 def test_expected_pair_risk_equal_modes_collapse():
@@ -204,8 +219,7 @@ def test_expected_pair_risk_equal_modes_collapse():
     for pi0 in (0.1, 0.5, 0.9):
         pred = prediction_of([(pi0, row), (1.0 - pi0, row)], anchor=anchor)
         v = mode_risk(ego, pred, 0, 1, KC1)
-        assert expected_pair_risk(pred, 1, ego, KC1) == pytest.approx(
-            v, rel=1e-12)
+        assert fused_step(ego, {1: pred}) == pytest.approx(v, rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -224,12 +238,12 @@ def test_expected_pair_risk_convexity(raw, seed):
              for pi in pis]
     pred = prediction_of(specs, anchor=anchor)
     per_mode = [mode_risk(ego, pred, l, 1, KC1) for l in range(len(pis))]
-    got = expected_pair_risk(pred, 1, ego, KC1)
+    # R takes no part in a mode's risk; a wide one keeps the anchor in
+    got = fused_step(ego, {1: pred}, RiskFieldParams(k=KC1.k, R=100.0))
+    assert got == pair_risk(pred, 1, ego, KC1)
     slack = 1e-9 * max(1.0, max(per_mode))
     assert min(per_mode) - slack <= got <= max(per_mode) + slack
 
-
-# ---- totals over the graph ----
 
 def three_neighbor_setup():
     ego = make_state(0, position=(0.0, 0.0), velocity=(8.0, 0.0))
@@ -253,20 +267,26 @@ def three_neighbor_setup():
 
 def test_total_expected_risk_empty_graph():
     ego, _, predictions = three_neighbor_setup()
-    assert total_expected_risk(predictions, star(0, []), 1, ego, KC1) == 0.0
+    # every anchor lies beyond a 12 m radius of the ego
+    params = RiskFieldParams(k=KC1.k, R=12.0)
+    assert fused_step(ego, predictions, params) == 0.0
+    assert neighbour_risk(predictions, [], 1, ego, params) == 0.0
 
 
 def test_total_expected_risk_single_neighbor():
     ego, _, predictions = three_neighbor_setup()
-    got = total_expected_risk(predictions, star(0, [1]), 1, ego, KC1)
-    assert got == expected_pair_risk(predictions[1], 1, ego, KC1)
+    # only neighbour 2 (15.5 m away) lies within a 16 m radius
+    params = RiskFieldParams(k=KC1.k, R=16.0)
+    got = fused_step(ego, predictions, params)
+    assert got == pair_risk(predictions[2], 1, ego, params)
+    assert got == neighbour_risk(predictions, [2], 1, ego, params)
 
 
 def test_total_expected_risk_three_neighbor_oracle_sum():
     ego, anchors, predictions = three_neighbor_setup()
     c_of = {2: 2.0}
-    got = total_expected_risk(predictions, star(0, [1, 2, 3]), 1, ego, KC1,
-                              c_of=c_of)
+    got = fused_step(ego, predictions, c_of=c_of)
+    assert got == neighbour_risk(predictions, [1, 2, 3], 1, ego, KC1, c_of)
     want = 0.0
     for nid, pred in predictions.items():
         for mode in pred.modes:
@@ -277,12 +297,27 @@ def test_total_expected_risk_three_neighbor_oracle_sum():
 
 
 def test_total_expected_risk_skips_unpredicted_neighbors():
-    ego, _, predictions = three_neighbor_setup()
+    ego, anchors, predictions = three_neighbor_setup()
     partial = {k: v for k, v in predictions.items() if k != 2}
-    got = total_expected_risk(partial, star(0, [1, 2, 3]), 1, ego, KC1)
-    want = (expected_pair_risk(predictions[1], 1, ego, KC1)
-            + expected_pair_risk(predictions[3], 1, ego, KC1))
+    # agent 2 stays in the scene, a neighbour without a forecast
+    sc = scenario_from_states([ego, *anchors.values()], 5.0)
+    got = expected_risk_series(sc, 0, 0, partial, KC1).values[0]
+    want = (pair_risk(predictions[1], 1, ego, KC1)
+            + pair_risk(predictions[3], 1, ego, KC1))
     assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_expected_risk_series_refuses_horizon_beyond_a_prediction():
+    ego, anchors, predictions = three_neighbor_setup()
+    with pytest.raises(BadConfig, match="outside prediction horizon 1"):
+        fused_step(ego, predictions, horizon=2)
+    with pytest.raises(BadConfig, match="horizon must be >= 1"):
+        fused_step(ego, predictions, horizon=0)
+    sc = scenario_from_states([ego, *anchors.values()], 5.0)
+    anchorless = dict(predictions)
+    anchorless[3] = prediction_of([(1.0, [(5.0, 14.0, 0.0, 0.0)])])
+    with pytest.raises(BadConfig, match="lacks an anchor"):
+        expected_risk_series(sc, 0, 0, anchorless, KC1)
 
 
 # ---- horizon weighting ----
@@ -400,7 +435,7 @@ def test_expected_risk_series_replay_structure():
     graph = build_graph(sc, 0, frame, KC1.R)
     ego = sc.state(0, frame)
     for p in range(1, t_f + 1):
-        want = total_expected_risk(predictions, graph, p, ego, KC1)
+        want = neighbour_risk(predictions, graph.neighbors(0), p, ego, KC1)
         assert series.values[p - 1] == want
     assert series.cumulative == pytest.approx(
         oracles.weighted_sum(series.weights, series.values), rel=1e-12)
