@@ -174,21 +174,6 @@ class PackedStep:
 HistoryStep = Tuple[np.ndarray, np.ndarray]
 
 
-def _neighbour_slots(
-    n_rows: int, slots: Mapping[int, Sequence[int]]
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Padded (R, K) neighbour rows, their mask, and per-row counts."""
-    lengths = np.zeros(n_rows, dtype=np.intp)
-    order = sorted(slots)
-    lengths[order] = [len(slots[r]) for r in order]
-    used = np.arange(lengths.max(initial=0)) < lengths[:, None]
-    nbr_rows = np.zeros(used.shape, dtype=np.intp)
-    # a boolean mask fills in row-major order: ascending rows, slot order
-    nbr_rows[used] = [w for r in order for w in slots[r]]
-    nbr_mask = used.astype(float)
-    return nbr_rows, nbr_mask, np.maximum(nbr_mask.sum(axis=1), 1.0)
-
-
 def _neighbour_means(x: np.ndarray, nbr_rows: np.ndarray,
                      nbr_mask: np.ndarray,
                      nbr_count: np.ndarray) -> np.ndarray:
@@ -196,56 +181,61 @@ def _neighbour_means(x: np.ndarray, nbr_rows: np.ndarray,
     order, first slot first; zero for a row without neighbours."""
     if not nbr_rows.shape[1]:
         return np.zeros_like(x)
-    used = nbr_mask.astype(bool)[..., None]
     total = x[nbr_rows[:, 0]]
     for k in range(1, nbr_rows.shape[1]):
-        total = np.where(used[:, k], total + x[nbr_rows[:, k]], total)
-    return np.where(used[:, 0], total / nbr_count[:, None], 0.0)
+        at = np.flatnonzero(nbr_mask[:, k])
+        total[at] += x[nbr_rows[at, k]]
+    return np.where(nbr_mask[:, :1] > 0, total / nbr_count[:, None], 0.0)
 
 
 def pack_histories(
-    histories: Sequence[Sequence[HistoryStep]]
-) -> Tuple[List[PackedStep], List[Dict[int, int]]]:
-    """Pack equal-length histories into rows, one per (window, agent)
-    pair, agents ascending by id within each window.
+    window: np.ndarray, step: np.ndarray, agent: np.ndarray, x: np.ndarray,
+    n_steps: int,
+) -> Tuple[List[PackedStep], np.ndarray]:
+    """Pack star histories into rows, one per (window, agent) pair,
+    ascending by window and then by agent id.
 
-    Each step is a star: the target's neighbours are the other agents of
-    the step, and each of them has the target as its one neighbour.
-    Returns the packed steps and, per window, the row of each agent.
+    Entry e puts agent ``agent[e]``, with features ``x[e]``, in the star
+    of window ``window[e]`` at history step ``step[e]``.  Entries run by
+    step, then by window, and each star lists its target first: the
+    target's neighbours are the other agents of its star, and each of
+    them has the target as its one neighbour.  Returns the ``n_steps``
+    packed steps and the row of each entry.
     """
-    if not histories or not histories[0]:
+    if n_steps < 1:
         raise ShapeMismatch("history must contain at least one step")
-    n_steps = len(histories[0])
-    if any(len(h) != n_steps for h in histories):
-        raise ShapeMismatch("packed histories must have equal lengths")
-    row_maps: List[Dict[int, int]] = []
-    n_rows = 0
-    for history in histories:
-        ids = sorted(set().union(*(ids.tolist() for ids, _ in history)))
-        row_maps.append({a: n_rows + i for i, a in enumerate(ids)})
-        n_rows += len(ids)
+    if np.shape(x) != (len(agent), D_IN):
+        raise ShapeMismatch(f"features {np.shape(x)} do not match "
+                            f"{len(agent)} agents by D_IN={D_IN}")
+    order = np.lexsort((agent, window))
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (np.diff(window[order]) != 0) | (np.diff(agent[order]) != 0)
+    rows = np.empty_like(order)
+    rows[order] = np.cumsum(new) - 1
+    n_rows = int(new.sum())
+    bounds = np.searchsorted(step, np.arange(n_steps + 1)).tolist()
     steps = []
-    for s in range(n_steps):
-        filled: List[int] = []
-        slots: Dict[int, List[int]] = {}
-        for history, rows in zip(histories, row_maps):
-            ids, feats = history[s]
-            if np.shape(feats) != (len(ids), D_IN):
-                raise ShapeMismatch(f"features {np.shape(feats)} do not "
-                                    f"match {len(ids)} agents by D_IN={D_IN}")
-            r = [rows[a] for a in ids.tolist()]
-            filled += r
-            if len(r) > 1:
-                slots[r[0]] = r[1:]
-                slots.update((w, r[:1]) for w in r[1:])
-        x = np.zeros((n_rows, D_IN))
-        x[filled] = np.concatenate([h[s][1] for h in histories])
-        present = np.zeros(n_rows, dtype=bool)
-        present[filled] = True
-        nbr = _neighbour_slots(n_rows, slots)
-        steps.append(PackedStep(x, _neighbour_means(x, *nbr), present,
-                                *nbr))
-    return steps, row_maps
+    for lo, hi in zip(bounds, bounds[1:]):
+        r = rows[lo:hi]
+        first = np.flatnonzero(np.diff(window[lo:hi], prepend=-1))
+        size = np.diff(first, append=hi - lo)
+        hub = np.repeat(r[first], size)  # each entry's star target
+        slot = np.arange(hi - lo) - np.repeat(first, size) - 1
+        lengths = np.zeros(n_rows, dtype=np.intp)
+        lengths[r] = np.where(slot < 0, np.repeat(size - 1, size), 1)
+        used = np.arange(lengths.max(initial=0)) < lengths[:, None]
+        nbr_rows = np.zeros(used.shape, dtype=np.intp)
+        m = slot >= 0
+        if m.any():
+            nbr_rows[r[m], 0] = hub[m]
+            nbr_rows[hub[m], slot[m]] = r[m]
+        nbr_mask = used.astype(float)
+        nbr = (nbr_rows, nbr_mask, np.maximum(nbr_mask.sum(axis=1), 1.0))
+        feats = np.zeros((n_rows, D_IN))
+        feats[r] = x[lo:hi]
+        steps.append(PackedStep(feats, _neighbour_means(feats, *nbr),
+                                np.bincount(r, minlength=n_rows) > 0, *nbr))
+    return steps, rows
 
 
 class _StackedGates:
@@ -347,12 +337,20 @@ def encode(
     hidden state.  Returns each agent's hidden sequence over the steps it
     was present.
     """
-    steps, (rows,) = pack_histories([history])
+    if any(np.shape(x) != (len(ids), D_IN) for ids, x in history):
+        raise ShapeMismatch(f"a step needs one row of D_IN={D_IN} "
+                            "features per agent")
+    step = np.repeat(np.arange(len(history)),
+                     [len(ids) for ids, _ in history])
+    agent = np.concatenate([np.zeros(0, np.int64), *(i for i, _ in history)])
+    x = np.concatenate([np.zeros((0, D_IN)), *(x for _, x in history)])
+    steps, rows = pack_histories(np.zeros_like(step), step, agent, x,
+                                 len(history))
     hs = encode_packed(params, steps)
     sequences: Dict[int, List[Tensor]] = {}
-    for (ids, _), h in zip(history, hs):
-        for a in sorted(ids.tolist()):
-            sequences.setdefault(a, []).append(ad.getitem(h, rows[a]))
+    for e in np.lexsort((agent, step)).tolist():
+        sequences.setdefault(int(agent[e]), []).append(
+            ad.getitem(hs[int(step[e])], int(rows[e])))
     return sequences
 
 

@@ -1,8 +1,9 @@
 """Dataset windowing, training loop, and gradient verification."""
 
+import functools
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from .autodiff import Tensor
 from .model import (
     DecoderParams,
     GraphCellParams,
-    HistoryStep,
     MixturePrediction,
     PackedStep,
     _decode_graph,
@@ -72,44 +72,105 @@ def init_model(hyper: TrainHyper) -> Tuple[GraphCellParams, DecoderParams]:
 
 # ==================== dataset windows ====================
 
-@dataclass
-class TrainingSample:
-    """One prediction window.
+# Distinct rows per in_radius pass of _star_steps: its working arrays stay
+# (block, frame size) however many rows the windows hold.
+STAR_BLOCK = 4096
 
-    Coordinates are centered on the target's position at the prediction
-    frame; ``offset`` restores world coordinates.
+
+def _star_steps(scenario: Scenario, rows: np.ndarray, radius: float
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The star of each distinct table row in ``rows``: the row, then
+    every other row of its frame within ``radius`` of it, ascending by
+    id.  Returns the distinct rows ``own``, ascending, with ``ptr`` and
+    ``members``: ``own[i]``'s star is ``members[ptr[i]:ptr[i + 1]]``."""
+    own = np.unique(rows)
+    xy = scenario.motion[:, 0:2]
+    ptr = np.zeros(own.size + 1, dtype=np.intp)
+    members = [np.zeros(0, dtype=np.intp)]
+    for lo in range(0, own.size, STAR_BLOCK):
+        block = own[lo:lo + STAR_BLOCK]
+        # each row, then the other rows of its frame
+        cols = np.concatenate((block[:, None], scenario.others_at(block)),
+                              axis=1)
+        keep = (in_radius(xy[cols], xy[block, None], radius)
+                & (cols != block[:, None]))
+        keep[:, 0] = True
+        members.append(cols[keep])
+        ptr[lo + 1:lo + 1 + block.size] = keep.sum(axis=1)
+    return own, np.cumsum(ptr), np.concatenate(members)
+
+
+def _history_entries(motion: np.ndarray, history: np.ndarray,
+                     centers: np.ndarray, stars: Tuple[np.ndarray, ...]):
+    """The stars of the history rows (windows, steps) as entries by step,
+    then by window: each entry's window, step, table row, and motion row
+    less its window's centre in position; and each star's first entry."""
+    own, ptr, members = stars
+    at = np.searchsorted(own, history.T.ravel())
+    size = ptr[at + 1] - ptr[at]
+    first = np.cumsum(size) - size
+    member = members[np.repeat(ptr[at] - first, size)
+                     + np.arange(size.sum())]
+    step, window = np.divmod(np.repeat(np.arange(at.size), size),
+                             max(1, len(history)))
+    x = motion[member]
+    x[:, :2] -= centers[window]
+    return window, step, member, x, first
+
+
+@dataclass(eq=False)
+class WindowBatch:
+    """Prediction windows over one table, packed on first use.
+
+    Window w's history step s is the star (``_star_steps``) of its
+    target's table row ``history[w, s]``.  Coordinates are centred on the
+    target's position at ``frame``; ``offset`` restores world
+    coordinates.  ``agent`` and ``motion`` are the table's id and motion
+    columns.
     """
 
-    target_id: int
-    frame: int  # last history frame (prediction time)
-    steps: List[HistoryStep]  # t_h target-centred stars, oldest first
-    x0: np.ndarray  # (4,) centered state at `frame`
-    truth: np.ndarray  # (t_f, 2) centered future positions
-    offset: np.ndarray  # (2,) world position of the center
-    dt: float
+    target_id: np.ndarray  # (B,)
+    frame: np.ndarray  # (B,) last history frame (prediction time)
+    history: np.ndarray  # (B, t_h) table rows, oldest first
+    stars: Tuple[np.ndarray, ...]  # (own, ptr, members)
+    agent: np.ndarray  # (n,)
+    motion: np.ndarray  # (n, 6)
+    x0: np.ndarray  # (B, 4) centred state at `frame`
+    truth: np.ndarray  # (B, t_f, 2) centred future positions
+    offset: np.ndarray  # (B, 2) world position of the centre
+    dt: np.ndarray  # (B,) frame step, s
+
+    def __len__(self) -> int:
+        return len(self.x0)
+
+    def __getitem__(self, index) -> "WindowBatch":
+        """The windows at ``index``; an int gives a batch of one."""
+        keep = np.atleast_1d(np.arange(len(self))[index])
+        return replace(self, **{f: getattr(self, f)[keep] for f in (
+            "target_id", "frame", "history", "x0", "truth", "offset", "dt")})
+
+    @functools.cached_property
+    def packed(self) -> Tuple[List[PackedStep], np.ndarray]:
+        """The packed history steps and each window's target row."""
+        window, step, member, x, first = _history_entries(
+            self.motion, self.history, self.offset, self.stars)
+        steps, rows = pack_histories(window, step, self.agent[member], x,
+                                     self.history.shape[1])
+        return steps, rows[first[:len(self)]]
 
 
-def _star_steps(scenario: Scenario, rows: np.ndarray, centers: np.ndarray,
-                radius: float) -> List[List[HistoryStep]]:
-    """Each window's history: at step s of window w, the star of the
-    target's table row ``rows[w, s]`` (the target, then every other agent
-    of its frame within ``radius``, ascending by id) and their ``motion``
-    rows less ``centers[w]`` in position.  One ``in_radius`` pass over
-    the frames of the distinct rows serves every window."""
-    own = np.unique(rows)
-    # each distinct row, then the other rows of its frame
-    cols = np.concatenate((own[:, None], scenario.others_at(own)), axis=1)
-    xy = scenario.motion[:, 0:2]
-    keep = in_radius(xy[cols], xy[own, None], radius) & (cols != own[:, None])
-    keep[:, 0] = True
-    at = np.searchsorted(own, rows.ravel())  # (window, step) order
-    star, size = cols[at][keep[at]], keep.sum(axis=1)[at]
-    ids, x = scenario.agent_id[star], scenario.motion[star]
-    x[:, :2] -= np.repeat(centers, size.reshape(rows.shape).sum(axis=1), 0)
-    cut = [0, *size.cumsum().tolist()]
-    steps = [(ids[a:b], x[a:b]) for a, b in zip(cut, cut[1:])]
-    t = rows.shape[1]
-    return [steps[i:i + t] for i in range(0, len(steps), t)]
+def _batch(scenario: Scenario, rows: np.ndarray, t_h: int,
+           stars: Tuple[np.ndarray, ...]) -> WindowBatch:
+    """The windows whose targets' table rows are ``rows``, t_h of history
+    and the rest future."""
+    frame, ids, motion = scenario.frame, scenario.agent_id, scenario.motion
+    now = rows[:, t_h - 1]
+    x0 = np.zeros((len(rows), 4))
+    x0[:, 2:] = motion[now, 2:4]
+    return WindowBatch(
+        ids[rows[:, 0]], frame[now], rows[:, :t_h], stars, ids, motion, x0,
+        motion[rows[:, t_h:], 0:2] - motion[now, None, 0:2],
+        motion[now, 0:2], np.full(len(rows), scenario.dt))
 
 
 def extract_windows(
@@ -117,97 +178,71 @@ def extract_windows(
     hyper: TrainHyper,
     radius: float = 50.0,
     targets: Optional[Sequence[int]] = None,
-) -> List[TrainingSample]:
-    """Slide (t_h history, t_f future) windows over every target agent.
+) -> WindowBatch:
+    """Slide (t_h history, t_f future) windows over every target agent,
+    by target id and then by frame.
 
     A window is dropped when any involved agent (the target or any
-    neighbor appearing in a history graph) is absent from any frame of
-    the window.
+    neighbor appearing in a history star) is absent from any frame of the
+    window.
     """
-    t_h, t_f = hyper.t_h, hyper.t_f
-    length = t_h + t_f
-    windows = [np.empty((0, length), dtype=np.intp)]
-    for target in sorted(scenario.agents if targets is None else targets):
-        if target not in scenario.agents:
-            raise BadConfig(f"unknown target agent {target}")
-        # a track has no gaps, so its rows are its frames in order
-        track = np.flatnonzero(scenario.agent_id == target)
-        windows.append(track[np.arange(track.size - length + 1)[:, None]
-                             + np.arange(length)])
-    rows = np.concatenate(windows)
-    if not rows.size:
-        return []
-    centers = scenario.motion[rows[:, t_h - 1], 0:2]
-    samples: List[TrainingSample] = []
-    for row, center, steps in zip(rows, centers, _star_steps(
-            scenario, rows[:, :t_h], centers, radius)):
-        # an agent at both ends of the window is at every frame of it
-        ends = scenario.frame[row[[0, -1]]].tolist()
-        involved = {a for ids, _ in steps for a in ids.tolist()}
-        if all(scenario.has_state(a, f) for a in involved for f in ends):
-            now = scenario.motion[row[t_h - 1]]
-            samples.append(TrainingSample(
-                target_id=int(scenario.agent_id[row[0]]),
-                frame=int(scenario.frame[row[t_h - 1]]), steps=steps,
-                x0=np.array([0.0, 0.0, now[2], now[3]]),
-                truth=scenario.motion[row[t_h:], 0:2] - center,
-                offset=center, dt=scenario.dt,
-            ))
-    return samples
+    t_h, length = hyper.t_h, hyper.t_h + hyper.t_f
+    frame, ids = scenario.frame, scenario.agent_id
+    # rows sort by (frame, id) and tracks have no gaps: a track's first
+    # row is at its first frame, and its rows are its frames
+    _, head, track, count = np.unique(ids, return_index=True,
+                                      return_inverse=True, return_counts=True)
+    n = np.maximum(count - length + 1, 0)
+    first = (np.repeat(np.cumsum(count - n) - count + n, n)
+             + np.arange(n.sum()))
+    rows = np.argsort(track, kind="stable")[first[:, None]
+                                            + np.arange(length)]
+    if targets is not None:
+        picked = [np.zeros(0, dtype=np.intp)]
+        for target in sorted(targets):
+            if target not in scenario.agents:
+                raise BadConfig(f"unknown target agent {target}")
+            picked.append(np.flatnonzero(ids[rows[:, 0]] == target))
+        rows = rows[np.concatenate(picked)]
+    stars = own, ptr, members = _star_steps(scenario, rows[:, :t_h], radius)
+    # an agent at both ends of a window is at every frame of it: keep
+    # the windows whose star members' tracks span both end frames
+    enters = frame[head][track[members]]
+    late = np.maximum.reduceat(enters, ptr[:-1])
+    early = np.minimum.reduceat(enters + count[track[members]] - 1, ptr[:-1])
+    at = np.searchsorted(own, rows[:, :t_h])
+    rows = rows[(late[at].max(axis=1) <= frame[rows[:, 0]])
+                & (early[at].min(axis=1) >= frame[rows[:, -1]])]
+    return _batch(scenario, rows, t_h, stars)
 
 
 # ==================== loss over a batch of windows ====================
 
-@dataclass
-class WindowBatch:
-    """Windows sharing t_h and t_f, packed once for the encoder."""
-
-    steps: List[PackedStep]  # t_h packed history steps
-    target_rows: np.ndarray  # (B,) packed row of each window's target
-    x0: np.ndarray  # (B, 4)
-    truth: np.ndarray  # (B, t_f, 2)
-
-
-def pack_windows(samples: Sequence[TrainingSample]) -> WindowBatch:
-    """Pack windows of equal history and horizon length into one batch."""
-    if len({(len(s.steps), s.truth.shape) for s in samples}) != 1:
-        raise BadConfig("windows of one batch must share t_h and t_f")
-    steps, rows = pack_histories([s.steps for s in samples])
-    return WindowBatch(
-        steps=steps,
-        target_rows=np.array([r[s.target_id] for r, s in zip(rows, samples)]),
-        x0=np.stack([s.x0 for s in samples]),
-        truth=np.stack([s.truth for s in samples]),
-    )
-
-
 def _window_loss(
     cell: GraphCellParams,
     dec: DecoderParams,
-    sample: Union[TrainingSample, WindowBatch],
+    batch: WindowBatch,
 ) -> Tensor:
-    """Mean mixture NLL over a packed batch; a single window is a batch
-    of one."""
-    batch = sample if isinstance(sample, WindowBatch) else pack_windows(
-        [sample])
-    hiddens = encode_packed(cell, batch.steps)
-    H = ad.stack([ad.getitem(h, batch.target_rows) for h in hiddens],
-                 axis=1)
+    """Mean mixture NLL over the batch's windows."""
+    steps, target_rows = batch.packed
+    hiddens = encode_packed(cell, steps)
+    H = ad.stack([ad.getitem(h, target_rows) for h in hiddens], axis=1)
     logits, states, covs = _decode_graph(dec, H, batch.x0)
     log_pis = ad.sub(logits, ad.logsumexp(logits, keepdims=True))
     losses = _mixture_nll(log_pis, states, covs, batch.truth)
-    return ad.div(ad.tsum(losses), float(len(batch.x0)))
+    return ad.div(ad.tsum(losses), float(len(batch)))
 
 
 # ==================== training loop ====================
 
 @np.errstate(over="ignore", invalid="ignore")
 def train(
-    dataset: Sequence[TrainingSample],
+    batch: WindowBatch,
     hyper: TrainHyper,
 ) -> Tuple[GraphCellParams, DecoderParams, List[float]]:
-    """Full-batch gradient descent on the mean window loss; every
-    window's frame step must be the decoder step ``hyper.dt``.
+    """Full-batch gradient descent on the mean window loss; the windows'
+    lengths must be ``hyper.t_h`` and ``hyper.t_f``, and their frame step
+    the decoder step ``hyper.dt``.
 
     The windows are packed once; each epoch records one tape over all of
     them.  Returns the trained parameters and the loss curve: entry 0 is
@@ -215,13 +250,16 @@ def train(
     the curve has epochs + 1 entries and epochs = 0 records only the
     initial loss.  Deterministic given the seed.
     """
-    if not dataset:
+    if not len(batch):
         raise BadConfig("training dataset is empty")
-    step = next((s.dt for s in dataset if abs(s.dt - hyper.dt) > 1e-9), None)
-    if step is not None:
-        raise BadConfig(f"training window step {step} s does not match "
-                        f"decoder step {hyper.dt} s")
-    batch = pack_windows(dataset)
+    lengths = (batch.history.shape[1], batch.truth.shape[1])
+    if lengths != (hyper.t_h, hyper.t_f):
+        raise BadConfig(f"windows of t_h, t_f = {lengths} do not match "
+                        f"the model's {(hyper.t_h, hyper.t_f)}")
+    off = np.flatnonzero(np.abs(batch.dt - hyper.dt) > 1e-9)
+    if off.size:
+        raise BadConfig(f"training window step {float(batch.dt[off[0]])} s "
+                        f"does not match decoder step {hyper.dt} s")
     cell, dec = init_model(hyper)
     params = parameter_items(cell, dec)
     curve: List[float] = []
@@ -258,15 +296,14 @@ def train(
 def gradient_check(
     cell: GraphCellParams,
     dec: DecoderParams,
-    sample: TrainingSample,
+    batch: WindowBatch,
     eps: float = 1e-5,
 ) -> float:
     """Worst relative error between analytic and central finite-difference
-    gradients of the window loss over every parameter entry."""
+    gradients of the batch loss over every parameter entry."""
     params = parameter_items(cell, dec)
     for _, p in params:
         p.grad = None
-    batch = pack_windows([sample])
     loss = _window_loss(cell, dec, batch)
     ad.backward(loss)
     analytic = [
@@ -347,11 +384,35 @@ def constant_motion_tracks(
 
 def corpus_windows(
     scenarios: Sequence[Scenario], hyper: TrainHyper, radius: float = 50.0
-) -> List[TrainingSample]:
-    samples: List[TrainingSample] = []
-    for sc in scenarios:
-        samples.extend(extract_windows(sc, hyper, radius=radius))
-    return samples
+) -> WindowBatch:
+    """Every scenario's windows (``extract_windows``), in scenario order,
+    as one batch.
+
+    The scenarios are stacked into one table.  Their (scenario, id) pairs
+    and (scenario, frame) pairs become dense ints in that order, so no
+    track or star crosses two scenarios and one pass serves the corpus.
+    The batch keeps the scenarios' own ids, frames and frame steps.
+    """
+    if not scenarios:
+        raise BadConfig("training dataset is empty")
+    frame, ids, *columns, kind = (np.concatenate(c) for c in zip(*(
+        (sc.frame, sc.agent_id, sc.motion, sc.extent, sc.mass, sc.kind)
+        for sc in scenarios)))
+    sizes = [sc.frame.size for sc in scenarios]
+    source = np.repeat(np.arange(len(scenarios)), sizes)
+    # rank the values, then number the (scenario, rank) pairs in order
+    dense_frame, dense_id = (
+        np.unique(source * ids.size + np.unique(v, return_inverse=True)[1],
+                  return_inverse=True)[1] for v in (frame, ids))
+    kind += np.repeat(np.cumsum([0] + [len(sc.kinds) for sc in scenarios])
+                      [:-1], sizes)
+    batch = extract_windows(Scenario(
+        scenarios[0].frame_rate, dense_frame, dense_id, *columns, kind,
+        [k for sc in scenarios for k in sc.kinds], "corpus"), hyper, radius)
+    head, now = batch.history[:, 0], batch.history[:, -1]
+    steps = np.array([sc.dt for sc in scenarios])
+    return replace(batch, target_id=ids[head], frame=frame[now], agent=ids,
+                   dt=steps[source[head]])
 
 
 # ==================== inference on scenarios ====================
@@ -379,10 +440,8 @@ def predict_frame(
     current state as their anchor.
     """
     if abs(scenario.dt - dec.dt) > 1e-9:
-        raise BadConfig(
-            f"scenario step {scenario.dt} s does not match decoder step "
-            f"{dec.dt} s"
-        )
+        raise BadConfig(f"scenario step {scenario.dt} s does not match "
+                        f"decoder step {dec.dt} s")
     by_length: Dict[int, List[int]] = {}
     for agent_id in agent_ids:
         if agent_id not in scenario.agents:
@@ -397,21 +456,18 @@ def predict_frame(
         by_length.setdefault(length, []).append(agent_id)
     preds: Dict[int, MixturePrediction] = {}
     for length, group in by_length.items():
-        history = np.array([[scenario.row(a, f)
-                             for f in range(frame - length + 1, frame + 1)]
-                            for a in group])
-        anchors = history[:, -1]
-        centers = scenario.motion[anchors, 0:2]
-        steps, rows = pack_histories(
-            _star_steps(scenario, history, centers, radius))
+        rows = np.array([[scenario.row(a, f)
+                          for f in range(frame - length + 1, frame + 1)]
+                         for a in group])
+        batch = _batch(scenario, rows, length,
+                       _star_steps(scenario, rows, radius))
+        steps, targets = batch.packed
         with ad.no_grad():
             hiddens = encode_packed(cell, steps)
-        targets = [r[a] for r, a in zip(rows, group)]
         H = np.stack([h.data[targets] for h in hiddens], axis=1)
-        x0 = np.zeros((len(group), 4))
-        x0[:, 2:] = scenario.motion[anchors, 2:4]
         for agent_id, center, row, pred in zip(
-                group, centers, anchors, decode_batch(dec, H, x0)):
+                group, batch.offset, rows[:, -1],
+                decode_batch(dec, H, batch.x0)):
             for mode in pred.modes:
                 mode.states[:, :2] += center
             pred.anchor = scenario.row_state(row)

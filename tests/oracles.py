@@ -499,6 +499,43 @@ def star_steps(scenario, target, frames, center, radius):
     return steps
 
 
+# ---- per-file training windows ----
+#
+# The windowing that stacking the corpus into one table replaced: each
+# scenario on its own, its targets ascending by id, each target's windows
+# by first frame.  A window keeps when every agent of its history stars
+# (star_steps) is present at the window's first and last frame.  Windows
+# are dicts of the fields WindowBatch holds, one window each.
+
+def corpus_windows(scenarios, t_h, t_f, radius):
+    windows = []
+    for sc in scenarios:
+        pairs = list(zip(sc.agent_id.tolist(), sc.frame.tolist()))
+        span = {}
+        for a, f in pairs:
+            first, last = span.get(a, (f, f))
+            span[a] = (min(first, f), max(last, f))
+        for target in sorted(span):
+            row = {f: r for r, (a, f) in enumerate(pairs) if a == target}
+            first, last = span[target]
+            for start in range(first, last - t_h - t_f + 2):
+                now, end = start + t_h - 1, start + t_h + t_f - 1
+                center = sc.motion[row[now], 0:2]
+                steps = star_steps(sc, target, range(start, now + 1),
+                                   center, radius)
+                involved = {a for ids, _ in steps for a in ids.tolist()}
+                if all(span[a][0] <= f <= span[a][1]
+                       for a in involved for f in (start, end)):
+                    windows.append({
+                        "target_id": target, "frame": now, "steps": steps,
+                        "x0": np.array([0.0, 0.0,
+                                        *sc.motion[row[now], 2:4]]),
+                        "truth": np.array([sc.motion[row[f], 0:2] - center
+                                           for f in range(now + 1, end + 1)]),
+                        "offset": center, "dt": sc.dt})
+    return windows
+
+
 # ---- reference history packer ----
 #
 # The dict-and-graph packer the array star packer replaced: each history

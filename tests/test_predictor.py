@@ -3,6 +3,7 @@ propagation, decoding, likelihood, metrics, serialization, training."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,20 +42,23 @@ from risknet.predictor.model import (
 )
 from risknet.predictor.store import load_model, save_model
 from risknet.predictor.train import (
+    STAR_BLOCK,
     TrainHyper,
+    WindowBatch,
+    _history_entries,
+    _star_steps,
     _window_loss,
     constant_motion_tracks,
     corpus_windows,
     extract_windows,
     gradient_check,
     init_model,
-    pack_windows,
     predict_for_agent,
     predict_frame,
     train,
 )
 from oracles import NotPSD, attend, attention_weights, ekf_propagate
-from risknet.scene import InteractionGraph
+from risknet.scene import CAR, InteractionGraph, Scenario, load_tracks
 
 
 def star(ids, *features):
@@ -63,10 +67,45 @@ def star(ids, *features):
     return np.array(ids), np.array(features, dtype=float)
 
 
+def flat_histories(histories):
+    """The pack_histories arguments of equal-length (ids, x) star
+    histories: entries by step, then by window."""
+    n_steps = len(histories[0]) if histories else 0
+    assert all(len(h) == n_steps for h in histories)
+    cells = [(w, s, *h[s]) for s in range(n_steps)
+             for w, h in enumerate(histories)]
+    sizes = [len(ids) for _, _, ids, _ in cells]
+    window = np.repeat([w for w, *_ in cells], sizes).astype(np.intp)
+    step = np.repeat([s for _, s, *_ in cells], sizes).astype(np.intp)
+    agent = np.concatenate([[]] + [ids for _, _, ids, _ in cells])
+    x = (np.concatenate([x for *_, x in cells]) if cells
+         else np.zeros((0, D_IN)))
+    return window, step, agent.astype(np.int64), x, n_steps
+
+
+def packed(histories):
+    """pack_histories of (ids, x) star histories: the packed steps and,
+    per window, the row of each agent."""
+    window, step, agent, x, n_steps = flat_histories(histories)
+    steps, rows = pack_histories(window, step, agent, x, n_steps)
+    maps = [{} for _ in histories]
+    for w, a, r in zip(window.tolist(), agent.tolist(), rows.tolist()):
+        assert maps[w].setdefault(a, r) == r
+    return steps, maps
+
+
+def window_steps(batch, w):
+    """Window w of a WindowBatch as (ids, x) star steps, oldest first."""
+    window, step, member, x, _ = _history_entries(
+        batch.motion, batch.history, batch.offset, batch.stars)
+    at = [(window == w) & (step == s) for s in range(batch.history.shape[1])]
+    return [(batch.agent[member[m]], x[m]) for m in at]
+
+
 def gru_rows(cell, windows, h_prev):
     """One recurrent update of one-step windows packed together, from
     the hidden states ``h_prev`` (one row per packed agent)."""
-    (step,), _ = pack_histories([[w] for w in windows])
+    (step,), _ = packed([[w] for w in windows])
     return _gru_step(_StackedGates(cell), step,
                      Tensor(np.asarray(h_prev, float))).data
 
@@ -144,11 +183,15 @@ def test_cell_gate_ranges():
 
 def test_cell_shape_validation():
     with pytest.raises(ShapeMismatch):
-        pack_histories([[star([0], np.ones(5))]])
+        packed([[star([0], np.ones(5))]])
     with pytest.raises(ShapeMismatch):  # two agents, one feature row
-        pack_histories([[(np.array([0, 1]), np.ones((1, D_IN)))]])
+        packed([[(np.array([0, 1]), np.ones((1, D_IN)))]])
     with pytest.raises(ShapeMismatch):
-        pack_histories([[]])
+        packed([[]])
+    # the single-window encoder checks each step
+    with pytest.raises(ShapeMismatch):
+        encode(zero_cell(), [star([0], np.ones(D_IN)),
+                             (np.array([0, 1]), np.ones((1, D_IN)))])
 
 
 @st.composite
@@ -180,7 +223,7 @@ def star_histories(draw):
 @given(star_histories())
 def test_pack_histories_matches_graph_oracle(histories):
     arrays, graphs = histories
-    steps, rows = pack_histories(arrays)
+    steps, rows = packed(arrays)
     want_steps, want_rows = oracles.pack_graph_histories(graphs)
     assert rows == want_rows
     assert len(steps) == len(want_steps)
@@ -226,7 +269,7 @@ def test_encode_disconnected_equals_isolated_runs():
     f2 = np.full(D_IN, 0.5)
     window_0 = [star([0], f1), star([0, 3], f1, f2), star([0, 3], f1, f2)]
     window_3 = [star([3, 0], f2, -f1)] * 3
-    steps, rows = pack_histories([window_0, window_3])
+    steps, rows = packed([window_0, window_3])
     joint = encode_packed(cell, steps)
     alone_0 = encode(cell, window_0)
     alone_3 = encode(cell, window_3)
@@ -738,18 +781,19 @@ def test_extract_windows_centering_and_shapes():
     samples = extract_windows(sc, hyper, targets=[0])
     assert len(samples) == 4  # frames 2..5 fit t_h=3 history, t_f=2 future
     s = samples[0]
-    assert s.target_id == 0 and s.frame == 2
-    assert len(s.steps) == hyper.t_h
-    ids, x = s.steps[-1]
+    assert s.target_id.tolist() == [0] and s.frame.tolist() == [2]
+    assert len(window_steps(s, 0)) == hyper.t_h
+    ids, x = window_steps(s, 0)[-1]
     assert ids.tolist() == [0, 1] and x.shape == (2, D_IN)
     # target feature at the prediction frame is centered on itself
     assert np.allclose(x[0, :2], [0.0, 0.0], atol=1e-12)
     assert np.allclose(x[0, 2:4], [10.0, 0.0], atol=1e-12)
     assert np.array_equal(x[0, 4:], [0.0, 0.0])
-    assert s.truth.shape == (hyper.t_f, 2)
+    assert s.truth.shape == (1, hyper.t_f, 2)
     # truth is the centered future of a constant-velocity track
-    assert np.allclose(s.truth[:, 0], [10 * sc.dt, 20 * sc.dt], atol=1e-9)
-    assert np.allclose(s.offset, sc.state(0, 2).position)
+    assert np.allclose(s.truth[0, :, 0], [10 * sc.dt, 20 * sc.dt],
+                       atol=1e-9)
+    assert np.allclose(s.offset[0], sc.state(0, 2).position)
 
 
 def test_extract_windows_drops_churn():
@@ -765,7 +809,7 @@ def test_extract_windows_drops_churn():
     samples = extract_windows(sc, hyper, targets=[0])
     # with the neighbor inside every history graph, only windows fully
     # covered by both tracks survive: prediction frames 2..4
-    assert [s.frame for s in samples] == [2, 3, 4]
+    assert samples.frame.tolist() == [2, 3, 4]
 
 
 def test_constant_motion_tracks_structure():
@@ -789,6 +833,140 @@ def test_corpus_windows_yields_one_per_track():
     tracks = constant_motion_tracks(5, hyper, seed=3)
     samples = corpus_windows(tracks, hyper)
     assert len(samples) == 5
+
+
+
+def test_corpus_windows_keep_each_files_step():
+    # the stacked table has one frame rate; each window keeps its file's
+    hyper = small_hyper()
+    slow, fast = (constant_velocity_scenario([(0, 0, 0, 10, 0)], n_frames=6,
+                                             frame_rate=rate)
+                  for rate in (5.0, 25.0))
+    batch = corpus_windows([slow, fast], hyper)
+    assert batch.dt.tolist() == [0.2, 0.2, 0.04, 0.04]
+    assert batch.frame.tolist() == [2, 3, 2, 3]
+    with pytest.raises(BadConfig, match="step 0.04 s"):
+        train(batch, hyper)
+    train(batch[:2], hyper)
+
+@st.composite
+def track_corpora(draw):
+    """1-4 track files of agents 0-3, so ids repeat across files, each
+    file from its own first frame (one near 2**53).  Agents enter and
+    leave (so the drop rule fires), coordinates reach -40 m (so
+    load_tracks shifts them), and a file may be shorter than a window."""
+    files = []
+    for _ in range(draw(st.integers(1, 4))):
+        base = draw(st.sampled_from([0, -3, 7, 2**53 - 40]))
+        lines = ["frame,id,x,y,xVelocity,yVelocity,width,height"]
+        for aid in draw(st.lists(st.integers(0, 3), min_size=1, max_size=4,
+                                 unique=True)):
+            first, length = draw(st.integers(0, 5)), draw(st.integers(1, 9))
+            x, y, vx = (draw(st.integers(-40, 40)) / 2.0 for _ in range(3))
+            lines += [f"{base + f},{aid},{x + vx * f * 0.2!r},{y!r},{vx!r},"
+                      f"0.5,4.5,2.0" for f in range(first, first + length)]
+        files.append("\n".join(lines) + "\n")
+    return files
+
+
+def reference_batch(windows):
+    """A WindowBatch over a table of the reference windows' own centred
+    star entries: each star's first entry row holds the star."""
+    entries = [step for w in windows for step in w["steps"]]
+    starts = np.cumsum([0] + [len(ids) for ids, _ in entries])
+    return WindowBatch(
+        np.array([w["target_id"] for w in windows]),
+        np.array([w["frame"] for w in windows]),
+        starts[:-1].reshape(len(windows), -1),
+        (starts[:-1], starts, np.arange(starts[-1])),
+        np.concatenate([ids for ids, _ in entries]),
+        np.concatenate([x for _, x in entries]),
+        np.stack([w["x0"] for w in windows]),
+        np.stack([w["truth"] for w in windows]),
+        np.zeros((len(windows), 2)), np.array([w["dt"] for w in windows]))
+
+
+def assert_bits_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(files=track_corpora())
+def test_stacked_corpus_matches_per_file_reference(files, tmp_path_factory):
+    """One table for the whole corpus gives the windows, packed batch and
+    loss curve of windowing each file on its own (oracles.corpus_windows),
+    every array bit for bit."""
+    hyper = small_hyper(d_h=3, t_h=3, t_f=2, epochs=2)
+    radius = 20.0
+    folder = tmp_path_factory.mktemp("corpus")
+    scenarios = []
+    for k, text in enumerate(files):
+        (folder / f"{k}.csv").write_text(text)
+        scenarios.append(load_tracks(str(folder / f"{k}.csv"), 5.0))
+    batch = corpus_windows(scenarios, hyper, radius=radius)
+    want = oracles.corpus_windows(scenarios, hyper.t_h, hyper.t_f, radius)
+    assert len(batch) == len(want)
+    if not want:
+        return
+    for name in ("target_id", "frame", "dt"):
+        assert getattr(batch, name).tolist() == [w[name] for w in want]
+    for name in ("x0", "truth", "offset"):
+        assert_bits_equal(getattr(batch, name),
+                          np.stack([w[name] for w in want]))
+    for k, w in enumerate(want):
+        for (ids, x), (want_ids, want_x) in zip(window_steps(batch, k),
+                                                w["steps"], strict=True):
+            assert ids.tolist() == want_ids.tolist()
+            assert_bits_equal(x, want_x)
+    reference = reference_batch(want)
+    want_steps, want_rows = oracles.pack_graph_histories([
+        [(dict(zip(ids.tolist(), x)), InteractionGraph(
+            ids[0], s, radius, frozenset((ids[0], n) for n in ids[1:])))
+         for s, (ids, x) in enumerate(w["steps"])] for w in want])
+    for got in (batch.packed, reference.packed):
+        steps, target_rows = got
+        assert target_rows.tolist() == [
+            rows[w["target_id"]] for rows, w in zip(want_rows, want)]
+        for step, want_step in zip(steps, want_steps, strict=True):
+            for name, value in zip(
+                    (f.name for f in dataclasses.fields(step)), want_step,
+                    strict=True):
+                assert_bits_equal(getattr(step, name), value)
+    assert train(batch, hyper)[2] == train(reference, hyper)[2]
+
+
+def test_star_steps_memory_is_bounded_as_frames_are_added():
+    """_star_steps sends the distinct rows through in_radius in blocks of
+    STAR_BLOCK, so on a dense scene (60 agents, each within the radius of
+    all others) its peak beyond the stars it returns does not grow with
+    the frames: one (block, 60) working set, about 9 MB.  Without the
+    blocks the 480-frame scene peaks 85 MB beyond its stars."""
+
+    def working_set(frames):
+        agents = 60
+        n = frames * agents
+        sc = Scenario(5.0, np.repeat(np.arange(frames), agents),
+                      np.tile(np.arange(agents), frames),
+                      np.tile(np.arange(agents * 6.0).reshape(-1, 6) / 12.0,
+                              (frames, 1)),
+                      np.tile([4.5, 2.0], (n, 1)), np.full(n, 1500.0),
+                      np.zeros(n, dtype=np.intp), (CAR,), "dense")
+        tracemalloc.start()
+        try:
+            own, ptr, members = _star_steps(sc, np.arange(n)[:, None], 50.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert members.size == n * agents  # every star is the whole frame
+        # the returned stars, and their blocks until they are joined
+        return peak - 2 * members.nbytes - own.nbytes - 2 * ptr.nbytes
+
+    small, large = working_set(120), working_set(480)
+    assert STAR_BLOCK < 120 * 60
+    assert large < 24e6
+    assert large < 1.1 * small
 
 
 # ---- training ----
@@ -833,19 +1011,18 @@ def test_train_rejects_window_step_mismatch():
     sc = constant_velocity_scenario([(0, 0, 0, 10, 0)], n_frames=8,
                                     frame_rate=25.0)  # dt=0.04
     samples = extract_windows(sc, hyper)
-    assert samples and samples[0].dt == pytest.approx(0.04)
+    assert samples and samples.dt[0] == pytest.approx(0.04)
     with pytest.raises(BadConfig, match="does not match decoder step"):
         train(samples, hyper)
     # within predict_frame's tolerance of 1e-9 s the step is accepted
-    for s in samples:
-        s.dt = hyper.dt + 5e-10
+    samples.dt[:] = hyper.dt + 5e-10
     train(samples, hyper)
 
 
 def test_train_nonfinite_data_raises_numeric_error():
     hyper = small_hyper(epochs=2)
     samples = corpus_windows(constant_motion_tracks(2, hyper, seed=0), hyper)
-    samples[0].truth = np.full_like(samples[0].truth, 1e200)
+    samples.truth[0] = 1e200
     with np.errstate(all="ignore"), pytest.raises(NumericError):
         train(samples, hyper)
 
@@ -858,13 +1035,12 @@ def test_train_overflowing_aggregate_raises_nonfinite_loss():
     cell, dec = init_model(hyper)
     probe = 1e10
     target = 0.7e308
-    for s in samples:
-        s.truth = np.zeros_like(s.truth)
-        s.truth[:, 0] = probe
+    samples.truth[:] = 0.0
+    samples.truth[:, :, 0] = probe
     scales = [math.sqrt(target / window_loss(cell, dec, s)) for s in samples]
-    for s, scale in zip(samples, scales):
-        s.truth[:, 0] = probe * scale
-        assert math.isfinite(window_loss(cell, dec, s))
+    for i, scale in enumerate(scales):
+        samples.truth[i, :, 0] = probe * scale
+        assert math.isfinite(window_loss(cell, dec, samples[i]))
     with np.errstate(over="ignore"), pytest.raises(NonFiniteLoss) as err:
         train(samples, hyper)
     assert err.value.epoch == 0
@@ -1044,8 +1220,8 @@ def test_pinned_trajectory_neighbour_churn():
     sc = churn_scene()
     samples = extract_windows(sc, hyper)
     assert len(samples) == 20
-    presence = [sorted(ids.tolist()) for ids, _ in samples[2].steps]
-    assert samples[2].target_id == 0 and samples[2].frame == 6
+    presence = [sorted(ids.tolist()) for ids, _ in window_steps(samples, 2)]
+    assert samples.target_id[2] == 0 and samples.frame[2] == 6
     assert presence == [[0, 2], [0, 2, 3], [0, 1, 2, 3], [0, 2, 3],
                         [0, 1, 2, 3]]
     cell, dec, curve = train(samples, hyper)
@@ -1100,10 +1276,10 @@ def test_gradient_check_with_neighbour_churn():
     hyper = churn_hyper()
     cell, dec = init_model(hyper)
     samples = extract_windows(churn_scene(), hyper, targets=[0])
-    sample = next(s for s in samples if s.frame == 6)
+    sample = samples[int(np.flatnonzero(samples.frame == 6)[0])]
     # agent 1 is absent, absent, present, absent, present
-    assert [1 in ids for ids, _ in sample.steps] == [False, False, True, False,
-                                                True]
+    assert [1 in ids for ids, _ in window_steps(sample, 0)] == [
+        False, False, True, False, True]
     assert gradient_check(cell, dec, sample, eps=1e-5) < 1e-3
 
 
@@ -1123,8 +1299,7 @@ def test_packed_batch_equals_mean_of_single_windows():
             for p in params
         ]
 
-    packed_loss, packed_grads = loss_and_grads(
-        pack_windows(samples))
+    packed_loss, packed_grads = loss_and_grads(samples)
     singles = [loss_and_grads(s) for s in samples]
     assert packed_loss == pytest.approx(
         np.mean([loss for loss, _ in singles]), rel=1e-12)
@@ -1133,10 +1308,13 @@ def test_packed_batch_equals_mean_of_single_windows():
         assert np.allclose(g, expected, rtol=1e-9, atol=1e-12)
 
 
-def test_pack_windows_rejects_mixed_lengths():
+def test_train_rejects_windows_of_other_lengths():
+    # a batch holds one t_h and one t_f; training it for another refuses
     hyper = small_hyper()
     short = corpus_windows(constant_motion_tracks(1, hyper), hyper)
-    longer = small_hyper(t_h=4)
-    long = corpus_windows(constant_motion_tracks(1, longer), longer)
-    with pytest.raises(BadConfig):
-        pack_windows(short + long)
+    for longer in (small_hyper(t_h=4), small_hyper(t_f=3)):
+        long = corpus_windows(constant_motion_tracks(1, longer), longer)
+        with pytest.raises(BadConfig):
+            train(short, longer)
+        with pytest.raises(BadConfig):
+            train(long, hyper)

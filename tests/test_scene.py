@@ -49,7 +49,7 @@ from risknet.scene import (
     make_archetype,
     scenario_from_states,
 )
-from risknet.predictor.train import _star_steps
+from risknet.predictor.train import _history_entries, _star_steps
 
 HEADER = ["frame", "id", "x", "y", "xVelocity", "yVelocity",
           "width", "height"]
@@ -977,7 +977,11 @@ def test_star_steps_match_per_target_oracle(rows, data):
                         for aid, span in windows])
     centers = sc.motion[history[:, -1], 0:2] + data.draw(
         st.sampled_from([0.0, 0.125, -3.75]))
-    got = _star_steps(sc, history, centers, RADIUS)
+    window, step, member, x_all, _ = _history_entries(
+        sc.motion, history, centers, _star_steps(sc, history, RADIUS))
+    got = [[(sc.agent_id[member[m]], x_all[m])
+            for m in ((window == w) & (step == s) for s in range(length))]
+           for w in range(len(history))]
     assert len(got) == len(windows)
     for steps, (aid, span), center in zip(got, windows, centers):
         want = oracles.star_steps(sc, aid, span, center, RADIUS)
