@@ -15,7 +15,7 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import BadConfig, EmptyFrame, NumericError
-from .scene import EPS_SPEED, AgentState, InteractionGraph, Scenario, in_radius
+from .scene import EPS_SPEED, AgentState, InteractionGraph, Scenario, within
 
 # alpha_lon takes alpha_cap where its Doppler denominator is closer to
 # zero than this, in place of the ratio's pole.
@@ -143,7 +143,8 @@ def force_terms(ego: AgentColumns, other: AgentColumns,
     else:
         mu = ego.mass * other.mass / (ego.mass + other.mass)
     energy = 0.5 * other.k * other.C * mu * rel_sq
-    # per coordinate, as in_radius: faster than a (..., 2) broadcast
+    # per coordinate, as in_radius takes them (faster than a (..., 2)
+    # broadcast), so `within` may decide the radius rule on r
     r = np.hypot(other.position[..., 0] - ego.position[..., 0],
                  other.position[..., 1] - ego.position[..., 1])
     floor = np.maximum(params.r_min, 0.5 * (ego.length + other.length))
@@ -261,8 +262,8 @@ def frame_field(scenario: Scenario, ego_id: int,
     ego, others = (table_columns(scenario, r, params)
                    for r in (ego_rows[:, None], rows))
     present = rows != ego_rows[:, None]
-    near = present & in_radius(others.position, ego.position, params.R)
-    force = force_terms(ego, others, params)[1]
+    _, force, r = force_terms(ego, others, params)
+    near = present & within(r, others.position, ego.position, params.R)
     return FrameField(ego_id, scenario.frame[ego_rows], ego, others, present,
                       near, force,
                       directional_terms(ego, others, force, params)[2])
@@ -322,8 +323,8 @@ def raster_field(probe: AgentState, others: AgentColumns, weights: np.ndarray,
     for row, y in enumerate(ys):
         centers = np.stack([xs, np.full(grid.width, y)], axis=1)[:, None, :]
         placed = ego._replace(position=centers)
-        near = in_radius(others.position, centers, params.R)
-        force = force_terms(placed, others, params)[1]
+        _, force, r = force_terms(placed, others, params)
+        near = within(r, others.position, centers, params.R)
         directional = directional_terms(placed, others, force, params)[2]
         values[row] = sum_others(np.where(near, directional, 0.0) * weights)
     if not np.isfinite(values).all() or (values < 0).any():

@@ -167,6 +167,13 @@ class PackedStep:
     nbr_mask: np.ndarray   # (R, K) 1.0 in used slots
     nbr_count: np.ndarray  # (R,) neighbours per row, at least 1
 
+    @functools.cached_property
+    def slots(self) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Each neighbour slot in order: the rows that use it, and the
+        rows they name in it."""
+        return [(at, self.nbr_rows[at, k]) for k, at in enumerate(
+            map(np.flatnonzero, self.nbr_mask.T))]
+
 
 # One step of a window's star: the agent ids, the window's target first and
 # its neighbours after it in ascending id order, and their (n, D_IN)
@@ -174,18 +181,23 @@ class PackedStep:
 HistoryStep = Tuple[np.ndarray, np.ndarray]
 
 
-def _neighbour_means(x: np.ndarray, nbr_rows: np.ndarray,
-                     nbr_mask: np.ndarray,
+def _add_neighbours(out: np.ndarray, x: np.ndarray,
+                    slots: Sequence[Tuple[np.ndarray, ...]]) -> np.ndarray:
+    """Add each row's neighbour slots of ``x`` into ``out``, one slot at
+    a time in slot order and only on the rows that use the slot."""
+    for at, src in slots:
+        out[at] += x[src]
+    return out
+
+
+def _neighbour_means(x: np.ndarray, slots: Sequence[Tuple[np.ndarray, ...]],
                      nbr_count: np.ndarray) -> np.ndarray:
     """Each row's mean over its neighbour slots of ``x``, summed in slot
-    order, first slot first; zero for a row without neighbours."""
-    if not nbr_rows.shape[1]:
-        return np.zeros_like(x)
-    total = x[nbr_rows[:, 0]]
-    for k in range(1, nbr_rows.shape[1]):
-        at = np.flatnonzero(nbr_mask[:, k])
-        total[at] += x[nbr_rows[at, k]]
-    return np.where(nbr_mask[:, :1] > 0, total / nbr_count[:, None], 0.0)
+    order from a copy of slot 0 (-0.0 stays); zero without neighbours."""
+    total = np.zeros_like(x)
+    for at, src in slots[:1]:
+        total[at] = x[src]
+    return _add_neighbours(total, x, slots[1:]) / nbr_count[:, None]
 
 
 def pack_histories(
@@ -229,12 +241,13 @@ def pack_histories(
         if m.any():
             nbr_rows[r[m], 0] = hub[m]
             nbr_rows[hub[m], slot[m]] = r[m]
-        nbr_mask = used.astype(float)
-        nbr = (nbr_rows, nbr_mask, np.maximum(nbr_mask.sum(axis=1), 1.0))
         feats = np.zeros((n_rows, D_IN))
         feats[r] = x[lo:hi]
-        steps.append(PackedStep(feats, _neighbour_means(feats, *nbr),
-                                np.bincount(r, minlength=n_rows) > 0, *nbr))
+        packed = PackedStep(
+            feats, None, np.bincount(r, minlength=n_rows) > 0, nbr_rows,
+            used.astype(float), np.maximum(used.sum(axis=1), 1.0))
+        packed.x_bar = _neighbour_means(feats, packed.slots, packed.nbr_count)
+        steps.append(packed)
     return steps, rows
 
 
@@ -271,12 +284,7 @@ def _gru_step(gates: _StackedGates, step: PackedStep, h: Tensor) -> Tensor:
     W = gates.stacked
     d = gates.d_h
     hd = h.data
-    k_max = step.nbr_rows.shape[1]
-    if k_max:
-        h_bar = ((hd[step.nbr_rows] * step.nbr_mask[..., None]).sum(axis=1)
-                 / step.nbr_count[:, None])
-    else:
-        h_bar = np.zeros_like(hd)
+    h_bar = _neighbour_means(hd, step.slots, step.nbr_count)
     kappa = _rows(step.x, W["w_self"]) + _rows(step.x_bar, W["w_nbr"])
     xi = _rows(hd, W["u_self"]) + _rows(h_bar, W["u_nbr"])
     bias = W["bias"]
@@ -296,11 +304,10 @@ def _gru_step(gates: _StackedGates, step: PackedStep, h: Tensor) -> Tensor:
         d_xi = np.concatenate([da_r, da_z, da_c * r], axis=1)
         if h.requires_grad:
             dh = np.where(keep, g, g_new * z) + d_xi @ W["u_self"]
-            if k_max:
-                d_bar = (d_xi @ W["u_nbr"]) / step.nbr_count[:, None]
-                np.add.at(dh, step.nbr_rows,
-                          d_bar[:, None, :] * step.nbr_mask[..., None])
-            h._accum(dh)
+            # star slots are symmetric (a target lists its members by row,
+            # each member only its target): a gather adds in scatter order
+            d_bar = (d_xi @ W["u_nbr"]) / step.nbr_count[:, None]
+            h._accum(_add_neighbours(dh, d_bar, step.slots))
         gates.accumulate({
             "w_self": d_kappa.T @ step.x,
             "w_nbr": d_kappa.T @ step.x_bar,

@@ -14,7 +14,6 @@ from ..scene import (
     DEFAULT_MASSES,
     AgentState,
     Scenario,
-    in_radius,
     scenario_from_states,
 )
 from . import autodiff as ad
@@ -39,9 +38,14 @@ from ..scene import build_graph  # noqa: F401
 from .model import decode, encode  # noqa: F401
 
 
+# Longest forecast a model may make, in steps (40 s at 25 Hz): t_f sizes
+# every decode, so a model file cannot ask for an unbounded one.
+MAX_T_F = 1000
+
+
 @dataclass
 class TrainHyper:
-    """Model and optimizer hyperparameters."""
+    """Model and optimizer hyperparameters; t_f is at most MAX_T_F."""
 
     d_h: int = 32
     modes: int = 3
@@ -56,6 +60,9 @@ class TrainHyper:
     def __post_init__(self):
         if self.d_h < 1 or self.modes < 1 or self.t_h < 1 or self.t_f < 1:
             raise BadConfig("d_h, modes, t_h, t_f must all be >= 1")
+        if self.t_f > MAX_T_F:
+            raise BadConfig(f"t_f = {self.t_f} exceeds the longest horizon, "
+                            f"{MAX_T_F} steps")
         if self.dt <= 0 or self.lr <= 0 or self.clip_norm <= 0:
             raise BadConfig("dt, lr, clip_norm must be positive")
         if self.epochs < 0 or self.seed < 0:
@@ -71,34 +78,6 @@ def init_model(hyper: TrainHyper) -> Tuple[GraphCellParams, DecoderParams]:
 
 
 # ==================== dataset windows ====================
-
-# Distinct rows per in_radius pass of _star_steps: its working arrays stay
-# (block, frame size) however many rows the windows hold.
-STAR_BLOCK = 4096
-
-
-def _star_steps(scenario: Scenario, rows: np.ndarray, radius: float
-                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The star of each distinct table row in ``rows``: the row, then
-    every other row of its frame within ``radius`` of it, ascending by
-    id.  Returns the distinct rows ``own``, ascending, with ``ptr`` and
-    ``members``: ``own[i]``'s star is ``members[ptr[i]:ptr[i + 1]]``."""
-    own = np.unique(rows)
-    xy = scenario.motion[:, 0:2]
-    ptr = np.zeros(own.size + 1, dtype=np.intp)
-    members = [np.zeros(0, dtype=np.intp)]
-    for lo in range(0, own.size, STAR_BLOCK):
-        block = own[lo:lo + STAR_BLOCK]
-        # each row, then the other rows of its frame
-        cols = np.concatenate((block[:, None], scenario.others_at(block)),
-                              axis=1)
-        keep = (in_radius(xy[cols], xy[block, None], radius)
-                & (cols != block[:, None]))
-        keep[:, 0] = True
-        members.append(cols[keep])
-        ptr[lo + 1:lo + 1 + block.size] = keep.sum(axis=1)
-    return own, np.cumsum(ptr), np.concatenate(members)
-
 
 def _history_entries(motion: np.ndarray, history: np.ndarray,
                      centers: np.ndarray, stars: Tuple[np.ndarray, ...]):
@@ -122,7 +101,7 @@ def _history_entries(motion: np.ndarray, history: np.ndarray,
 class WindowBatch:
     """Prediction windows over one table, packed on first use.
 
-    Window w's history step s is the star (``_star_steps``) of its
+    Window w's history step s is the star (``Scenario.stars``) of its
     target's table row ``history[w, s]``.  Coordinates are centred on the
     target's position at ``frame``; ``offset`` restores world
     coordinates.  ``agent`` and ``motion`` are the table's id and motion
@@ -204,7 +183,7 @@ def extract_windows(
                 raise BadConfig(f"unknown target agent {target}")
             picked.append(np.flatnonzero(ids[rows[:, 0]] == target))
         rows = rows[np.concatenate(picked)]
-    stars = own, ptr, members = _star_steps(scenario, rows[:, :t_h], radius)
+    stars = own, ptr, members = scenario.stars(rows[:, :t_h], radius)
     # an agent at both ends of a window is at every frame of it: keep
     # the windows whose star members' tracks span both end frames
     enters = frame[head][track[members]]
@@ -459,8 +438,7 @@ def predict_frame(
         rows = np.array([[scenario.row(a, f)
                           for f in range(frame - length + 1, frame + 1)]
                          for a in group])
-        batch = _batch(scenario, rows, length,
-                       _star_steps(scenario, rows, radius))
+        batch = _batch(scenario, rows, length, scenario.stars(rows, radius))
         steps, targets = batch.packed
         with ad.no_grad():
             hiddens = encode_packed(cell, steps)

@@ -26,7 +26,7 @@ from .field import (
     table_columns,
 )
 from .predictor.model import MixturePrediction, PredictionMode
-from .scene import AgentState, Scenario, in_radius
+from .scene import AgentState, Scenario
 
 
 def estimate_velocity(x_now, x_hat, p, dt) -> np.ndarray:
@@ -181,8 +181,8 @@ def expected_risk_series(
 ) -> RiskTimeSeries:
     """Expected total risk for the ego over every prediction step.
 
-    The neighbours are the agents ``in_radius`` of the ego at the
-    prediction frame; those without a prediction, such as agents that
+    The neighbours are the ego's star at the prediction frame
+    (``Scenario.stars``); those without a prediction, such as agents that
     churn out of the scene, contribute nothing.  Every neighbour's
     modes at every step are the columns of one ``(t_f, modes)`` field
     evaluation, each as ``mode_risk`` defines it.  A step's value sums π
@@ -191,10 +191,8 @@ def expected_risk_series(
     predictions unless given explicitly.
     """
     e = scenario.row(ego_id, frame)
-    a, b = scenario.frame_rows(frame)
-    xy = scenario.motion[a:b, 0:2]
-    near = in_radius(xy, xy[e - a], params.R) & (np.arange(a, b) != e)
-    ids = [i for i in scenario.agent_id[a:b][near].tolist() if i in predictions]
+    star = scenario.stars(np.array([e]), params.R)[2]
+    ids = [i for i in scenario.agent_id[star[1:]].tolist() if i in predictions]
     if horizon is None:
         horizons = {pred.horizon for pred in predictions.values()}
         if len(horizons) > 1:

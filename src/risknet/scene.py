@@ -38,6 +38,10 @@ EPS_SPEED = 0.1  # m/s
 
 DEFAULT_LANE_WIDTH = 3.5  # m
 
+# Distinct rows per in_radius pass of Scenario.stars: its working arrays
+# stay (block, frame size) however many rows are asked for.
+STAR_BLOCK = 4096
+
 # Fallback masses by agent kind, used when the log carries no mass column.
 DEFAULT_MASSES: Dict[str, float] = {
     "pedestrian": 75.0,
@@ -272,6 +276,29 @@ class Scenario:
         cols = lo + np.arange(max(1, (hi - lo).max(initial=1) - 1))
         cols += cols >= rows[:, None]  # step over the row itself
         return np.where(cols < hi, cols, rows[:, None])
+
+    def stars(self, rows: np.ndarray, radius: float
+              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The interaction star of each distinct table row in ``rows``:
+        the row, then every other row of its frame ``in_radius`` of it,
+        ascending by id.  Returns the distinct rows ``own``, ascending,
+        with ``ptr`` and ``members``: ``own[i]``'s star is
+        ``members[ptr[i]:ptr[i + 1]]``."""
+        own = np.unique(rows)
+        xy = self.motion[:, 0:2]
+        ptr = np.zeros(own.size + 1, dtype=np.intp)
+        members = [np.zeros(0, dtype=np.intp)]
+        for lo in range(0, own.size, STAR_BLOCK):
+            block = own[lo:lo + STAR_BLOCK]
+            # each row, then the other rows of its frame
+            cols = np.concatenate((block[:, None], self.others_at(block)),
+                                  axis=1)
+            keep = (in_radius(xy[cols], xy[block, None], radius)
+                    & (cols != block[:, None]))
+            keep[:, 0] = True
+            members.append(cols[keep])
+            ptr[lo + 1:lo + 1 + block.size] = keep.sum(axis=1)
+        return own, np.cumsum(ptr), np.concatenate(members)
 
     def state(self, agent_id: int, frame: int) -> AgentState:
         return self.row_state(self.row(agent_id, frame))
@@ -765,30 +792,35 @@ def in_radius(points: np.ndarray, center: np.ndarray,
     sides of ``radius`` (README, "Radius membership").  Offsets are taken
     per coordinate, several times faster than a ``(..., 2)`` broadcast."""
     points, center = np.asarray(points), np.asarray(center)
-    dx = points[..., 0] - center[..., 0]
-    dy = points[..., 1] - center[..., 1]
-    h = np.hypot(dx, dy)
-    near = h <= radius
+    return within(np.hypot(points[..., 0] - center[..., 0],
+                           points[..., 1] - center[..., 1]),
+                  points, center, radius)
+
+
+def within(h: np.ndarray, points: np.ndarray, center: np.ndarray,
+           radius: float) -> np.ndarray:
+    """``in_radius`` given ``h``, the ``np.hypot`` distances of the
+    points from the centre: the points in the tie band, or at a
+    non-finite h, are decided by ``math.hypot`` of their offsets."""
+    near = np.asarray(h <= radius)  # an array also for one point
     band = max(radius * 2.0 ** -32, 2.0 ** -1022)
     tie = (np.abs(h - radius) <= band) | ~np.isfinite(h)
     if tie.any():
+        points, center = (np.broadcast_to(a, h.shape + (2,))[tie]
+                          for a in (points, center))
         near[tie] = [math.hypot(x, y) <= radius
-                     for x, y in zip(dx[tie].tolist(), dy[tie].tolist())]
+                     for x, y in (points - center).tolist()]
     return near
 
 
 def build_graph(
     scenario: Scenario, ego_id: int, frame: int, radius: float
 ) -> InteractionGraph:
-    """Connect the ego to every other agent within ``radius`` (inclusive)
-    at ``frame``, reading positions from the frame's table rows."""
-    e = scenario.row(ego_id, frame)
-    a, b = scenario.frame_rows(frame)
-    xy = scenario.motion[a:b, 0:2]
-    near = in_radius(xy, xy[e - a], radius)
-    near[e - a] = False
+    """Connect the ego to every other agent of its star at ``frame``
+    (``Scenario.stars``)."""
+    star = scenario.stars(np.array([scenario.row(ego_id, frame)]), radius)[2]
     return InteractionGraph(ego_id, frame, radius, frozenset(
-        (ego_id, aid) for aid in scenario.agent_id[a:b][near].tolist()))
+        (ego_id, aid) for aid in scenario.agent_id[star[1:]].tolist()))
 
 
 # ==================== synthetic archetypes ====================

@@ -40,7 +40,8 @@ from risknet.field import (
 )
 from risknet.predictor.model import MixturePrediction, PredictionMode
 from risknet.predictor.store import load_model, save_model
-from risknet.predictor.train import TrainHyper, init_model, predict_for_agent
+from risknet.predictor.train import (MAX_T_F, TrainHyper, init_model,
+                                     predict_for_agent)
 from risknet.prob import probabilistic_raster
 from risknet.scene import (
     ARCHETYPES,
@@ -1180,12 +1181,11 @@ FUZZ_CELLS = ["", "nan", "inf", "-inf", "1e308", "-1e308", "1e400", "0",
 FUZZ_VALUES = [None, True, False, 0, 1, -1, 2, 0.5, -2.5, 1e308, -1e308,
                math.nan, math.inf, "", "x", [], {}, [1.0, 2.0]]
 # Large ints go only into a model manifest's hyperparameters, which
-# load_model checks against the declared shapes and the payload before it
-# builds anything.  run.json gets none: a training config with that d_h
-# allocates by design, as does a model's t_f, the length of every
-# forecast it decodes.
+# load_model checks against the declared shapes, the horizon bound and
+# the payload before it builds anything.  run.json gets none: a training
+# config with that d_h allocates by design.
 FUZZ_LARGE = [10**6, 10**9, 2**62]
-FUZZ_HYPER = sorted(set(TrainHyper.__dataclass_fields__) - {"t_f"})
+FUZZ_HYPER = sorted(TrainHyper.__dataclass_fields__)
 
 # command -> (argv, the files it reads besides the tracks and config)
 FUZZ_COMMANDS = {
@@ -1230,11 +1230,10 @@ def fuzz_inputs():
     return files
 
 
-@pytest.mark.parametrize("field", ["d_h", "modes"])
-def test_cli_huge_model_manifest_is_refused_before_allocating(
-        fuzz_inputs, tmp_path, field):
-    """A manifest whose hyperparameters declare a model of terabytes is
-    refused from its declared shapes, before any parameter is built."""
+def predict_with_manifest_hyper(fuzz_inputs, tmp_path, field, value):
+    """``predict`` in process on the fuzz inputs, with the model
+    manifest's hyperparameter ``field`` set to ``value``: the exit code,
+    the stderr lines and the traced peak allocation in bytes."""
     import contextlib
     import io
     import tracemalloc
@@ -1244,7 +1243,7 @@ def test_cli_huge_model_manifest_is_refused_before_allocating(
     for name, raw in fuzz_inputs.items():
         (tmp_path / name).write_bytes(raw)
     manifest = json.loads(fuzz_inputs["model.json"])
-    manifest["hyper"][field] = 10**6
+    manifest["hyper"][field] = value
     (tmp_path / "model.json").write_text(json.dumps(manifest))
     argv = ["predict", "--scenario", str(tmp_path / "tracks.csv"),
             "--ego-id", "0", "--frame", "5", "--model",
@@ -1259,12 +1258,52 @@ def test_cli_huge_model_manifest_is_refused_before_allocating(
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return code, err.getvalue().splitlines(), peak
+
+
+@pytest.mark.parametrize("field", ["d_h", "modes"])
+def test_cli_huge_model_manifest_is_refused_before_allocating(
+        fuzz_inputs, tmp_path, field):
+    """A manifest whose hyperparameters declare a model of terabytes is
+    refused from its declared shapes, before any parameter is built."""
+    code, lines, peak = predict_with_manifest_hyper(fuzz_inputs, tmp_path,
+                                                    field, 10**6)
     assert code == 2
-    (line,) = err.getvalue().splitlines()
+    (line,) = lines
     assert line.startswith("risknet: input error: "), line
     assert "mismatch" in line or "malformed" in line, line
     assert peak < 1 << 20, peak
     assert not (tmp_path / "p.json").exists()
+
+
+def test_cli_predict_refuses_a_manifest_horizon_beyond_the_bound(
+        fuzz_inputs, tmp_path):
+    """A manifest t_f sizes every decode, so one above MAX_T_F is refused
+    before the model is built or anything is decoded."""
+    code, lines, peak = predict_with_manifest_hyper(fuzz_inputs, tmp_path,
+                                                    "t_f", 10**6)
+    assert code == 2
+    (line,) = lines
+    assert line.startswith("risknet: input error: "), line
+    assert f"t_f = {10**6} exceeds the longest horizon" in line, line
+    assert peak < 1 << 20, peak
+    assert not (tmp_path / "p.json").exists()
+
+
+def test_horizon_bound_refuses_config_and_direct_call(tmp_path):
+    """TrainHyper takes t_f up to MAX_T_F; above it a direct call raises
+    BadConfig and a config ends the CLI with exit 2 and one line."""
+    assert TrainHyper(t_f=MAX_T_F).t_f == MAX_T_F
+    with pytest.raises(BadConfig, match="t_f = 1001 exceeds"):
+        TrainHyper(t_f=MAX_T_F + 1)
+    proc = run_cli("train", "--dataset", train_dataset(tmp_path),
+                   *TRAIN_SETTINGS, "--set", f"predictor.t_f={MAX_T_F + 1}",
+                   "--out", tmp_path / "run")
+    assert proc.returncode == 2
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("risknet: input error: "), line
+    assert "exceeds the longest horizon" in line, line
+    assert not (tmp_path / "run").exists()
 
 
 def _json_paths(node, path=()):

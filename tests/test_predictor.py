@@ -30,6 +30,8 @@ from risknet.predictor.model import (
     PredictionMode,
     _fused_attend,
     _gru_step,
+    _rows,
+    _sigmoid,
     _StackedGates,
     decode,
     encode,
@@ -42,11 +44,9 @@ from risknet.predictor.model import (
 )
 from risknet.predictor.store import load_model, save_model
 from risknet.predictor.train import (
-    STAR_BLOCK,
     TrainHyper,
     WindowBatch,
     _history_entries,
-    _star_steps,
     _window_loss,
     constant_motion_tracks,
     corpus_windows,
@@ -58,7 +58,8 @@ from risknet.predictor.train import (
     train,
 )
 from oracles import NotPSD, attend, attention_weights, ekf_propagate
-from risknet.scene import CAR, InteractionGraph, Scenario, load_tracks
+from risknet.scene import (CAR, STAR_BLOCK, InteractionGraph, Scenario,
+                           load_tracks)
 
 
 def star(ids, *features):
@@ -232,6 +233,93 @@ def test_pack_histories_matches_graph_oracle(histories):
         for a, b in zip(got, want, strict=True):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert np.array_equal(a, b)
+
+
+def dense_gru_reference(gates, step, hd, g):
+    """One recurrent update from hiddens ``hd`` and its gradients for the
+    upstream gradient ``g``, with the neighbour mean taken as a padded
+    (rows, K, d_h) gather times the slot mask and its gradient scattered
+    back with ``np.add.at``: the output, the hidden gradient and the
+    stacked gate gradients."""
+    W, d = gates.stacked, gates.d_h
+    if step.nbr_rows.shape[1]:
+        h_bar = ((hd[step.nbr_rows] * step.nbr_mask[..., None]).sum(axis=1)
+                 / step.nbr_count[:, None])
+    else:
+        h_bar = np.zeros_like(hd)
+    kappa = _rows(step.x, W["w_self"]) + _rows(step.x_bar, W["w_nbr"])
+    xi = _rows(hd, W["u_self"]) + _rows(h_bar, W["u_nbr"])
+    bias = W["bias"]
+    r = _sigmoid(kappa[:, :d] + xi[:, :d] + bias[:d])
+    z = _sigmoid(kappa[:, d:2 * d] + xi[:, d:2 * d] + bias[d:2 * d])
+    c = np.tanh(kappa[:, 2 * d:] + r * xi[:, 2 * d:] + bias[2 * d:])
+    keep = ~step.present[:, None]
+    out = np.where(keep, hd, (1.0 - z) * c + z * hd)
+    g_new = np.where(keep, 0.0, g)
+    da_c = g_new * (1.0 - z) * (1.0 - c * c)
+    da_r = da_c * xi[:, 2 * d:] * r * (1.0 - r)
+    da_z = g_new * (hd - c) * z * (1.0 - z)
+    d_kappa = np.concatenate([da_r, da_z, da_c], axis=1)
+    d_xi = np.concatenate([da_r, da_z, da_c * r], axis=1)
+    dh = np.where(keep, g, g_new * z) + d_xi @ W["u_self"]
+    if step.nbr_rows.shape[1]:
+        d_bar = (d_xi @ W["u_nbr"]) / step.nbr_count[:, None]
+        np.add.at(dh, step.nbr_rows,
+                  d_bar[:, None, :] * step.nbr_mask[..., None])
+    return out, dh, {"w_self": d_kappa.T @ step.x,
+                     "w_nbr": d_kappa.T @ step.x_bar,
+                     "u_self": d_xi.T @ hd, "u_nbr": d_xi.T @ h_bar,
+                     "bias": d_kappa.sum(axis=0)}
+
+
+@st.composite
+def signed_zero_star_histories(draw):
+    """star_histories' windows with about a third of the features -0.0
+    and, at one drawn step or none, every star cut to its target, so that
+    step has no neighbour slot (K = 0)."""
+    arrays, _ = draw(star_histories())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lonely = draw(st.integers(-1, len(arrays[0]) - 1))
+    return [[(ids[:1], x[:1]) if s == lonely else (ids, x)
+             for s, (ids, x) in enumerate(
+                 (ids, np.where(rng.uniform(size=x.shape) < 0.3, -0.0, x))
+                 for ids, x in window)]
+            for window in arrays]
+
+
+@settings(max_examples=150, deadline=None)
+@given(histories=signed_zero_star_histories(),
+       seed=st.integers(0, 2**32 - 1))
+def test_gru_step_neighbour_sums_match_dense_gather(histories, seed):
+    """_gru_step's slot-order neighbour sums give the output, the hidden
+    gradient and every gate gradient of the padded gather and np.add.at
+    scatter bit for bit: rows without neighbours, lone targets, steps
+    with K = 0, -0.0 features, and hiddens and gradients of both signs."""
+    rng = np.random.default_rng(seed)
+    cell, _ = init_model(small_hyper(seed=seed % 1000))
+    steps, _ = packed(histories)
+    for step in steps:
+        gates = _StackedGates(cell)
+        for p in gates.params:
+            p.grad = None
+        hd, g = (rng.uniform(0.05, 1.0, (len(step.x), cell.d_h))
+                 * rng.choice([-1.0, 1.0], (len(step.x), cell.d_h))
+                 for _ in range(2))
+        h = ad.parameter(hd)
+        out = _gru_step(gates, step, h)
+        out._backward(g)
+        want, want_dh, want_grads = dense_gru_reference(gates, step, hd, g)
+        x_bar = oracles._neighbour_means(step.x, step.nbr_rows,
+                                         step.nbr_mask, step.nbr_count)
+        assert np.array_equal(step.x_bar.view(np.int64), x_bar.view(np.int64))
+        assert np.array_equal(out.data.view(np.int64), want.view(np.int64))
+        assert np.array_equal(h.grad.view(np.int64), want_dh.view(np.int64))
+        d = cell.d_h
+        for i, gate in enumerate(gates.gates):
+            for part, grad in want_grads.items():
+                assert np.array_equal(
+                    getattr(gate, part).grad.view(np.int64),
+                    grad[i * d:(i + 1) * d].view(np.int64))
 
 
 # ---- encoder ----
@@ -938,8 +1026,8 @@ def test_stacked_corpus_matches_per_file_reference(files, tmp_path_factory):
 
 
 def test_star_steps_memory_is_bounded_as_frames_are_added():
-    """_star_steps sends the distinct rows through in_radius in blocks of
-    STAR_BLOCK, so on a dense scene (60 agents, each within the radius of
+    """Scenario.stars sends the distinct rows through in_radius in blocks
+    of STAR_BLOCK, so on a dense scene (60 agents, each within the radius of
     all others) its peak beyond the stars it returns does not grow with
     the frames: one (block, 60) working set, about 9 MB.  Without the
     blocks the 480-frame scene peaks 85 MB beyond its stars."""
@@ -955,7 +1043,7 @@ def test_star_steps_memory_is_bounded_as_frames_are_added():
                       np.zeros(n, dtype=np.intp), (CAR,), "dense")
         tracemalloc.start()
         try:
-            own, ptr, members = _star_steps(sc, np.arange(n)[:, None], 50.0)
+            own, ptr, members = sc.stars(np.arange(n)[:, None], 50.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -49,7 +49,7 @@ from risknet.scene import (
     make_archetype,
     scenario_from_states,
 )
-from risknet.predictor.train import _history_entries, _star_steps
+from risknet.predictor.train import _history_entries
 
 HEADER = ["frame", "id", "x", "y", "xVelocity", "yVelocity",
           "width", "height"]
@@ -942,6 +942,9 @@ def test_in_radius_ties_and_shapes():
     # np.hypot alone would answer True and False for the last two
     assert want == [True, True, False, True, False, True]
     assert scene.in_radius(ties, (0.0, 0.0), RADIUS).tolist() == want
+    # one (2,) point at a time, ties included
+    assert [scene.in_radius(p, (0.0, 0.0), RADIUS).tolist()
+            for p in ties] == want
     # a (2, 3, 2) block against one centre per row of it
     centers = np.array([[[1.0, 2.0]], [[-3.0, 0.5]]])
     block = ties.reshape(2, 3, 2) + centers
@@ -978,7 +981,7 @@ def test_star_steps_match_per_target_oracle(rows, data):
     centers = sc.motion[history[:, -1], 0:2] + data.draw(
         st.sampled_from([0.0, 0.125, -3.75]))
     window, step, member, x_all, _ = _history_entries(
-        sc.motion, history, centers, _star_steps(sc, history, RADIUS))
+        sc.motion, history, centers, sc.stars(history, RADIUS))
     got = [[(sc.agent_id[member[m]], x_all[m])
             for m in ((window == w) & (step == s) for s in range(length))]
            for w in range(len(history))]
