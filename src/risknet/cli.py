@@ -53,6 +53,7 @@ from .scene import (
     ARCHETYPES,
     Scenario,
     export_tracks,
+    load_dataset,
     load_tracks,
     make_archetype,
 )
@@ -267,13 +268,10 @@ def cmd_train(args, cfg: RunConfig) -> int:
     )
     if not names:
         raise BadConfig(f"no .csv track files in {args.dataset}")
-    scenarios = [
-        load_tracks(os.path.join(args.dataset, n),
-                    frame_rate=cfg.io.frame_rate,
-                    schema=_schema_of(args, cfg))
-        for n in names
-    ]
-    samples = corpus_windows(scenarios, hyper, radius=cfg.risk.R)
+    corpus = load_dataset([os.path.join(args.dataset, n) for n in names],
+                          frame_rate=cfg.io.frame_rate,
+                          schema=_schema_of(args, cfg))
+    samples = corpus_windows(corpus, hyper, radius=cfg.risk.R)
     if not samples:
         raise BadConfig(
             "dataset yields no training windows; tracks must span at "

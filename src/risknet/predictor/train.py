@@ -3,7 +3,7 @@
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -13,8 +13,10 @@ from ..scene import (
     CAR_EXTENT,
     DEFAULT_MASSES,
     AgentState,
+    Corpus,
     Scenario,
     scenario_from_states,
+    stack,
 )
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -362,36 +364,31 @@ def constant_motion_tracks(
 
 
 def corpus_windows(
-    scenarios: Sequence[Scenario], hyper: TrainHyper, radius: float = 50.0
+    corpus: Union[Corpus, Sequence[Scenario]], hyper: TrainHyper,
+    radius: float = 50.0,
 ) -> WindowBatch:
-    """Every scenario's windows (``extract_windows``), in scenario order,
-    as one batch.
-
-    The scenarios are stacked into one table.  Their (scenario, id) pairs
-    and (scenario, frame) pairs become dense ints in that order, so no
-    track or star crosses two scenarios and one pass serves the corpus.
-    The batch keeps the scenarios' own ids, frames and frame steps.
+    """Every window of the corpus (``extract_windows`` on its one table),
+    in source order, as one batch; a sequence of scenarios is stacked
+    into a Corpus first.  The batch keeps the sources' own ids, frames
+    and frame steps.
     """
-    if not scenarios:
-        raise BadConfig("training dataset is empty")
-    frame, ids, *columns, kind = (np.concatenate(c) for c in zip(*(
-        (sc.frame, sc.agent_id, sc.motion, sc.extent, sc.mass, sc.kind)
-        for sc in scenarios)))
-    sizes = [sc.frame.size for sc in scenarios]
-    source = np.repeat(np.arange(len(scenarios)), sizes)
-    # rank the values, then number the (scenario, rank) pairs in order
-    dense_frame, dense_id = (
-        np.unique(source * ids.size + np.unique(v, return_inverse=True)[1],
-                  return_inverse=True)[1] for v in (frame, ids))
-    kind += np.repeat(np.cumsum([0] + [len(sc.kinds) for sc in scenarios])
-                      [:-1], sizes)
-    batch = extract_windows(Scenario(
-        scenarios[0].frame_rate, dense_frame, dense_id, *columns, kind,
-        [k for sc in scenarios for k in sc.kinds], "corpus"), hyper, radius)
+    if not isinstance(corpus, Corpus):
+        if not corpus:
+            raise BadConfig("training dataset is empty")
+        source = np.repeat(np.arange(len(corpus)),
+                           [sc.frame.size for sc in corpus])
+        frame, ids, *columns, kind = (np.concatenate(c) for c in zip(*(
+            (sc.frame, sc.agent_id, sc.motion, sc.extent, sc.mass, sc.kind)
+            for sc in corpus)))
+        kind += np.cumsum([0] + [len(sc.kinds) for sc in corpus])[source]
+        corpus = stack(source, frame, ids, *columns, kind,
+                       [k for sc in corpus for k in sc.kinds],
+                       np.array([sc.dt for sc in corpus]))
+    batch = extract_windows(corpus.table, hyper, radius)
     head, now = batch.history[:, 0], batch.history[:, -1]
-    steps = np.array([sc.dt for sc in scenarios])
-    return replace(batch, target_id=ids[head], frame=frame[now], agent=ids,
-                   dt=steps[source[head]])
+    return replace(batch, target_id=corpus.agent_id[head],
+                   frame=corpus.frame[now], agent=corpus.agent_id,
+                   dt=corpus.dt[head])
 
 
 # ==================== inference on scenarios ====================

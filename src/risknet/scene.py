@@ -26,6 +26,7 @@ import numpy as np
 from .errors import (
     BadConfig,
     EgoAbsent,
+    InputError,
     MissingColumn,
     NonContiguousTrack,
     NonFinite,
@@ -335,6 +336,37 @@ def scenario_from_states(
         mass[order], kind[order], tuple(code_of), source)
 
 
+@dataclass
+class Corpus:
+    """Rows of several sources as one table for ``extract_windows``:
+    ``table`` under per-source keys (``stack``), each row's own ``frame``
+    and ``agent_id``, and its source's frame step ``dt``."""
+
+    table: Scenario
+    frame: np.ndarray
+    agent_id: np.ndarray
+    dt: np.ndarray
+
+
+def stack(source, frame, ids, motion, extent, mass, kind, kinds,
+          steps) -> Corpus:
+    """Rows sorted by (source, frame, id), of sources with the given frame
+    steps, as a Corpus.  (source, id) pairs become dense ids in that order;
+    each source's frames follow the previous source's, keyed one apart
+    where consecutive and two across a gap, so no track or star crosses
+    two sources, the table refuses a track gap (a dense remap would hide
+    it), and frames near 2**53 cannot overflow."""
+    step = np.where(source[1:] == source[:-1],
+                    np.minimum(np.diff(frame), 2), 2)
+    # rank the ids, then number the (source, rank) pairs in order
+    dense_id = np.unique(source * ids.size
+                         + np.unique(ids, return_inverse=True)[1],
+                         return_inverse=True)[1]
+    return Corpus(Scenario(1.0 / steps[0], np.cumsum(np.append(0, step)),
+                           dense_id, motion, extent, mass, kind, kinds,
+                           "corpus"), frame, ids, steps[source])
+
+
 # ==================== CSV ingestion / export ====================
 
 REQUIRED_COLUMNS = ("frame", "id", "x", "y", "xVelocity", "yVelocity",
@@ -405,34 +437,41 @@ def _parse_text(body: str, resolved: Mapping[str, int],
 
     The text qualifies when it holds none of ``_LOADTXT_TRAPS``; loadtxt
     then splits rows and cells as csv.reader does and accepts only cells
-    that Python's float reads the same.  A non-finite value also returns
-    None, so that the csv path names the first bad row.
+    that Python's float reads the same.  The class cells come back as
+    str objects, as they stand.  A non-finite value also returns None,
+    so that the csv path names the first bad row.
     """
     if (not body or body.isspace()
             or any(c in body for c in _LOADTXT_TRAPS)):
         return None
     usecols = [resolved[name] for name in numeric]
-    labels: Dict[str, int] = {}
-    converters = None
+    fields = [("values", float, (len(usecols),))]
     if "class" in resolved:
         if resolved["class"] in usecols:  # one column read two ways
             return None
         usecols.append(resolved["class"])
-        converters = {resolved["class"]:
-                      lambda cell: labels.setdefault(cell, len(labels))}
+        fields.append(("class", object))
     try:
-        # encoding=None: before NumPy 2 the default hands converters bytes
+        # encoding=None: before NumPy 2 the default hands cells as bytes
         table = np.loadtxt(body.split("\n"), delimiter=",", comments=None,
-                           usecols=usecols, converters=converters, ndmin=2,
+                           usecols=usecols, dtype=fields, ndmin=1,
                            encoding=None)
     except ValueError:
         return None
-    if not np.isfinite(table).all():
+    values = table["values"]
+    if not np.isfinite(values).all():
         return None
-    values = dict(zip(numeric, table.T))
-    if converters is None:
-        return values, np.zeros(len(table), np.intp), [None]
-    return values, table[:, -1].astype(np.intp), list(labels)
+    labels = (table["class"].tolist() if "class" in resolved
+              else [None] * len(table))
+    return dict(zip(numeric, values.T)), *_codes(labels)
+
+
+def _codes(labels: List[Optional[str]]) -> Tuple[np.ndarray, list]:
+    """Each label's code into the distinct labels, which are in order of
+    first appearance."""
+    code_of = {raw: k for k, raw in enumerate(dict.fromkeys(labels))}
+    return (np.fromiter(map(code_of.__getitem__, labels), np.intp,
+                        len(labels)), list(code_of))
 
 
 def _parse_cells(path: str, rows: Iterable[List[str]], header: List[str],
@@ -484,10 +523,7 @@ def _parse_cells(path: str, rows: Iterable[List[str]], header: List[str],
     first_bad = np.flatnonzero(bad)
     if first_bad.size:
         raise NonFinite(int(first_bad[0]))
-    labels = columns.get("class", [None] * n)
-    code_of = {raw: k for k, raw in enumerate(dict.fromkeys(labels))}
-    kind = np.fromiter(map(code_of.__getitem__, labels), np.intp, n)
-    return values, kind, list(code_of)
+    return values, *_codes(columns.get("class", [None] * n))
 
 
 def _resolve(header: Sequence[str],
@@ -636,6 +672,73 @@ def _ingest(path: str, remap: Mapping[str, str]) -> Columns:
     return columns
 
 
+def _stack(parts: Sequence[Columns],
+           kind_defaults: Optional[Mapping[str, float]]) -> tuple:
+    """The parsed files' rows, checked as ``load_tracks`` describes and
+    sorted by (file, frame, id): the arguments of ``stack`` but the steps,
+    and each file's shift.  A refused row is counted over all files."""
+    masses = {**DEFAULT_MASSES, **(kind_defaults or {})}
+    sizes = [codes.size for _, codes, _ in parts]
+    source = np.repeat(np.arange(len(parts)), sizes)
+    kinds = [AgentKind.of(raw) if raw and raw.strip() else CAR
+             for *_, raws in parts for raw in raws]
+
+    def joined(cells):  # one file's column as it is
+        return cells[0] if len(cells) == 1 else np.concatenate(cells)
+
+    def column(name, fill=math.nan):
+        return joined([values[name] if name in values
+                       else np.full(codes.size, fill)
+                       for values, codes, _ in parts])
+
+    bases = itertools.accumulate([len(raws) for *_, raws in parts], initial=0)
+    kind = joined([codes + base for (_, codes, _), base in zip(parts, bases)])
+    default_mass = np.array([masses[k.category] for k in kinds],
+                            dtype=float)[kind]
+    mass = column("mass")
+    blank = np.isnan(mass)
+    if blank.any():
+        mass = np.where(blank, default_mass, mass)
+
+    keys = np.column_stack([column("frame"), column("id")])
+    off = np.flatnonzero((keys != np.trunc(keys))
+                         | (np.abs(keys) > MAX_INTEGRAL))
+    if off.size:
+        row, col = divmod(int(off[0]), 2)
+        raise NonIntegral(row, ("frame", "id")[col], float(keys[row, col]))
+    frame, ids = keys.astype(np.int64).T
+
+    body = {"width": column("width"), "height": column("height"),
+            "mass": mass}
+    # masks are built only on failure, so a good file allocates nothing
+    if min(c.min() for c in body.values()) <= 0.0:
+        low = np.logical_or.reduce([c <= 0.0 for c in body.values()])
+        row = int(np.argmax(low))
+        name = next(k for k, c in body.items() if c[row] <= 0.0)
+        raise NonPositive(row, name, float(body[name][row]))
+
+    order = np.lexsort((ids, frame, source))  # keeps source as it is
+    motion = np.column_stack([column(name, 0.0) for name in (
+        "x", "y", "xVelocity", "yVelocity", "xAcceleration", "yAcceleration",
+    )])[order]
+    pos = motion[:, 0:2]
+    # each file's max(0, -min) per coordinate, from the unsorted columns
+    starts = np.cumsum([0] + sizes[:-1])
+    least = np.column_stack([np.minimum.reduceat(column(name), starts)
+                             for name in ("x", "y")])
+    shift = np.where(least < 0.0, -least, 0.0)
+    moved = (shift > 0.0).any(axis=1)
+    if moved.any():
+        with np.errstate(over="ignore"):  # -0.0 leaves a file unmoved
+            pos += np.where(moved[:, None], shift, -0.0)[source]
+        over = ~np.isfinite(pos).all(axis=1)
+        if over.any():
+            raise NonFinite(int(order[over].min()))
+    extent = np.column_stack([body["width"], body["height"]])[order]
+    return (source, frame[order], ids[order], motion, extent, mass[order],
+            kind[order], kinds, shift)
+
+
 def load_tracks(
     path: str,
     frame_rate: float = 25.0,
@@ -669,55 +772,37 @@ def load_tracks(
     fills a blank cell) is not positive raises NonPositive, and then the
     first row whose shifted position overflows raises NonFinite.  An
     unreadable or non-UTF-8 file, or one with a cell longer than csv's
-    field size limit, is BadConfig.
+    field size limit, is BadConfig.  These checks and the ordering are
+    ``_stack``'s, which ``load_dataset`` runs once over a dataset of
+    files; a refused dataset fails with its first file's error here,
+    the file's base name before the message.
     """
-    masses = dict(DEFAULT_MASSES)
-    if kind_defaults:
-        masses.update(kind_defaults)
-    values, kind, raws = _ingest(path, dict(schema or {}))
+    _, frame, ids, *table, shift = _stack(
+        [_ingest(path, dict(schema or {}))], kind_defaults)
+    return Scenario(frame_rate, frame, ids, *table, path, offset=shift[0])
 
-    kinds = [AgentKind.of(raw) if raw and raw.strip() else CAR
-             for raw in raws]
-    default_mass = np.array([masses[k.category] for k in kinds],
-                            dtype=float)[kind]
-    mass = values.get("mass", default_mass)
-    blank = np.isnan(mass)
-    if blank.any():
-        mass = np.where(blank, default_mass, mass)
 
-    keys = np.column_stack([values["frame"], values["id"]])
-    off = np.flatnonzero((keys != np.trunc(keys))
-                         | (np.abs(keys) > MAX_INTEGRAL))
-    if off.size:
-        row, col = divmod(int(off[0]), 2)
-        raise NonIntegral(row, ("frame", "id")[col], float(keys[row, col]))
-    frame, ids = keys.astype(np.int64).T
-
-    body = {"width": values["width"], "height": values["height"],
-            "mass": mass}
-    # masks are built only on failure, so a good file allocates nothing
-    if min(column.min() for column in body.values()) <= 0.0:
-        low = np.logical_or.reduce([c <= 0.0 for c in body.values()])
-        row = int(np.argmax(low))
-        name = next(k for k, c in body.items() if c[row] <= 0.0)
-        raise NonPositive(row, name, float(body[name][row]))
-
-    order = np.lexsort((ids, frame))
-    zero = np.zeros(len(order))  # absent accelerations
-    motion = np.column_stack([values.get(name, zero) for name in (
-        "x", "y", "xVelocity", "yVelocity", "xAcceleration", "yAcceleration",
-    )])[order]
-    pos = motion[:, 0:2]
-    shift = np.array([max(0.0, -pos[:, 0].min()), max(0.0, -pos[:, 1].min())])
-    if shift[0] > 0.0 or shift[1] > 0.0:
-        with np.errstate(over="ignore"):
-            pos += shift
-        over = ~np.isfinite(pos).all(axis=1)
-        if over.any():
-            raise NonFinite(int(order[over].min()))
-    extent = np.column_stack([values["width"], values["height"]])[order]
-    return Scenario(frame_rate, frame[order], ids[order], motion, extent,
-                    mass[order], kind[order], kinds, path, offset=shift)
+def load_dataset(paths: Sequence[str], frame_rate: float = 25.0,
+                 schema: Optional[Mapping[str, str]] = None) -> Corpus:
+    """Load track files as one Corpus, with no Scenario per file: each
+    file is read as ``load_tracks`` reads it, in order, and its checks run
+    once over the stacked rows (``_stack``, then the table's own).  On any
+    refusal the files are loaded again one at a time; the first to fail
+    alone raises its ``load_tracks`` error, its base name first."""
+    if not paths:
+        raise BadConfig("training dataset is empty")
+    try:
+        parts = [_ingest(path, dict(schema or {})) for path in paths]
+        *table, _ = _stack(parts, None)
+        return stack(*table, np.full(len(paths), 1.0 / frame_rate))
+    except InputError:
+        for path in paths:
+            try:
+                load_tracks(path, frame_rate, schema)
+            except InputError as exc:
+                exc.args = (f"{os.path.basename(path)}: {exc}",)
+                raise
+        raise
 
 
 def _render(column: np.ndarray) -> List[str]:

@@ -5,11 +5,14 @@ definition, using only the standard library and numpy.  Nothing is
 imported from the package under test but the error types the track
 loader and the predictor twins raise, and the functions share no helpers
 with it, so agreement with the production code is evidence rather than
-tautology.
+tautology.  The one exception is ``dataset_windows``, the per-file
+dataset load: it composes the package's one-file loader and its windowing
+of scenario lists, the path that the one-table load replaced.
 """
 
 import csv
 import math
+import os
 
 import numpy as np
 
@@ -534,6 +537,28 @@ def corpus_windows(scenarios, t_h, t_f, radius):
                                            for f in range(now + 1, end + 1)]),
                         "offset": center, "dt": sc.dt})
     return windows
+
+
+# ---- per-file dataset load ----
+#
+# The training load that the one-table load (scene.load_dataset)
+# replaced: each file through load_tracks on its own, in the given order,
+# the first refusal raised with the file's base name before its message;
+# then corpus_windows stacks the scenarios.
+
+def dataset_windows(paths, frame_rate, hyper, radius):
+    from risknet.errors import InputError
+    from risknet.predictor.train import corpus_windows
+    from risknet.scene import load_tracks
+
+    scenarios = []
+    for path in paths:
+        try:
+            scenarios.append(load_tracks(path, frame_rate))
+        except InputError as exc:
+            exc.args = (f"{os.path.basename(path)}: {exc}",)
+            raise
+    return corpus_windows(scenarios, hyper, radius=radius)
 
 
 # ---- reference history packer ----

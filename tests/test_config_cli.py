@@ -914,6 +914,28 @@ def test_cli_train_empty_dataset_exits_2(tmp_path):
     assert "no .csv track files" in proc.stderr
 
 
+def test_cli_train_names_the_file_it_refuses(tmp_path):
+    """A bad cell in one file of a dataset is refused with the single
+    file's error class, exit code, row and value, and the file's name."""
+    data = train_dataset(tmp_path)
+    export_cv(data / "c.csv", [(0, 1.0, 1.0, 5.0, 0.0)], n_frames=5,
+              frame_rate=5.0)
+    lines = (data / "b.csv").read_bytes().decode().split("\r\n")
+    cells = lines[3].split(",")  # data row 2
+    cells[8] = "-1.0"  # width
+    lines[3] = ",".join(cells)
+    (data / "b.csv").write_bytes("\r\n".join(lines).encode())
+    alone = run_cli("eval", "--scenario", data / "b.csv", "--ego-id", "0",
+                    "--out", tmp_path / "e.csv")
+    message = "width in data row 2 must be positive: -1.0"
+    assert alone.stderr == f"risknet: input error: {message}\n"
+    out = tmp_path / "run"
+    proc = run_cli("train", "--dataset", data, *TRAIN_SETTINGS, "--out", out)
+    assert proc.returncode == 2
+    assert proc.stderr == f"risknet: input error: b.csv: {message}\n"
+    assert not out.exists()
+
+
 # ==================== predict / metrics ====================
 
 
@@ -1365,6 +1387,16 @@ def _mutate(raw, name, data):
     return "\r\n".join(lines).encode()
 
 
+def _split_tracks(raw, n_files):
+    """The track file's agents dealt over ``n_files`` track files of the
+    train dataset, agent a into file a mod n_files, each with the
+    header."""
+    header, *rows, end = raw.decode().split("\r\n")
+    return {f"data/{k}.csv": "\r\n".join(
+        [header, *(r for r in rows if int(r.split(",")[1]) % n_files == k),
+         end]).encode() for k in range(n_files)}
+
+
 @given(case=fuzz_cases())
 @settings(max_examples=150, deadline=None)
 def test_cli_mutated_inputs_exit_cleanly(fuzz_inputs, case):
@@ -1375,12 +1407,20 @@ def test_cli_mutated_inputs_exit_cleanly(fuzz_inputs, case):
     from risknet import cli
 
     command, name, data = case
+    files = dict(fuzz_inputs)
+    if command == "train":  # the tracks as a dataset of two or three files
+        tracks = files.pop("tracks.csv")
+        files.update(_split_tracks(tracks, data.draw(st.integers(2, 3))))
+        if name == "tracks.csv":
+            name = data.draw(st.sampled_from(sorted(
+                n for n in files if n.startswith("data/"))))
     with tempfile.TemporaryDirectory() as tmp:
         os.mkdir(f"{tmp}/data")
         os.mkdir(f"{tmp}/out")
-        for file, raw in fuzz_inputs.items():
+        for file, raw in files.items():
             if file == name:
-                raw = _mutate(raw, name, data)
+                raw = _mutate(raw, "tracks.csv" if file.startswith("data/")
+                              else name, data)
             where = "data/" if file == "tracks.csv" else ""
             with open(f"{tmp}/{where}{file}", "wb") as fh:
                 fh.write(raw)

@@ -15,6 +15,7 @@ from conftest import constant_velocity_scenario, make_state
 from risknet.errors import (
     BadConfig,
     DegenerateCovariance,
+    InputError,
     ModelFormatError,
     NonFiniteLoss,
     NumericError,
@@ -59,7 +60,7 @@ from risknet.predictor.train import (
 )
 from oracles import NotPSD, attend, attention_weights, ekf_propagate
 from risknet.scene import (CAR, STAR_BLOCK, InteractionGraph, Scenario,
-                           load_tracks)
+                           load_dataset, load_tracks)
 
 
 def star(ids, *features):
@@ -955,6 +956,93 @@ def track_corpora(draw):
                       f"0.5,4.5,2.0" for f in range(first, first + length)]
         files.append("\n".join(lines) + "\n")
     return files
+
+
+# A fault for one file of a track corpus: each breaks one load check.
+FAULTS = ("gap", "duplicate", "non_integral", "non_positive", "mass",
+          "overflow", "parse", "missing_column")
+
+
+@st.composite
+def faulty_corpora(draw):
+    """track_corpora files with a fault in none, one or two of them; a
+    file after a faulty one may fail to parse or lack a column, and a
+    "gap" file is one agent at frames 0, 1 and 3, a gap that a dense
+    frame remap would hide."""
+    files = [text.split("\n") for text in draw(track_corpora())]
+    hit = draw(st.lists(st.integers(0, len(files) - 1), max_size=2,
+                        unique=True))
+    for k in sorted(hit):
+        lines, fault = files[k], draw(st.sampled_from(FAULTS))
+        i, j = (draw(st.integers(1, len(lines) - 2)) for _ in range(2))
+        cells = lines[i].split(",")
+        if fault == "gap":
+            lines[1:] = [f"{f},5,1.0,2.0,0.5,0.0,4.5,2.0" for f in (0, 1, 3)]
+            lines.append("")
+        elif fault == "duplicate":
+            lines.insert(i, lines[i])
+        elif fault in ("non_integral", "non_positive", "parse"):
+            column, values = {
+                "non_integral": ([0, 1], ["0.5", "-2.5", "1e17"]),
+                "non_positive": ([6, 7], ["0.0", "-0.0", "-1.0"]),
+                "parse": (list(range(8)), ["x", "", "nan", "inf"]),
+            }[fault]
+            cells[draw(st.sampled_from(column))] = draw(
+                st.sampled_from(values))
+            lines[i] = ",".join(cells)
+        elif fault == "mass":  # a mass column, one cell not positive
+            lines[:-1] = [line + (",mass" if r == 0 else
+                                  ",-3.0" if r == i else ",1500.0")
+                          for r, line in enumerate(lines[:-1])]
+        elif fault == "overflow":  # the origin shift overflows another x
+            lines[i] = ",".join(cells[:2] + ["-1e308"] + cells[3:])
+            cells = lines[j].split(",")
+            lines[j] = ",".join(cells[:2] + ["1.7e308"] + cells[3:])
+        else:
+            lines[0] = lines[0].replace("width", "length")
+    return ["\n".join(lines) for lines in files]
+
+
+def assert_batches_equal(got, want):
+    """Every array of two WindowBatches, bit for bit."""
+    for name in ("target_id", "frame", "history", "agent", "motion", "x0",
+                 "truth", "offset", "dt"):
+        assert_bits_equal(getattr(got, name), getattr(want, name))
+    for a, b in zip(got.stars, want.stars, strict=True):
+        assert_bits_equal(a, b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(files=faulty_corpora())
+def test_one_table_load_matches_per_file_reference(files, tmp_path_factory):
+    """Loading a dataset as one table (load_dataset) refuses it with the
+    exception class and message of loading its files one at a time
+    (oracles.dataset_windows): the first file that fails alone, named.
+    A dataset it accepts gives the reference's WindowBatch arrays and
+    training curve bit for bit."""
+    hyper = small_hyper(d_h=3, t_h=3, t_f=2, epochs=2)
+    folder = tmp_path_factory.mktemp("dataset")
+    paths = [str(folder / f"{k}.csv") for k in range(len(files))]
+    for path, text in zip(paths, files):
+        with open(path, "w") as fh:
+            fh.write(text)
+
+    def outcome(windows):
+        try:
+            return windows()
+        except InputError as exc:
+            return type(exc), str(exc)
+
+    want = outcome(lambda: oracles.dataset_windows(paths, 5.0, hyper, 20.0))
+    got = outcome(lambda: corpus_windows(load_dataset(paths, 5.0), hyper,
+                                         radius=20.0))
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert_batches_equal(got, want)
+    if len(want):
+        curves = [train(batch, hyper)[2] for batch in (got, want)]
+        assert_bits_equal(*curves)
 
 
 def reference_batch(windows):
