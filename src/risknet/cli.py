@@ -538,9 +538,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once, at import; parsing leaves it as it was, so every main reuses it
+_PARSER = build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = _effective_config(args)
         return args.func(args, cfg)

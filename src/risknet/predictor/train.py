@@ -432,9 +432,9 @@ def predict_frame(
         by_length.setdefault(length, []).append(agent_id)
     preds: Dict[int, MixturePrediction] = {}
     for length, group in by_length.items():
-        rows = np.array([[scenario.row(a, f)
-                          for f in range(frame - length + 1, frame + 1)]
-                         for a in group])
+        spans = map(scenario.frame_rows, range(frame - length + 1, frame + 1))
+        rows = np.stack([lo + np.searchsorted(scenario.agent_id[lo:hi], group)
+                         for lo, hi in spans], axis=1)  # tracks have no gaps
         batch = _batch(scenario, rows, length, scenario.stars(rows, radius))
         steps, targets = batch.packed
         with ad.no_grad():

@@ -11,6 +11,7 @@ Velocities are m/s, accelerations m/s^2, masses kg.
 import bisect
 import contextlib
 import csv
+import functools
 import io
 import itertools
 import json
@@ -154,7 +155,6 @@ class Scenario:
     # Shift added to source coordinates at load time; subtracted on export.
     offset: np.ndarray = field(default_factory=lambda: np.zeros(2))
     agents: Dict[int, AgentInfo] = field(init=False)
-    bounds: Tuple[float, float, float, float] = field(init=False)
     _rows: Dict[int, Tuple[int, int]] = field(init=False, repr=False)
     _ids: Dict[int, List[int]] = field(
         init=False, repr=False, default_factory=dict)
@@ -190,12 +190,16 @@ class Scenario:
                 self.mass[heads].tolist(), self.extent[heads].tolist(),
                 frame[heads].tolist(), frame[tails].tolist())
         }
-        pos = self.motion[:, 0:2]
-        self.bounds = (*pos.min(axis=0), *pos.max(axis=0))
         starts = np.flatnonzero(new_frame).tolist()
         self._rows = dict(zip(frame[starts].tolist(),
                               zip(starts, starts[1:] + [frame.size])))
         self._objs = [None] * frame.size
+
+    @functools.cached_property
+    def bounds(self) -> Tuple[float, float, float, float]:
+        """(x0, y0, x1, y1) of the positions, computed on first use."""
+        pos = self.motion[:, 0:2]
+        return (*pos.min(axis=0), *pos.max(axis=0))
 
     @property
     def dt(self) -> float:
@@ -409,15 +413,6 @@ Columns = Tuple[Dict[str, np.ndarray], np.ndarray, List[Optional[str]]]
 _LOADTXT_TRAPS = ('"', "\x1c", "\x1d", "\x1e", "\x1f")
 
 
-def _read(path: str) -> bytes:
-    """The file's bytes, read once."""
-    try:
-        with open(path, "rb") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise BadConfig(f"cannot read track file {path}: {exc}")
-
-
 def _decode(path: str, raw: bytes) -> Tuple[List[str], str]:
     """The header cells and the text of the data rows, decoded from
     ``raw`` through a TextIOWrapper (io.StringIO would hold a buffer of 4
@@ -558,17 +553,18 @@ def _parse(path: str, header: List[str], body: str,
 # ---- ingest cache ----
 #
 # A track file of at least _CACHE_FLOOR bytes keeps its parse (the
-# Columns) in a hidden sidecar beside it, ".<name>.risknet.npy": a fixed
-# sequence of np.save arrays, namely the entry's key as JSON bytes, the
-# kind codes, and one float64 array per numeric column in resolved
-# order.  The key holds the format tag, the SHA-256 of the file's bytes,
-# the resolved column mapping, the header cells (so a hit never decodes
-# the text) and the class labels.  Below the floor a parse costs less
-# than the cache.
+# Columns) in a hidden sidecar beside it, ".<name>.risknet.npy": three
+# np.save arrays, namely the entry's key as JSON bytes, the kind codes,
+# and one (k, n) float64 block of the numeric columns in resolved order.
+# The key holds the format tag, the SHA-256 of the file's bytes (streamed
+# on a hit), the resolved column mapping, the header cells (so a hit
+# never decodes the text) and the class labels.  A hit checks the block's
+# dtype, shape and values (finite, but nan for a blank mass cell).  Below
+# the floor a parse costs less than the cache.
 
 _CACHE_FLOOR = 1 << 20  # bytes
 # Bump on any change to the layout or to what the parse returns.
-_CACHE_FORMAT = "risknet-ingest-1"
+_CACHE_FORMAT = "risknet-ingest-2"
 
 
 def _sidecar(path: str) -> str:
@@ -576,17 +572,29 @@ def _sidecar(path: str) -> str:
     return os.path.join(head, f".{name}.risknet.npy")
 
 
+def _sha256(fh) -> str:
+    """The SHA-256 of a binary file from where it stands, via one buffer."""
+    import hashlib  # here, so that only a cached file loads OpenSSL
+
+    digest, buf = hashlib.sha256(), memoryview(bytearray(1 << 16))
+    while size := fh.readinto(buf):
+        digest.update(buf[:size])
+    return digest.hexdigest()
+
+
 def _next_array(fh, end: int) -> np.ndarray:
-    """The next np.save array of an open sidecar; ValueError when it is
-    not format 1.0 or claims more bytes than remain before ``end``."""
-    start = fh.tell()
+    """The next np.save array of an open sidecar, its header parsed once;
+    ValueError unless it is format 1.0, in C order and within ``end``."""
     if np.lib.format.read_magic(fh) != (1, 0):
         raise ValueError("not an npy 1.0 array")
-    shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
-    if math.prod(shape) * dtype.itemsize > end - fh.tell():
-        raise ValueError("array runs past the end of the file")
-    fh.seek(start)
-    return np.load(fh, allow_pickle=False)
+    shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
+    if (fortran or dtype.hasobject  # readinto would write object pointers
+            or math.prod(shape) * dtype.itemsize > end - fh.tell()):
+        raise ValueError("not plain values in C order within the file")
+    array = np.empty(shape, dtype)
+    if fh.readinto(array) != array.nbytes:
+        raise ValueError("array ends early")
+    return array
 
 
 def _read_entry(path: str, digest: str):
@@ -603,18 +611,23 @@ def _read_entry(path: str, digest: str):
                 return None
             header, labels = key["header"], key["labels"]
             resolved = {name: i for name, i in key["resolved"]}
-            kind = _next_array(fh, end)
-            values = {name: _next_array(fh, end)
-                      for name in resolved if name != "class"}
+            names = [name for name in resolved if name != "class"]
+            kind, block = _next_array(fh, end), _next_array(fh, end)
             if fh.read(1) or not (
                     kind.dtype == np.int64 and kind.ndim == 1 and kind.size
                     and 0 <= kind.min() and kind.max() < len(labels)
-                    and all(v.dtype == np.float64 and v.shape == kind.shape
-                            for v in values.values())):
+                    and block.dtype == np.float64
+                    and block.shape == (len(names), kind.size)):
                 return None
     except (OSError, ValueError, KeyError, TypeError):
         return None
-    return header, resolved, (values, kind.astype(np.intp), labels)
+    values = dict(zip(names, block))
+    finite = np.isfinite(block)
+    if "mass" in values:  # a blank mass cell is stored as nan
+        finite[names.index("mass")] |= np.isnan(values["mass"])
+    if not finite.all():
+        return None
+    return header, resolved, (values, kind.astype(np.intp, copy=False), labels)
 
 
 def _write_entry(path: str, digest: str, header: List[str],
@@ -636,9 +649,8 @@ def _write_entry(path: str, digest: str, header: List[str],
         with os.fdopen(fd, "wb") as fh:
             np.save(fh, np.frombuffer(key, np.uint8))
             np.save(fh, kind.astype(np.int64))
-            for name in resolved:
-                if name != "class":
-                    np.save(fh, values[name])
+            np.save(fh, np.stack([values[name] for name in resolved
+                                  if name != "class"]))
         # whoever may read the CSV may read its parse
         os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode) & 0o666)
         os.replace(tmp, sidecar)
@@ -648,20 +660,21 @@ def _write_entry(path: str, digest: str, header: List[str],
 
 
 def _ingest(path: str, remap: Mapping[str, str]) -> Columns:
-    """The parsed columns of the file, read once: from the sidecar when
-    it stores these bytes under this column mapping, else parsed and
-    stored there."""
-    raw = _read(path)
-    digest = entry = None
-    if len(raw) >= _CACHE_FLOOR:
-        import hashlib  # here, so that only a cached file loads OpenSSL
-
-        digest = hashlib.sha256(raw).hexdigest()
-        entry = _read_entry(path, digest)
-    if entry is not None:
-        header, resolved, columns = entry
-        if _resolve(header, remap) == resolved:
-            return columns
+    """The parsed columns of the file: from the sidecar when it stores
+    these bytes under this column mapping, else parsed and stored there.
+    A hit streams the file through the hash; a miss reads it once and
+    stores the digest of the bytes it parsed."""
+    try:
+        with open(path, "rb", buffering=0) as fh:
+            if os.fstat(fh.fileno()).st_size >= _CACHE_FLOOR:
+                entry = _read_entry(path, _sha256(fh))
+                if entry and _resolve(entry[0], remap) == entry[1]:
+                    return entry[2]
+                fh.seek(0)
+            raw = fh.read()
+    except OSError as exc:
+        raise BadConfig(f"cannot read track file {path}: {exc}")
+    digest = _sha256(io.BytesIO(raw)) if len(raw) >= _CACHE_FLOOR else None
     header, body = _decode(path, raw)
     del raw  # parse the hashed bytes, holding only their text
     resolved = _resolve(header, remap)
@@ -693,20 +706,19 @@ def _stack(parts: Sequence[Columns],
 
     bases = itertools.accumulate([len(raws) for *_, raws in parts], initial=0)
     kind = joined([codes + base for (_, codes, _), base in zip(parts, bases)])
-    default_mass = np.array([masses[k.category] for k in kinds],
-                            dtype=float)[kind]
-    mass = column("mass")
+    mass = column("mass").copy()  # not a view that keeps the parse alive
     blank = np.isnan(mass)
     if blank.any():
-        mass = np.where(blank, default_mass, mass)
+        mass[blank] = np.array([masses[k.category] for k in kinds],
+                               dtype=float)[kind[blank]]
 
-    keys = np.column_stack([column("frame"), column("id")])
-    off = np.flatnonzero((keys != np.trunc(keys))
-                         | (np.abs(keys) > MAX_INTEGRAL))
-    if off.size:
-        row, col = divmod(int(off[0]), 2)
-        raise NonIntegral(row, ("frame", "id")[col], float(keys[row, col]))
-    frame, ids = keys.astype(np.int64).T
+    keys = column("frame"), column("id")
+    off = [(k != np.trunc(k)) | (np.abs(k) > MAX_INTEGRAL) for k in keys]
+    if off[0].any() or off[1].any():
+        row = int((off[0] | off[1]).argmax())
+        col = int(not off[0][row])  # frame before id in a row
+        raise NonIntegral(row, ("frame", "id")[col], float(keys[col][row]))
+    frame, ids = (k.astype(np.int64) for k in keys)
 
     body = {"width": column("width"), "height": column("height"),
             "mass": mass}
@@ -717,10 +729,9 @@ def _stack(parts: Sequence[Columns],
         name = next(k for k, c in body.items() if c[row] <= 0.0)
         raise NonPositive(row, name, float(body[name][row]))
 
-    order = np.lexsort((ids, frame, source))  # keeps source as it is
     motion = np.column_stack([column(name, 0.0) for name in (
         "x", "y", "xVelocity", "yVelocity", "xAcceleration", "yAcceleration",
-    )])[order]
+    )])
     pos = motion[:, 0:2]
     # each file's max(0, -min) per coordinate, from the unsorted columns
     starts = np.cumsum([0] + sizes[:-1])
@@ -733,10 +744,15 @@ def _stack(parts: Sequence[Columns],
             pos += np.where(moved[:, None], shift, -0.0)[source]
         over = ~np.isfinite(pos).all(axis=1)
         if over.any():
-            raise NonFinite(int(order[over].min()))
-    extent = np.column_stack([body["width"], body["height"]])[order]
-    return (source, frame[order], ids[order], motion, extent, mass[order],
-            kind[order], kinds, shift)
+            raise NonFinite(int(over.argmax()))  # first in file order
+    table = (frame, ids, motion,
+             np.column_stack([body["width"], body["height"]]), mass, kind)
+    # lexsort is stable: (source, frame, id) keys that strictly ascend stay
+    if not ((source[1:] != source[:-1]) | (frame[1:] > frame[:-1])
+            | (frame[1:] == frame[:-1]) & (ids[1:] > ids[:-1])).all():
+        order = np.lexsort((ids, frame, source))  # keeps source as it is
+        table = tuple(a[order] for a in table)
+    return (source, *table, kinds, shift)
 
 
 def load_tracks(

@@ -793,6 +793,59 @@ def test_cli_map_two_mode_raster_is_probability_weighted_sum(tmp_path):
 # ==================== compare ====================
 
 
+def test_cli_one_parser_serves_many_calls(tmp_path, capsys):
+    """main reuses one parser: appended flags, a probabilistic map, a
+    refused argv and the same commands again each give what the command
+    gives in a fresh process."""
+    from risknet import cli
+
+    csv_path = export_cv(
+        tmp_path / "cv.csv",
+        [(0, 0.0, 0.0, 8.0, 0.0), (1, 15.0, 3.0, 6.0, 0.0)],
+        n_frames=6, frame_rate=5.0,
+    )
+    manifest = small_model(tmp_path, modes=2, zero_heads=False)
+    scene = ("--scenario", csv_path, "--ego-id", "0")
+    grid = ("--frame", "4", "--cell", "2.0", "--bounds=-15,-10,25,10")
+    calls = [
+        ("map", *scene, *grid, "--probabilistic", "--model", manifest,
+         "--set", "io.frame_rate=5", "--schema", "x=x", "--out", "{}/prob"),
+        ("map", *scene, *grid, "--out", "{}/det"),
+        ("eval", *scene, "--set", "risk.R=30", "--bogus", "--out",
+         "{}/bad.csv"),
+        ("map", *scene, "--frame", "four", "--out", "{}/bad"),
+        ("map", *scene, *grid, "--out", "{}/det_again"),
+        ("eval", *scene, "--out", "{}/eval.csv"),
+    ]
+    runs = {}
+    for where in ("in_process", "fresh"):
+        out_dir = tmp_path / where
+        out_dir.mkdir()
+        runs[where] = []
+        for call in calls:
+            argv = [str(a).format(out_dir) for a in call]
+            if where == "fresh":
+                proc = run_cli(*argv)
+                code, out, err = proc.returncode, proc.stdout, proc.stderr
+            else:
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:  # argparse refused the argv
+                    code = exc.code
+                out, err = capsys.readouterr()
+            runs[where].append((code, out.replace(str(out_dir), "OUT"),
+                                err.replace(str(out_dir), "OUT")))
+        runs[where].append(sorted((p.name, p.read_bytes())
+                                  for p in out_dir.iterdir()))
+    assert [code for code, *_ in runs["fresh"][:-1]] == [0, 0, 2, 2, 0, 0]
+    assert runs["in_process"] == runs["fresh"]
+    assert [name for name, _ in runs["fresh"][-1]] == [
+        "det.csv", "det.json", "det_again.csv", "det_again.json",
+        "eval.csv", "eval.csv.run.json", "prob.csv", "prob.json"]
+    assert cli.build_parser().parse_args(
+        [str(a).format(tmp_path) for a in calls[1]]).command == "map"
+
+
 def test_cli_compare_cutin_field_detects_before_ttc(cutin, tmp_path):
     out = tmp_path / "cmp.csv"
     proc = ok("compare", "--scenario", cutin, "--ego-id", "0",

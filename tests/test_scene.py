@@ -597,6 +597,33 @@ def _huge_shape(good):
     return spoiled
 
 
+def _other_format(good):
+    tag = scene._CACHE_FORMAT.encode()
+    return good.replace(tag, tag.upper())
+
+
+def _resaved(edit):
+    """A spoil that keeps the sidecar's structure: its three arrays
+    loaded, the (k, n) block passed through ``edit(names, block)``, and
+    all saved again."""
+    def spoil(good):
+        buf, out = io.BytesIO(good), io.BytesIO()
+        key, kind, block = (np.load(buf) for _ in range(3))
+        names = [name for name, _ in json.loads(key.tobytes())["resolved"]
+                 if name != "class"]
+        for array in (key, kind, edit(names, block.copy())):
+            np.save(out, array)
+        return out.getvalue()
+    return spoil
+
+
+def _set(name, value):
+    def edit(names, block):
+        block[names.index(name), 0] = value
+        return block
+    return edit
+
+
 @pytest.mark.parametrize("spoil", [
     lambda good: b"",
     _truncated,
@@ -605,9 +632,17 @@ def _huge_shape(good):
     _garbage,
     _pickled,
     _huge_shape,
-    lambda good: good.replace(b"risknet-ingest-1", b"risknet-ingest-0"),
+    _other_format,
+    _resaved(_set("x", math.nan)),
+    _resaved(_set("mass", math.inf)),
+    _resaved(_set("mass", -math.inf)),
+    _resaved(lambda names, block: block[:-1]),
+    _resaved(lambda names, block: block[:, :-1]),
+    _resaved(lambda names, block: block.astype(np.float32)),
 ], ids=["empty", "truncated", "one_byte_short", "trailing_byte", "garbage",
-        "pickled", "huge_shape", "other_format"])
+        "pickled", "huge_shape", "other_format", "nan_value", "inf_mass",
+        "minus_inf_mass", "block_short_of_a_row", "block_short_of_a_column",
+        "float32_block"])
 def test_cache_spoiled_sidecar_is_a_miss_and_rewritten(cached, tmp_path,
                                                        capfd, spoil):
     path = tmp_path / "tracks.csv"
@@ -615,7 +650,9 @@ def test_cache_spoiled_sidecar_is_a_miss_and_rewritten(cached, tmp_path,
     want = load_tracks(str(path))
     sidecar = tmp_path / SIDECAR
     good = sidecar.read_bytes()
-    sidecar.write_bytes(spoil(good))
+    spoiled = spoil(good)
+    assert spoiled != good
+    sidecar.write_bytes(spoiled)
     assert_bit_identical(load_tracks(str(path)), want)
     assert sidecar.read_bytes() == good
     assert capfd.readouterr() == ("", "")
@@ -716,6 +753,68 @@ def test_cache_failing_file_fails_alike_twice(cached, tmp_path, defect):
             [SIDECAR] * parsed + ["tracks.csv"]
     assert_same_error(*errors)
     assert str(errors[0]) == str(errors[1])
+
+
+def _shift_overflow(rows):
+    """Rows whose origin shift overflows x in two of them."""
+    for k, x in ((0, "-1e308"), (4, "1e308"), (9, "1.5e308")):
+        rows[k][2] = x
+    return rows
+
+
+@pytest.mark.parametrize("shuffled", [False, True],
+                         ids=["ascending", "shuffled"])
+@pytest.mark.parametrize("defect", [None, "duplicate", "shift_overflow"])
+def test_cache_row_order_gives_reference_outcome(cached, monkeypatch,
+                                                 tmp_path, shuffled,
+                                                 defect):
+    """Rows in (frame, id) order skip the sort; shuffled rows, or a
+    repeated key, are sorted.  Either way, on a miss and on a hit, the
+    load is the reference loader's, and a shift overflow names the first
+    overflowing row in file order."""
+    rows = sorted(cache_rows(), key=lambda r: (r[0], r[1]))
+    if defect == "duplicate":
+        rows.insert(6, list(rows[5]))
+    elif defect == "shift_overflow":
+        rows = _shift_overflow(rows)
+    if shuffled:
+        rows = [rows[k] for k in np.random.default_rng(0).permutation(
+            len(rows))]
+    path = tmp_path / "tracks.csv"
+    write_csv(path, rows, header=CACHE_HEADER)
+
+    def outcome(load):
+        try:
+            return load(str(path))
+        except InputError as exc:
+            return exc
+
+    want = outcome(oracles.load_track_rows)
+    sorts = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(1)
+                        or lexsort(keys))
+    outcomes = [outcome(load_tracks)]  # a miss, which writes the sidecar
+    assert (tmp_path / SIDECAR).is_file()
+    forbid_decode(monkeypatch)
+    outcomes.append(outcome(load_tracks))  # a hit
+    if defect != "shift_overflow":  # which is refused before the order
+        assert len(sorts) == (2 if shuffled or defect else 0)
+    if defect == "shift_overflow":  # which the reference loader lets by
+        x = [float(r[2]) for r in rows]
+        over = [k for k, v in enumerate(x) if math.isinf(v - min(x))]
+        if shuffled:  # the sort puts another overflowing row first
+            assert min(over, key=lambda k: rows[k][:2]) != over[0]
+        for got in outcomes:
+            assert isinstance(got, NonFinite) and got.row_index == over[0]
+    elif defect == "duplicate":
+        for got in outcomes:
+            assert_same_error(got, want)
+            assert str(got) == str(want)
+    else:
+        for got in outcomes:
+            assert_same_scene(got, want)
+        assert_bit_identical(outcomes[1], outcomes[0])
 
 
 def test_cache_other_column_mapping_is_a_miss(cached, monkeypatch,
