@@ -9,6 +9,7 @@ Velocities are m/s, accelerations m/s^2, masses kg.
 """
 
 import bisect
+import collections
 import contextlib
 import csv
 import functools
@@ -412,32 +413,40 @@ Columns = Tuple[Dict[str, np.ndarray], np.ndarray, List[Optional[str]]]
 # as 1.0) where float() refuses the cell, and it does not unquote.
 _LOADTXT_TRAPS = ('"', "\x1c", "\x1d", "\x1e", "\x1f")
 
-
-def _decode(path: str, raw: bytes) -> Tuple[List[str], str]:
-    """The header cells and the text of the data rows, decoded from
-    ``raw`` through a TextIOWrapper (io.StringIO would hold a buffer of 4
-    bytes a character)."""
-    try:
-        with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8",
-                              newline="") as fh:
-            return next(csv.reader(fh), []), fh.read()
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise BadConfig(f"cannot read track file {path}: {exc}")
+# Data rows per parse block: a missed load holds the parsed values and one
+# block's text and cells, never the whole file's.
+_BLOCK_ROWS = 2048
 
 
-def _parse_text(body: str, resolved: Mapping[str, int],
-                numeric: Sequence[str]) -> Optional[Columns]:
-    """Columns through one ``np.loadtxt`` call, or None when the data
-    text does not qualify or loadtxt refuses it.
+class _Hashed(io.RawIOBase):
+    """A binary file read through, feeding every piece to ``digest``."""
 
-    The text qualifies when it holds none of ``_LOADTXT_TRAPS``; loadtxt
+    def __init__(self, fh, digest):
+        self.fh, self.digest = fh, digest
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        size = self.fh.readinto(buf)
+        self.digest.update(memoryview(buf)[:size])
+        return size
+
+
+def _parse_text(lines: List[str], resolved: Mapping[str, int],
+                numeric: Sequence[str]):
+    """The block's (k, b) numeric values and class cells through one
+    ``np.loadtxt`` call, or None when its lines do not qualify or loadtxt
+    refuses them.
+
+    The lines qualify when they hold none of ``_LOADTXT_TRAPS``; loadtxt
     then splits rows and cells as csv.reader does and accepts only cells
     that Python's float reads the same.  The class cells come back as
     str objects, as they stand.  A non-finite value also returns None,
     so that the csv path names the first bad row.
     """
-    if (not body or body.isspace()
-            or any(c in body for c in _LOADTXT_TRAPS)):
+    text = "".join(lines)
+    if text.isspace() or any(c in text for c in _LOADTXT_TRAPS):
         return None
     usecols = [resolved[name] for name in numeric]
     fields = [("values", float, (len(usecols),))]
@@ -448,77 +457,52 @@ def _parse_text(body: str, resolved: Mapping[str, int],
         fields.append(("class", object))
     try:
         # encoding=None: before NumPy 2 the default hands cells as bytes
-        table = np.loadtxt(body.split("\n"), delimiter=",", comments=None,
+        table = np.loadtxt(lines, delimiter=",", comments=None,
                            usecols=usecols, dtype=fields, ndmin=1,
                            encoding=None)
     except ValueError:
         return None
-    values = table["values"]
+    values = table["values"].T
     if not np.isfinite(values).all():
         return None
     labels = (table["class"].tolist() if "class" in resolved
               else [None] * len(table))
-    return dict(zip(numeric, values.T)), *_codes(labels)
+    return np.ascontiguousarray(values), labels  # not a view of the table
 
 
-def _codes(labels: List[Optional[str]]) -> Tuple[np.ndarray, list]:
-    """Each label's code into the distinct labels, which are in order of
-    first appearance."""
-    code_of = {raw: k for k, raw in enumerate(dict.fromkeys(labels))}
-    return (np.fromiter(map(code_of.__getitem__, labels), np.intp,
-                        len(labels)), list(code_of))
-
-
-def _parse_cells(path: str, rows: Iterable[List[str]], header: List[str],
-                 resolved: Mapping[str, int],
-                 numeric: Sequence[str]) -> Columns:
-    """Columns from csv.reader rows, each cell parsed with Python's float;
-    the first data row with a missing, unparseable or non-finite cell
-    raises NonFinite (a blank mass cell is not one)."""
-    lengths: List[int] = []
-
-    def counted(row: List[str]) -> List[str]:
-        lengths.append(len(row))
-        return row
-
-    # The cells of every row in one list; the row lists are not kept.
-    flat = list(itertools.chain.from_iterable(map(counted, rows)))
-    sizes = np.array(lengths, dtype=np.intp)
-    sizes = sizes[sizes > 0]  # a blank line carries no row
-    n = sizes.size
-    if not n:
-        raise BadConfig(f"no data rows in {path}")
-
+def _parse_cells(rows: List[List[str]], header: List[str],
+                 resolved: Mapping[str, int], numeric: Sequence[str],
+                 start: int):
+    """The block's (k, b) numeric values and class cells from csv.reader
+    rows, each cell parsed with Python's float; the first row with a
+    missing, unparseable or non-finite cell raises NonFinite, counting
+    ``start`` data rows before the block (a blank mass cell is not one,
+    and a blank line carries no row)."""
+    rows = [row for row in rows if row]
+    n = len(rows)
+    sizes = np.fromiter(map(len, rows), np.intp, n)
     bad = sizes < max(resolved.values()) + 1
-    width = max(int(sizes.max()), len(header))
-    if sizes.min() < width:
+    width = max(int(sizes.max(initial=0)), len(header))
+    if n and sizes.min() < width:
         # Pad short rows with None so column i is the slice flat[i::width].
-        ends = np.cumsum(sizes).tolist()
-        flat = list(itertools.chain.from_iterable(
-            flat[end - size:end] + [None] * (width - size)
-            for end, size in zip(ends, sizes.tolist())
-        ))
+        rows = [row + [None] * (width - len(row)) for row in rows]
+    flat = list(itertools.chain.from_iterable(rows))
+    del rows
     columns = {name: flat[i::width] for name, i in resolved.items()}
     del flat
 
-    floats = [name for name in numeric if name != "mass"]
-    table = _floats(list(itertools.chain.from_iterable(
-        columns[name] for name in floats))).reshape(len(floats), n)
-    bad |= ~np.isfinite(table).all(axis=0)
-    values = dict(zip(floats, table))
-    if "mass" in resolved:
-        cells = columns["mass"]
-        mass = values["mass"] = _floats(cells)
-        unset = ~np.isfinite(mass)
-        if unset.any():
-            blank = np.fromiter((not (c or "").strip() for c in cells),
-                                bool, n)
-            bad |= unset & ~blank  # a blank cell stays nan
+    values = np.array([_floats(columns[name]) for name in numeric])
+    for name, column in zip(numeric, values):
+        unset = ~np.isfinite(column)
+        if name == "mass" and unset.any():  # a blank cell stays nan
+            unset &= np.fromiter((bool((c or "").strip())
+                                  for c in columns[name]), bool, n)
+        bad |= unset
 
     first_bad = np.flatnonzero(bad)
     if first_bad.size:
-        raise NonFinite(int(first_bad[0]))
-    return values, *_codes(columns.get("class", [None] * n))
+        raise NonFinite(start + int(first_bad[0]))
+    return values, columns.get("class", [None] * n)
 
 
 def _resolve(header: Sequence[str],
@@ -536,18 +520,60 @@ def _resolve(header: Sequence[str],
     return resolved
 
 
-def _parse(path: str, header: List[str], body: str,
-           resolved: Mapping[str, int]) -> Columns:
-    """Columns of the data text: loadtxt when it can, else csv.reader."""
-    numeric = [name for name in resolved if name != "class"]
-    columns = _parse_text(body, resolved, numeric)
-    if columns is None:
-        rows = csv.reader(io.StringIO(body, newline=""))
+def _blocks(text, header: List[str], resolved: Mapping[str, int],
+            numeric: Sequence[str]):
+    """Each block of the text's data rows as (values, class cells): blocks
+    of lines through ``_parse_text`` until the first it refuses, then from
+    there blocks of csv.reader rows through ``_parse_cells``, read on
+    through the stream, since a quoted cell may span lines."""
+    start = 0
+    for lines in iter(lambda: list(itertools.islice(text, _BLOCK_ROWS)), []):
+        part = _parse_text(lines, resolved, numeric)
+        if part is None:
+            break
+        start += len(part[1])
+        yield part
+        if len(lines) < _BLOCK_ROWS:  # the stream is spent
+            return
+    else:
+        return
+    rows = csv.reader(itertools.chain(lines, text))
+    for chunk in iter(lambda: list(itertools.islice(rows, _BLOCK_ROWS)), []):
         try:
-            columns = _parse_cells(path, rows, header, resolved, numeric)
-        except csv.Error as exc:  # e.g. a cell over csv's field size limit
-            raise BadConfig(f"cannot read track file {path}: {exc}")
-    return columns
+            part = _parse_cells(chunk, header, resolved, numeric, start)
+        except NonFinite:
+            # as from a whole-file parse, a later csv or decode error wins
+            collections.deque(rows, maxlen=0)
+            raise
+        start += len(part[1])
+        yield part
+
+
+def _parse(path: str, text, remap: Mapping[str, str]) -> tuple:
+    """The header cells, their resolved columns, the (k, n) float64 block
+    of the numeric columns in resolved order, each row's class code and
+    the distinct class cells in order of first appearance, from a text
+    stream of the file; error rows count its non-blank data rows."""
+    header = next(csv.reader(text), [])
+    try:
+        resolved = _resolve(header, remap)
+    except MissingColumn:
+        collections.deque(text, maxlen=0)  # a decode error wins, as above
+        raise
+    numeric = [name for name in resolved if name != "class"]
+    blocks, codes, code_of = [], [], {}
+    for values, labels in _blocks(text, header, resolved, numeric):
+        for raw in dict.fromkeys(labels):
+            code_of.setdefault(raw, len(code_of))
+        codes.append(np.fromiter(map(code_of.__getitem__, labels), np.intp,
+                                 len(labels)))
+        blocks.append(values)
+    if not sum(map(len, codes)):
+        raise BadConfig(f"no data rows in {path}")
+    if len(blocks) > 1:  # one block stays as parsed
+        blocks = [np.concatenate(blocks, axis=1)]
+        codes = [np.concatenate(codes)]
+    return header, resolved, blocks[0], codes[0], list(code_of)
 
 
 # ---- ingest cache ----
@@ -557,10 +583,11 @@ def _parse(path: str, header: List[str], body: str,
 # np.save arrays, namely the entry's key as JSON bytes, the kind codes,
 # and one (k, n) float64 block of the numeric columns in resolved order.
 # The key holds the format tag, the SHA-256 of the file's bytes (streamed
-# on a hit), the resolved column mapping, the header cells (so a hit
-# never decodes the text) and the class labels.  A hit checks the block's
-# dtype, shape and values (finite, but nan for a blank mass cell).  Below
-# the floor a parse costs less than the cache.
+# on a hit, and on a miss as they are parsed), the resolved column
+# mapping, the header cells (so a hit never decodes the text) and the
+# class labels.  A hit checks the block's dtype, shape and values (finite,
+# but nan for a blank mass cell).  Below the floor a parse costs less
+# than the cache.
 
 _CACHE_FLOOR = 1 << 20  # bytes
 # Bump on any change to the layout or to what the parse returns.
@@ -631,10 +658,10 @@ def _read_entry(path: str, digest: str):
 
 
 def _write_entry(path: str, digest: str, header: List[str],
-                 resolved: Mapping[str, int], columns: Columns) -> None:
+                 resolved: Mapping[str, int], block: np.ndarray,
+                 kind: np.ndarray, labels: list) -> None:
     """Store the parse in the sidecar through a temp file in the same
     directory and os.replace; a refused write leaves neither file."""
-    values, kind, labels = columns
     key = json.dumps({"format": _CACHE_FORMAT, "sha256": digest,
                       "header": header, "resolved": list(resolved.items()),
                       "labels": labels}).encode()
@@ -649,8 +676,7 @@ def _write_entry(path: str, digest: str, header: List[str],
         with os.fdopen(fd, "wb") as fh:
             np.save(fh, np.frombuffer(key, np.uint8))
             np.save(fh, kind.astype(np.int64))
-            np.save(fh, np.stack([values[name] for name in resolved
-                                  if name != "class"]))
+            np.save(fh, block)
         # whoever may read the CSV may read its parse
         os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode) & 0o666)
         os.replace(tmp, sidecar)
@@ -662,8 +688,10 @@ def _write_entry(path: str, digest: str, header: List[str],
 def _ingest(path: str, remap: Mapping[str, str]) -> Columns:
     """The parsed columns of the file: from the sidecar when it stores
     these bytes under this column mapping, else parsed and stored there.
-    A hit streams the file through the hash; a miss reads it once and
-    stores the digest of the bytes it parsed."""
+    A hit streams the file through the hash; a miss streams it once
+    through the UTF-8 decoder and ``_parse`` (and through the hash, so
+    that the stored digest is that of the bytes it parsed)."""
+    digest = None
     try:
         with open(path, "rb", buffering=0) as fh:
             if os.fstat(fh.fileno()).st_size >= _CACHE_FLOOR:
@@ -671,18 +699,28 @@ def _ingest(path: str, remap: Mapping[str, str]) -> Columns:
                 if entry and _resolve(entry[0], remap) == entry[1]:
                     return entry[2]
                 fh.seek(0)
-            raw = fh.read()
-    except OSError as exc:
+                import hashlib
+                digest = hashlib.sha256()
+            source = fh if digest is None else _Hashed(fh, digest)
+            with io.TextIOWrapper(source, encoding="utf-8",
+                                  newline="") as text:
+                try:
+                    parsed = _parse(path, text, remap)
+                except UnicodeDecodeError as exc:
+                    # the bytes the decoder holds end at fh.tell()
+                    at = fh.tell() - len(exc.object) + exc.start
+                    raise BadConfig(f"cannot read track file {path}: byte "
+                                    f"0x{exc.object[exc.start]:02x} at "
+                                    f"offset {at} is not UTF-8 "
+                                    f"({exc.reason})")
+    except (OSError, csv.Error) as exc:  # csv: a cell over its size limit
         raise BadConfig(f"cannot read track file {path}: {exc}")
-    digest = _sha256(io.BytesIO(raw)) if len(raw) >= _CACHE_FLOOR else None
-    header, body = _decode(path, raw)
-    del raw  # parse the hashed bytes, holding only their text
-    resolved = _resolve(header, remap)
-    columns = _parse(path, header, body, resolved)
-    del body
+    header, resolved, block, kind, labels = parsed
     if digest is not None:
-        _write_entry(path, digest, header, resolved, columns)
-    return columns
+        _write_entry(path, digest.hexdigest(), header, resolved, block,
+                     kind, labels)
+    names = [name for name in resolved if name != "class"]
+    return dict(zip(names, block)), kind, labels
 
 
 def _stack(parts: Sequence[Columns],
@@ -774,21 +812,23 @@ def load_tracks(
     category).  Positions are shifted so the scenario bounds have a
     nonnegative origin; the shift is remembered and undone on export.
 
-    The file is read once.  A qualifying text is parsed by one
-    ``np.loadtxt`` call (``_parse_text``); any other, or one that call
-    refuses, goes through csv.reader and Python's float (``_parse_cells``),
-    which decides every error.  A file of at least ``_CACHE_FLOOR`` bytes
-    keeps that parse in a sidecar beside it and skips it while its bytes
-    and column mapping stay the same (``_ingest``); every check below
-    runs either way.  The first data row with a missing, unparseable or
+    The file is read once, as one stream, in blocks of data rows
+    (``_parse``).  Each qualifying block is parsed by one ``np.loadtxt``
+    call (``_parse_text``); from the first other block, or one that call
+    refuses, the rest goes through csv.reader and Python's float
+    (``_parse_cells``), which decides every error.  A file of at least
+    ``_CACHE_FLOOR`` bytes keeps that parse in a sidecar beside it and
+    skips it while its bytes and column mapping stay the same
+    (``_ingest``); every check below runs either way.  The first data row with a missing, unparseable or
     non-finite cell raises NonFinite; after that, the first row whose
     ``frame`` or ``id`` is not an integer (``3.0`` is, ``3.5`` is not;
     magnitudes above 2**53 are refused) raises NonIntegral, then the
     first row whose ``width``, ``height`` or mass (after the kind default
     fills a blank cell) is not positive raises NonPositive, and then the
     first row whose shifted position overflows raises NonFinite.  An
-    unreadable or non-UTF-8 file, or one with a cell longer than csv's
-    field size limit, is BadConfig.  These checks and the ordering are
+    unreadable or non-UTF-8 file (the message names the offset of the
+    first bad byte), or one with a cell longer than csv's field size
+    limit, is BadConfig.  These checks and the ordering are
     ``_stack``'s, which ``load_dataset`` runs once over a dataset of
     files; a refused dataset fails with its first file's error here,
     the file's base name before the message.

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import risknet.scene
 from conftest import constant_velocity_scenario, make_state
 from risknet.config import (
     DetectConfig,
@@ -475,6 +476,29 @@ def test_cli_eval_unreadable_path_exits_2(cutin, tmp_path, case):
     assert proc.stderr.count("\n") == 1
     named = out if case == "out_dir_missing" else scenario
     assert str(named) in proc.stderr
+
+
+@pytest.mark.parametrize("where", ["first_chunk", "past_8_kib",
+                                   "past_first_block"])
+def test_cli_eval_names_the_file_offset_of_a_bad_byte(tmp_path, where):
+    """A byte that is not UTF-8 is named by its offset in the file, not in
+    the decoder's 8 KiB chunk or the parse block that met it."""
+    head = b"frame,id,x,y,xVelocity,yVelocity,width,height\r\n"
+    rows = [b"%d,0,%d.5,1.5,10,0,4.5,2\r\n" % (f, f)
+            for f in range(risknet.scene._BLOCK_ROWS + 100)]
+    text = bytearray(head + b"".join(rows))
+    at = {"first_chunk": 100, "past_8_kib": 8192 + 100,
+          "past_first_block": len(head) + sum(map(len, rows[:-50]))}[where]
+    at += text[at:].index(b"5")  # inside a cell: a continuation byte is due
+    text[at] = 0xE9
+    path = tmp_path / "tracks.csv"
+    path.write_bytes(bytes(text))
+    proc = run_cli("eval", "--scenario", path, "--ego-id", "0",
+                   "--out", tmp_path / "eval.csv")
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("risknet: input error: cannot read track "
+                                  f"file {path}: byte 0xe9 at offset {at} ")
 
 
 @pytest.mark.parametrize("command", ["compare", "map", "gen"])

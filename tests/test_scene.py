@@ -1,11 +1,14 @@
 """Scene model: ingestion, graphs, geometry, and synthetic archetypes."""
 
 import csv
+import inspect
 import io
 import json
 import math
 import os
 import tempfile
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -473,23 +476,141 @@ def assert_same_error(got, want):
         assert getattr(got, field, None) == getattr(want, field, None)
 
 
-@given(table=track_tables())
-@settings(max_examples=50, deadline=None)
-def test_columnar_ingest_matches_reference_loader(table):
+def _in_blocks(block_rows):
+    """load_tracks parsing blocks of ``block_rows`` data rows."""
+    def load(*args, **kwargs):
+        with mock.patch.object(scene, "_BLOCK_ROWS", block_rows):
+            return load_tracks(*args, **kwargs)
+    return load
+
+
+def _matches_reference(table, load=load_tracks):
     want = _outcome(oracles.load_track_rows, table)
     assert not isinstance(want, Exception), want
-    assert_same_scene(_outcome(load_tracks, table), want)
+    assert_same_scene(_outcome(load, table), want)
 
 
-@given(table=malformed_tables())
-@settings(max_examples=50, deadline=None)
-def test_columnar_ingest_rejects_like_reference_loader(table):
-    got = _outcome(load_tracks, table)
+def _rejects_like_reference(table, load=load_tracks):
+    got = _outcome(load, table)
     want = _outcome(oracles.load_track_rows, table)
     if isinstance(want, Exception):
         assert_same_error(got, want)
     else:
         assert_same_scene(got, want)
+
+
+@given(table=track_tables())
+@settings(max_examples=50, deadline=None)
+def test_columnar_ingest_matches_reference_loader(table):
+    _matches_reference(table)
+
+
+@given(table=malformed_tables())
+@settings(max_examples=50, deadline=None)
+def test_columnar_ingest_rejects_like_reference_loader(table):
+    _rejects_like_reference(table)
+
+
+# Blocks of one to three rows put a block boundary inside every drawn
+# table, and a table whose rows all qualify for loadtxt but one switches
+# to the csv path part way.
+@given(table=track_tables(), block_rows=st.integers(1, 3))
+@settings(max_examples=50, deadline=None)
+def test_columnar_ingest_in_small_blocks_matches_reference_loader(
+        table, block_rows):
+    _matches_reference(table, _in_blocks(block_rows))
+
+
+@given(table=malformed_tables(), block_rows=st.integers(1, 3))
+@settings(max_examples=50, deadline=None)
+def test_columnar_ingest_in_small_blocks_rejects_like_reference_loader(
+        table, block_rows):
+    _rejects_like_reference(table, _in_blocks(block_rows))
+
+
+def _block_case(case):
+    """A track file's text: eight rows of two agents whose labels first
+    appear in rows 0, 1, 3, 4 and 6, edited as ``case`` says."""
+    labels = ["car", "van", "car", "truck", "Van", "van", "boat", "truck"]
+    rows = [f"{k // 2},{k % 2 + 1},{3.0 * k - 7.5},{1.5 * (k % 2)},10,0,"
+            f"4.5,2,{label},1500" for k, label in enumerate(labels)]
+    ends = ["\r\n"] * len(rows)
+    if case == "quoted_newline":  # one row over two lines
+        rows[2] = rows[2].replace(",car,", ',"car\nred",')
+    elif case == "quoted_late":
+        rows[6] = rows[6].replace(",boat,", ',"boat, red",')
+    elif case == "lone_cr":
+        ends = ["\r", "\n", "\r", "\r\n"] * 2
+    elif case == "blank_lines":
+        ends[1], ends[4], ends[7] = "\r\n\r\n", "\n\n\r\n", "\r\n\r\n"
+    elif case == "blank_mass_late":
+        rows[7] = rows[7][:-len("1500")]
+    elif case == "nan_late":  # named with the blank lines not counted
+        ends[1] = ends[4] = "\r\n\r\n"
+        rows[6] = rows[6].replace(",10,", ",nan,")
+    elif case == "text_after_quote":
+        rows[1] = rows[1].replace(",van,", ',"van\r\nblue",')
+        rows[7] = rows[7].replace(",10,", ",abc,")
+    return ("frame,id,x,y,xVelocity,yVelocity,width,height,class,mass\r\n"
+            + "".join(map(str.__add__, rows, ends)))
+
+
+@pytest.mark.parametrize("case", [
+    "plain", "quoted_newline", "quoted_late", "lone_cr", "blank_lines",
+    "blank_mass_late", "nan_late", "text_after_quote"])
+def test_ingest_block_boundaries_give_one_block_outcome(monkeypatch,
+                                                        tmp_path, case):
+    """With a block boundary after every row, every second row and every
+    third, a load is bit for bit the one-block load (class codes in order
+    of first appearance over the whole file) and the reference loader's;
+    an error names the same class and data row."""
+    path = tmp_path / "tracks.csv"
+    path.write_bytes(_block_case(case).encode())
+
+    def outcome(load):
+        try:
+            return load(str(path))
+        except InputError as exc:
+            return exc
+
+    want, whole = outcome(oracles.load_track_rows), outcome(load_tracks)
+    if case == "plain":
+        assert [k.label for k in whole.kinds] == \
+            ["car", "van", "truck", "Van", "boat"]
+    elif case in ("nan_late", "text_after_quote"):
+        assert isinstance(want, NonFinite) and want.row_index == 6 + (
+            case == "text_after_quote")
+    for block_rows in (1, 2, 3):
+        monkeypatch.setattr(scene, "_BLOCK_ROWS", block_rows)
+        got = outcome(load_tracks)
+        if isinstance(want, Exception):
+            assert_same_error(got, want)
+            assert str(got) == str(whole)
+        else:
+            assert_same_scene(got, want)
+            assert_bit_identical(got, whole)
+
+
+@pytest.mark.parametrize("defect", ["missing_column", "non_finite",
+                                    "text_after_quote"])
+def test_ingest_undecodable_byte_wins_over_an_earlier_defect(
+        monkeypatch, tmp_path, defect):
+    """A byte that is not UTF-8 anywhere in the file is the error, as when
+    the whole text was decoded before the parse, even after a missing
+    column or a bad row in an earlier block."""
+    text = _block_case("text_after_quote" if defect == "text_after_quote"
+                       else "nan_late").encode()
+    if defect == "missing_column":
+        text = text.replace(b"width", b"wide", 1)
+    # good rows past the decoder's first 8 KiB chunk, then the bad byte
+    text += b"".join(b"%d,3,0.5,7,10,0,4.5,2,car,1500\r\n" % f
+                     for f in range(600))
+    assert len(text) > 2 * 8192
+    path = tmp_path / "tracks.csv"
+    path.write_bytes(text + b"9\xe9\r\n")
+    monkeypatch.setattr(scene, "_BLOCK_ROWS", 2)
+    with pytest.raises(BadConfig, match=f"at offset {len(text) + 1} "):
+        load_tracks(str(path))
 
 
 # ---- the ingest cache beside the CSV ----
@@ -533,10 +654,11 @@ def assert_bit_identical(got, want):
 
 
 def forbid_decode(monkeypatch):
-    """Make a decode of the file's text fail the test: a hit has none."""
+    """Make a decode of the file's text fail the test: a hit has none.
+    ``scene._parse`` is the one reader of the decoded stream."""
     def fail(*args):
         raise AssertionError("the file was decoded on a cache hit")
-    monkeypatch.setattr(scene, "_decode", fail)
+    monkeypatch.setattr(scene, "_parse", fail)
 
 
 @pytest.mark.parametrize("blank_mass", [False, True],
@@ -556,6 +678,16 @@ def test_cache_hit_matches_parse_bit_for_bit(cached, monkeypatch, tmp_path,
     for default in (9000.0, 7000.0):
         sc = load_tracks(str(path), kind_defaults={"truck": default})
         assert sc.mass[sc.row(2, 2)] == (default if blank_mass else 15000.0)
+
+
+def test_cache_hit_without_class_column(cached, monkeypatch, tmp_path):
+    """A block of float columns alone, which loadtxt hands over in Fortran
+    order, is stored in C order, so that the next load is a hit."""
+    path = tmp_path / "tracks.csv"
+    write_csv(path, [row[:len(HEADER)] for row in cache_rows()])
+    miss = load_tracks(str(path))
+    forbid_decode(monkeypatch)
+    assert_bit_identical(load_tracks(str(path)), miss)
 
 
 def test_cache_same_size_content_change_is_a_miss(cached, tmp_path):
@@ -624,7 +756,7 @@ def _set(name, value):
     return edit
 
 
-@pytest.mark.parametrize("spoil", [
+SPOILS = [
     lambda good: b"",
     _truncated,
     lambda good: good[:-1],
@@ -639,10 +771,14 @@ def _set(name, value):
     _resaved(lambda names, block: block[:-1]),
     _resaved(lambda names, block: block[:, :-1]),
     _resaved(lambda names, block: block.astype(np.float32)),
-], ids=["empty", "truncated", "one_byte_short", "trailing_byte", "garbage",
-        "pickled", "huge_shape", "other_format", "nan_value", "inf_mass",
-        "minus_inf_mass", "block_short_of_a_row", "block_short_of_a_column",
-        "float32_block"])
+]
+
+
+@pytest.mark.parametrize("spoil", SPOILS, ids=[
+    "empty", "truncated", "one_byte_short", "trailing_byte", "garbage",
+    "pickled", "huge_shape", "other_format", "nan_value", "inf_mass",
+    "minus_inf_mass", "block_short_of_a_row", "block_short_of_a_column",
+    "float32_block"])
 def test_cache_spoiled_sidecar_is_a_miss_and_rewritten(cached, tmp_path,
                                                        capfd, spoil):
     path = tmp_path / "tracks.csv"
@@ -835,6 +971,76 @@ def test_cache_other_column_mapping_is_a_miss(cached, monkeypatch,
     # a schema that resolves to the same columns is the same entry
     forbid_decode(monkeypatch)
     assert_bit_identical(load_tracks(str(path), schema={"x": "x"}), plain)
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3])
+def test_cache_tests_in_small_blocks(monkeypatch, tmp_path, capfd,
+                                     block_rows):
+    """The cache hit and miss tests above, each in a directory of its own,
+    with a parse block boundary after every row, every second row or
+    every third: inside every file they write."""
+    monkeypatch.setattr(scene, "_BLOCK_ROWS", block_rows)
+    cases = [
+        *((test_cache_hit_matches_parse_bit_for_bit, {"blank_mass": b})
+          for b in (False, True)),
+        (test_cache_same_size_content_change_is_a_miss, {}),
+        *((test_cache_spoiled_sidecar_is_a_miss_and_rewritten,
+           {"spoil": spoil}) for spoil in SPOILS),
+        *((test_cache_failing_file_fails_alike_twice, {"defect": defect})
+          for defect in FAILURES),
+        *((test_cache_row_order_gives_reference_outcome,
+           {"shuffled": shuffled, "defect": defect})
+          for shuffled in (False, True)
+          for defect in (None, "duplicate", "shift_overflow")),
+        (test_cache_other_column_mapping_is_a_miss, {}),
+    ]
+    for k, (test, kwargs) in enumerate(cases):
+        with monkeypatch.context() as mp:
+            mp.setattr(scene, "_CACHE_FLOOR", 0)
+            fixtures = {"cached": None, "monkeypatch": mp,
+                        "tmp_path": tmp_path / str(k), "capfd": capfd}
+            fixtures["tmp_path"].mkdir()
+            test(**{name: fixtures[name]
+                    for name in inspect.signature(test).parameters
+                    if name in fixtures}, **kwargs)
+
+
+def _traced_peak(load):
+    """The most memory ``load()`` held at once, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        load()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_missed_load_holds_one_block_of_text(tmp_path):
+    """A file the size of the bench highway (30,000 rows, 12 columns,
+    about 3 MB): its first load peaks at most 1.25 times a cached load
+    (the text is parsed in blocks, not held whole), and with one quoted
+    label, which takes the csv path, at most twice the loadtxt path's."""
+    rng = np.random.default_rng(5)
+    frames, agents = 500, 60
+    x = rng.uniform(0.0, 2000.0, (frames, agents)).tolist()
+    lines = ["frame,id,x,y,xVelocity,yVelocity,xAcceleration,yAcceleration,"
+             "width,height,class,mass"]
+    for f in range(frames):
+        for i in range(agents):
+            body = "4.5,2.0,car,1500.0" if i % 5 else "12.0,2.5,truck,1.5e4"
+            lines.append(f"{f},{i},{x[f][i]!r},{(i % 4) * 3.5 + 1.75!r},"
+                         f"{x[f][i] / 70.0!r},0.0,0.0,0.0,{body}")
+    plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+    plain.write_text("\r\n".join(lines) + "\r\n")
+    lines[7] = lines[7].replace(",truck,", ',"truck, red",')
+    quoted.write_text("\r\n".join(lines) + "\r\n")
+    assert plain.stat().st_size >= scene._CACHE_FLOOR
+
+    miss = _traced_peak(lambda: load_tracks(str(plain)))
+    hit = _traced_peak(lambda: load_tracks(str(plain)))
+    assert (tmp_path / ".plain.csv.risknet.npy").is_file()
+    assert miss <= 1.25 * hit, (miss, hit)
+    assert _traced_peak(lambda: load_tracks(str(quoted))) <= 2 * miss
 
 
 def test_cache_floor(monkeypatch, tmp_path):
