@@ -476,56 +476,31 @@ def assert_same_error(got, want):
         assert getattr(got, field, None) == getattr(want, field, None)
 
 
-def _in_blocks(block_rows):
-    """load_tracks parsing blocks of ``block_rows`` data rows."""
-    def load(*args, **kwargs):
-        with mock.patch.object(scene, "_BLOCK_ROWS", block_rows):
-            return load_tracks(*args, **kwargs)
-    return load
+# Blocks of one to three rows put a block boundary inside every drawn
+# table, and switch a table with one row that loadtxt refuses to the csv
+# path part way; the default block holds every drawn table whole.
+BLOCK_ROWS = st.sampled_from((scene._BLOCK_ROWS, 1, 2, 3))
 
 
-def _matches_reference(table, load=load_tracks):
+@given(table=track_tables(), block_rows=BLOCK_ROWS)
+@settings(max_examples=50, deadline=None)
+def test_columnar_ingest_matches_reference_loader(table, block_rows):
     want = _outcome(oracles.load_track_rows, table)
     assert not isinstance(want, Exception), want
-    assert_same_scene(_outcome(load, table), want)
+    with mock.patch.object(scene, "_BLOCK_ROWS", block_rows):
+        assert_same_scene(_outcome(load_tracks, table), want)
 
 
-def _rejects_like_reference(table, load=load_tracks):
-    got = _outcome(load, table)
+@given(table=malformed_tables(), block_rows=BLOCK_ROWS)
+@settings(max_examples=50, deadline=None)
+def test_columnar_ingest_rejects_like_reference_loader(table, block_rows):
+    with mock.patch.object(scene, "_BLOCK_ROWS", block_rows):
+        got = _outcome(load_tracks, table)
     want = _outcome(oracles.load_track_rows, table)
     if isinstance(want, Exception):
         assert_same_error(got, want)
     else:
         assert_same_scene(got, want)
-
-
-@given(table=track_tables())
-@settings(max_examples=50, deadline=None)
-def test_columnar_ingest_matches_reference_loader(table):
-    _matches_reference(table)
-
-
-@given(table=malformed_tables())
-@settings(max_examples=50, deadline=None)
-def test_columnar_ingest_rejects_like_reference_loader(table):
-    _rejects_like_reference(table)
-
-
-# Blocks of one to three rows put a block boundary inside every drawn
-# table, and a table whose rows all qualify for loadtxt but one switches
-# to the csv path part way.
-@given(table=track_tables(), block_rows=st.integers(1, 3))
-@settings(max_examples=50, deadline=None)
-def test_columnar_ingest_in_small_blocks_matches_reference_loader(
-        table, block_rows):
-    _matches_reference(table, _in_blocks(block_rows))
-
-
-@given(table=malformed_tables(), block_rows=st.integers(1, 3))
-@settings(max_examples=50, deadline=None)
-def test_columnar_ingest_in_small_blocks_rejects_like_reference_loader(
-        table, block_rows):
-    _rejects_like_reference(table, _in_blocks(block_rows))
 
 
 def _block_case(case):
