@@ -192,9 +192,10 @@ def cmd_map(args, cfg: RunConfig) -> int:
         cell_params, dec_params, hyper = load_model(args.model)
         others = [a for a in scenario.frame_ids(args.frame)
                   if a != args.ego_id]
-        predictions = predict_frame(cell_params, dec_params, scenario,
-                                    others, args.frame, radius=params.R,
-                                    t_h=hyper.t_h)
+        predictions = predict_frame(
+            cell_params, dec_params, scenario, others, args.frame,
+            radius=params.R, t_h=hyper.t_h,
+            steps=args.step if 1 <= args.step <= hyper.t_f else None)
         raster = probabilistic_raster(
             predictions, probe, args.step, grid, params
         )

@@ -402,6 +402,7 @@ def predict_frame(
     frame: int,
     radius: float = 50.0,
     t_h: Optional[int] = None,
+    steps: Optional[int] = None,
 ) -> Dict[int, MixturePrediction]:
     """Forecast every given agent from its history window ending at
     ``frame``, in the order given.
@@ -413,8 +414,11 @@ def predict_frame(
     are packed, encoded and decoded together, and every computation is
     row by row, so an agent's forecast equals its forecast alone bit for
     bit.  Forecasts are in world coordinates and carry the agent's
-    current state as their anchor.
+    current state as their anchor.  ``steps`` (1 to the horizon) rolls
+    and checks only that many steps, bit for bit the full rollout's.
     """
+    if steps is not None:
+        dec = replace(dec, horizon=steps)
     if abs(scenario.dt - dec.dt) > 1e-9:
         raise BadConfig(f"scenario step {scenario.dt} s does not match "
                         f"decoder step {dec.dt} s")

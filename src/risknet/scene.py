@@ -20,6 +20,7 @@ import math
 import os
 import stat
 import tempfile
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -403,11 +404,14 @@ def _floats(cells: Sequence[Optional[str]]) -> np.ndarray:
         return np.fromiter(map(_float_or_nan, cells), float, len(cells))
 
 
-# Parsed track columns: numeric columns by canonical name (a blank mass
-# cell reads as nan), each row's code into the distinct class cells, and
-# those cells in order of first appearance (None when there is no class
-# column).
-Columns = Tuple[Dict[str, np.ndarray], np.ndarray, List[Optional[str]]]
+# Parsed track columns, as the sidecar stores them: frame and id as parsed
+# float64 (n,), motion (n, 6), extent (n, 2), mass (n,), each row's class
+# code, and the distinct class cells (or None) in order of appearance.  A
+# parse block's rows hold the numeric ones as _TABLE, an absent one _ABSENT.
+Columns = tuple
+_TABLE = ("frame", "id", "x", "y", "xVelocity", "yVelocity", "xAcceleration",
+          "yAcceleration", "width", "height", "mass")
+_ABSENT = (math.nan,) * 6 + (0.0, 0.0) + (math.nan,) * 3
 
 # np.loadtxt strips \x1c-\x1f around a number as whitespace ("1\x1c" reads
 # as 1.0) where float() refuses the cell, and it does not unquote.
@@ -433,20 +437,31 @@ class _Hashed(io.RawIOBase):
         return size
 
 
+def _padded(values: np.ndarray, numeric: Sequence[str]) -> np.ndarray:
+    """The (k, b) values of the numeric columns as a (k, 11) block."""
+    if len(numeric) == len(_TABLE):  # every column, in table order
+        return values.copy()
+    block = np.full((len(values), len(_TABLE)), _ABSENT)
+    block[:, [_TABLE.index(name) for name in numeric]] = values
+    return block
+
+
 def _parse_text(lines: List[str], resolved: Mapping[str, int],
                 numeric: Sequence[str]):
-    """The block's (k, b) numeric values and class cells through one
-    ``np.loadtxt`` call, or None when its lines do not qualify or loadtxt
-    refuses them.
+    """The block's (k, len(_TABLE)) numeric values and class cells through
+    one ``np.loadtxt`` call, or None when its lines do not qualify or
+    loadtxt refuses them.
 
-    The lines qualify when they hold none of ``_LOADTXT_TRAPS``; loadtxt
-    then splits rows and cells as csv.reader does and accepts only cells
-    that Python's float reads the same.  The class cells come back as
-    str objects, as they stand.  A non-finite value also returns None,
+    The lines qualify when they hold none of ``_LOADTXT_TRAPS`` and none
+    is over csv's field size limit (csv.reader decides those cells);
+    loadtxt then splits rows and cells as csv.reader does and accepts only
+    cells that Python's float reads the same.  The class cells come back
+    as str objects, as they stand.  A non-finite value also returns None,
     so that the csv path names the first bad row.
     """
-    text = "".join(lines)
-    if text.isspace() or any(c in text for c in _LOADTXT_TRAPS):
+    text, limit = "".join(lines), csv.field_size_limit()
+    if (text.isspace() or any(c in text for c in _LOADTXT_TRAPS)
+            or len(text) > limit and max(map(len, lines)) > limit):
         return None
     usecols = [resolved[name] for name in numeric]
     fields = [("values", float, (len(usecols),))]
@@ -462,22 +477,22 @@ def _parse_text(lines: List[str], resolved: Mapping[str, int],
                            encoding=None)
     except ValueError:
         return None
-    values = table["values"].T
-    if not np.isfinite(values).all():
+    block = _padded(table["values"], numeric)  # not a view of the table
+    if not np.isfinite(block if "mass" in resolved else block[:, :-1]).all():
         return None
     labels = (table["class"].tolist() if "class" in resolved
               else [None] * len(table))
-    return np.ascontiguousarray(values), labels  # not a view of the table
+    return block, labels
 
 
 def _parse_cells(rows: List[List[str]], header: List[str],
                  resolved: Mapping[str, int], numeric: Sequence[str],
                  start: int):
-    """The block's (k, b) numeric values and class cells from csv.reader
-    rows, each cell parsed with Python's float; the first row with a
-    missing, unparseable or non-finite cell raises NonFinite, counting
-    ``start`` data rows before the block (a blank mass cell is not one,
-    and a blank line carries no row)."""
+    """The block's (k, len(_TABLE)) numeric values and class cells from
+    csv.reader rows, each cell parsed with Python's float; the first row
+    with a missing, unparseable or non-finite cell raises NonFinite,
+    counting ``start`` data rows before the block (a blank mass cell is
+    not one, and a blank line carries no row)."""
     rows = [row for row in rows if row]
     n = len(rows)
     sizes = np.fromiter(map(len, rows), np.intp, n)
@@ -502,7 +517,7 @@ def _parse_cells(rows: List[List[str]], header: List[str],
     first_bad = np.flatnonzero(bad)
     if first_bad.size:
         raise NonFinite(start + int(first_bad[0]))
-    return values, columns.get("class", [None] * n)
+    return _padded(values.T, numeric), columns.get("class", [None] * n)
 
 
 def _resolve(header: Sequence[str],
@@ -550,17 +565,16 @@ def _blocks(text, header: List[str], resolved: Mapping[str, int],
 
 
 def _parse(path: str, text, remap: Mapping[str, str]) -> tuple:
-    """The header cells, their resolved columns, the (k, n) float64 block
-    of the numeric columns in resolved order, each row's class code and
-    the distinct class cells in order of first appearance, from a text
-    stream of the file; error rows count its non-blank data rows."""
+    """The header cells, their resolved columns and the file's Columns,
+    from a text stream of the file; error rows count its non-blank data
+    rows."""
     header = next(csv.reader(text), [])
     try:
         resolved = _resolve(header, remap)
     except MissingColumn:
         collections.deque(text, maxlen=0)  # a decode error wins, as above
         raise
-    numeric = [name for name in resolved if name != "class"]
+    numeric = [name for name in _TABLE if name in resolved]
     blocks, codes, code_of = [], [], {}
     for values, labels in _blocks(text, header, resolved, numeric):
         for raw in dict.fromkeys(labels):
@@ -571,27 +585,28 @@ def _parse(path: str, text, remap: Mapping[str, str]) -> tuple:
     if not sum(map(len, codes)):
         raise BadConfig(f"no data rows in {path}")
     if len(blocks) > 1:  # one block stays as parsed
-        blocks = [np.concatenate(blocks, axis=1)]
+        blocks = [np.concatenate(blocks)]  # before the codes: a lower peak
         codes = [np.concatenate(codes)]
-    return header, resolved, blocks[0], codes[0], list(code_of)
+    b = blocks[0]
+    return header, resolved, (b[:, 0], b[:, 1], b[:, 2:8], b[:, 8:10],
+                              b[:, 10], codes[0], list(code_of))
 
 
 # ---- ingest cache ----
 #
 # A track file of at least _CACHE_FLOOR bytes keeps its parse (the
-# Columns) in a hidden sidecar beside it, ".<name>.risknet.npy": three
-# np.save arrays, namely the entry's key as JSON bytes, the kind codes,
-# and one (k, n) float64 block of the numeric columns in resolved order.
-# The key holds the format tag, the SHA-256 of the file's bytes (streamed
-# on a hit, and on a miss as they are parsed), the resolved column
-# mapping, the header cells (so a hit never decodes the text) and the
-# class labels.  A hit checks the block's dtype, shape and values (finite,
-# but nan for a blank mass cell).  Below the floor a parse costs less
-# than the cache.
+# Columns) in a hidden sidecar beside it, ".<name>.risknet.npy": the
+# entry's key as JSON bytes, then frame, id, motion, extent, mass and the
+# kind codes, one np.save array each.  The key holds the format tag, the
+# SHA-256 of the file's bytes (on a miss, of the bytes it parsed), the
+# resolved column mapping, the header cells (so a hit never decodes the
+# text) and the class labels.  A hit checks the arrays (``_read_columns``)
+# while a worker thread hashes the file, whose digest decides the load
+# (``_speculate``).  Below the floor a parse costs less than the cache.
 
 _CACHE_FLOOR = 1 << 20  # bytes
 # Bump on any change to the layout or to what the parse returns.
-_CACHE_FORMAT = "risknet-ingest-2"
+_CACHE_FORMAT = "risknet-ingest-3"
 
 
 def _sidecar(path: str) -> str:
@@ -600,71 +615,100 @@ def _sidecar(path: str) -> str:
 
 
 def _sha256(fh) -> str:
-    """The SHA-256 of a binary file from where it stands, via one buffer."""
+    """The SHA-256 of a binary file from where it stands, in 1 MiB pieces."""
     import hashlib  # here, so that only a cached file loads OpenSSL
 
-    digest, buf = hashlib.sha256(), memoryview(bytearray(1 << 16))
+    digest, buf = hashlib.sha256(), memoryview(bytearray(1 << 20))
     while size := fh.readinto(buf):
         digest.update(buf[:size])
     return digest.hexdigest()
 
 
-def _next_array(fh, end: int) -> np.ndarray:
-    """The next np.save array of an open sidecar, its header parsed once;
-    ValueError unless it is format 1.0, in C order and within ``end``."""
+def _next_array(fh, end: int, out: Optional[np.ndarray] = None):
+    """The next np.save array of an open sidecar, its header parsed once,
+    read into ``out`` (by default a new array); ValueError unless it is
+    format 1.0, in C order, within ``end`` and of out's dtype and shape."""
     if np.lib.format.read_magic(fh) != (1, 0):
         raise ValueError("not an npy 1.0 array")
     shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
     if (fortran or dtype.hasobject  # readinto would write object pointers
-            or math.prod(shape) * dtype.itemsize > end - fh.tell()):
-        raise ValueError("not plain values in C order within the file")
-    array = np.empty(shape, dtype)
+            or math.prod(shape) * dtype.itemsize > end - fh.tell()
+            or out is not None and (out.dtype, out.shape) != (dtype, shape)):
+        raise ValueError("not plain values of this shape within the file")
+    array = np.empty(shape, dtype) if out is None else out
     if fh.readinto(array) != array.nbytes:
         raise ValueError("array ends early")
     return array
 
 
-def _read_entry(path: str, digest: str):
-    """The sidecar's (header, resolved, columns) when it stores a parse of
-    the bytes with this digest; None when it is absent, unreadable,
-    corrupt or stale."""
+def _read_columns(fh, end: int, n: int, labels) -> Optional[Columns]:
+    """The Columns after the key of an open sidecar, the floats read into one
+    buffer; None unless they fill it as n >= 1 rows in their shapes, of
+    float64 but int64 kind codes into the labels, all finite but a nan mass."""
     try:
-        with open(_sidecar(path), "rb") as fh:
-            end = os.fstat(fh.fileno()).st_size
-            key = json.loads(_next_array(fh, end).tobytes())
-            if (not isinstance(key, dict)
-                    or key.get("format") != _CACHE_FORMAT
-                    or key.get("sha256") != digest):
-                return None
-            header, labels = key["header"], key["labels"]
-            resolved = {name: i for name, i in key["resolved"]}
-            names = [name for name in resolved if name != "class"]
-            kind, block = _next_array(fh, end), _next_array(fh, end)
-            if fh.read(1) or not (
-                    kind.dtype == np.int64 and kind.ndim == 1 and kind.size
-                    and 0 <= kind.min() and kind.max() < len(labels)
-                    and block.dtype == np.float64
-                    and block.shape == (len(names), kind.size)):
-                return None
-    except (OSError, ValueError, KeyError, TypeError):
+        # a row takes 96 bytes: a corrupt count allocates no more than that
+        block = np.empty(len(_TABLE) * min(n, end // 96))
+        floats = [_next_array(fh, end, a) for a in (
+            block[:n], block[n:2 * n], block[2 * n:8 * n].reshape(n, 6),
+            block[8 * n:10 * n].reshape(n, 2), block[10 * n:])]
+        kind = _next_array(fh, end, np.empty(n, np.int64))
+        if fh.read(1) or not (
+                0 <= kind.min() and kind.max() < len(labels)
+                and np.isfinite(block[:10 * n]).all()
+                and not np.isinf(floats[4]).any()):
+            return None
+    except (OSError, ValueError, TypeError):
         return None
-    values = dict(zip(names, block))
-    finite = np.isfinite(block)
-    if "mass" in values:  # a blank mass cell is stored as nan
-        finite[names.index("mass")] |= np.isnan(values["mass"])
-    if not finite.all():
+    return (*floats, kind.astype(np.intp, copy=False), labels)
+
+
+def _digest_into(fh, out: list) -> None:
+    """Append the file's SHA-256, or the error that stopped it."""
+    try:
+        out.append(_sha256(fh))
+    except Exception as exc:  # raised on the calling thread
+        out.append(exc)
+
+
+def _speculate(path: str, fh, remap: Mapping[str, str], build):
+    """``build`` of the sidecar's Columns when it stores a parse of the
+    file's bytes under this column mapping, else None.  Once the key
+    matches, a worker thread hashes the file while this thread reads the
+    columns and builds; the joined thread's digest decides what stands."""
+    try:
+        with open(_sidecar(path), "rb") as side:
+            end = os.fstat(side.fileno()).st_size
+            key = json.loads(_next_array(side, end).tobytes())
+            want, rows, labels = key["sha256"], key["rows"], key["labels"]
+            if (key["format"] != _CACHE_FORMAT or _resolve(
+                    key["header"], remap) != dict(key["resolved"])):
+                return None
+            digest = []
+            worker = threading.Thread(target=_digest_into, args=(fh, digest))
+            worker.start()
+            try:
+                columns = _read_columns(side, end, rows, labels)
+                held = columns and build(columns)
+            except Exception as exc:  # raised only for these bytes
+                held = exc
+            finally:
+                worker.join()
+    except (OSError, ValueError, LookupError, TypeError, InputError):
         return None
-    return header, resolved, (values, kind.astype(np.intp, copy=False), labels)
+    if isinstance(digest[0], Exception):
+        raise digest[0]
+    if digest[0] == want and isinstance(held, Exception):
+        raise held
+    return held if digest[0] == want else None
 
 
 def _write_entry(path: str, digest: str, header: List[str],
-                 resolved: Mapping[str, int], block: np.ndarray,
-                 kind: np.ndarray, labels: list) -> None:
+                 resolved: Mapping[str, int], columns: Columns) -> None:
     """Store the parse in the sidecar through a temp file in the same
     directory and os.replace; a refused write leaves neither file."""
     key = json.dumps({"format": _CACHE_FORMAT, "sha256": digest,
                       "header": header, "resolved": list(resolved.items()),
-                      "labels": labels}).encode()
+                      "rows": len(columns[5]), "labels": columns[6]}).encode()
     sidecar = _sidecar(path)
     try:
         fd, tmp = tempfile.mkstemp(
@@ -674,9 +718,10 @@ def _write_entry(path: str, digest: str, header: List[str],
         return
     try:
         with os.fdopen(fd, "wb") as fh:
-            np.save(fh, np.frombuffer(key, np.uint8))
-            np.save(fh, kind.astype(np.int64))
-            np.save(fh, block)
+            for array in (np.frombuffer(key, np.uint8), *columns[:5],
+                          columns[5].astype(np.int64)):
+                # np.save writes a strided array value by value
+                np.save(fh, np.ascontiguousarray(array))
         # whoever may read the CSV may read its parse
         os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode) & 0o666)
         os.replace(tmp, sidecar)
@@ -685,19 +730,20 @@ def _write_entry(path: str, digest: str, header: List[str],
             os.unlink(tmp)
 
 
-def _ingest(path: str, remap: Mapping[str, str]) -> Columns:
-    """The parsed columns of the file: from the sidecar when it stores
-    these bytes under this column mapping, else parsed and stored there.
-    A hit streams the file through the hash; a miss streams it once
-    through the UTF-8 decoder and ``_parse`` (and through the hash, so
-    that the stored digest is that of the bytes it parsed)."""
+def _ingest(path: str, remap: Mapping[str, str],
+            build=lambda columns: columns):
+    """``build`` of the file's Columns: from the sidecar when it stores
+    these bytes under this column mapping (``_speculate``), else parsed
+    and stored there.  A miss streams the file once through the UTF-8
+    decoder and ``_parse`` (and through the hash, so that the stored
+    digest is that of the bytes it parsed)."""
     digest = None
     try:
         with open(path, "rb", buffering=0) as fh:
             if os.fstat(fh.fileno()).st_size >= _CACHE_FLOOR:
-                entry = _read_entry(path, _sha256(fh))
-                if entry and _resolve(entry[0], remap) == entry[1]:
-                    return entry[2]
+                hit = _speculate(path, fh, remap, build)
+                if hit is not None:
+                    return hit
                 fh.seek(0)
                 import hashlib
                 digest = hashlib.sha256()
@@ -715,42 +761,34 @@ def _ingest(path: str, remap: Mapping[str, str]) -> Columns:
                                     f"({exc.reason})")
     except (OSError, csv.Error) as exc:  # csv: a cell over its size limit
         raise BadConfig(f"cannot read track file {path}: {exc}")
-    header, resolved, block, kind, labels = parsed
+    header, resolved, columns = parsed
     if digest is not None:
-        _write_entry(path, digest.hexdigest(), header, resolved, block,
-                     kind, labels)
-    names = [name for name in resolved if name != "class"]
-    return dict(zip(names, block)), kind, labels
+        _write_entry(path, digest.hexdigest(), header, resolved, columns)
+    return build(columns)
 
 
 def _stack(parts: Sequence[Columns],
            kind_defaults: Optional[Mapping[str, float]]) -> tuple:
-    """The parsed files' rows, checked as ``load_tracks`` describes and
-    sorted by (file, frame, id): the arguments of ``stack`` but the steps,
-    and each file's shift.  A refused row is counted over all files."""
+    """The files' Columns as one table (one file's arrays as they are,
+    filled and shifted in place), checked as ``load_tracks`` describes
+    and sorted by (file, frame, id): the arguments of ``stack`` but the
+    steps, and each file's shift.  A refused row counts over all files."""
     masses = {**DEFAULT_MASSES, **(kind_defaults or {})}
-    sizes = [codes.size for _, codes, _ in parts]
+    sizes = [part[0].size for part in parts]
     source = np.repeat(np.arange(len(parts)), sizes)
     kinds = [AgentKind.of(raw) if raw and raw.strip() else CAR
              for *_, raws in parts for raw in raws]
-
-    def joined(cells):  # one file's column as it is
-        return cells[0] if len(cells) == 1 else np.concatenate(cells)
-
-    def column(name, fill=math.nan):
-        return joined([values[name] if name in values
-                       else np.full(codes.size, fill)
-                       for values, codes, _ in parts])
-
     bases = itertools.accumulate([len(raws) for *_, raws in parts], initial=0)
-    kind = joined([codes + base for (_, codes, _), base in zip(parts, bases)])
-    mass = column("mass").copy()  # not a view that keeps the parse alive
+    columns = [(*arrays, codes + base if base else codes)
+               for (*arrays, codes, _), base in zip(parts, bases)]
+    *keys, motion, extent, mass, kind = (  # keys: frame and id
+        cells[0] if len(cells) == 1 else np.concatenate(cells)
+        for cells in zip(*columns))
     blank = np.isnan(mass)
     if blank.any():
         mass[blank] = np.array([masses[k.category] for k in kinds],
                                dtype=float)[kind[blank]]
 
-    keys = column("frame"), column("id")
     off = [(k != np.trunc(k)) | (np.abs(k) > MAX_INTEGRAL) for k in keys]
     if off[0].any() or off[1].any():
         row = int((off[0] | off[1]).argmax())
@@ -758,8 +796,7 @@ def _stack(parts: Sequence[Columns],
         raise NonIntegral(row, ("frame", "id")[col], float(keys[col][row]))
     frame, ids = (k.astype(np.int64) for k in keys)
 
-    body = {"width": column("width"), "height": column("height"),
-            "mass": mass}
+    body = {"width": extent[:, 0], "height": extent[:, 1], "mass": mass}
     # masks are built only on failure, so a good file allocates nothing
     if min(c.min() for c in body.values()) <= 0.0:
         low = np.logical_or.reduce([c <= 0.0 for c in body.values()])
@@ -767,14 +804,9 @@ def _stack(parts: Sequence[Columns],
         name = next(k for k, c in body.items() if c[row] <= 0.0)
         raise NonPositive(row, name, float(body[name][row]))
 
-    motion = np.column_stack([column(name, 0.0) for name in (
-        "x", "y", "xVelocity", "yVelocity", "xAcceleration", "yAcceleration",
-    )])
     pos = motion[:, 0:2]
     # each file's max(0, -min) per coordinate, from the unsorted columns
-    starts = np.cumsum([0] + sizes[:-1])
-    least = np.column_stack([np.minimum.reduceat(column(name), starts)
-                             for name in ("x", "y")])
+    least = np.minimum.reduceat(pos, np.cumsum([0] + sizes[:-1]))
     shift = np.where(least < 0.0, -least, 0.0)
     moved = (shift > 0.0).any(axis=1)
     if moved.any():
@@ -783,8 +815,7 @@ def _stack(parts: Sequence[Columns],
         over = ~np.isfinite(pos).all(axis=1)
         if over.any():
             raise NonFinite(int(over.argmax()))  # first in file order
-    table = (frame, ids, motion,
-             np.column_stack([body["width"], body["height"]]), mass, kind)
+    table = (frame, ids, motion, extent, mass, kind)
     # lexsort is stable: (source, frame, id) keys that strictly ascend stay
     if not ((source[1:] != source[:-1]) | (frame[1:] > frame[:-1])
             | (frame[1:] == frame[:-1]) & (ids[1:] > ids[:-1])).all():
@@ -819,10 +850,11 @@ def load_tracks(
     (``_parse_cells``), which decides every error.  A file of at least
     ``_CACHE_FLOOR`` bytes keeps that parse in a sidecar beside it and
     skips it while its bytes and column mapping stay the same
-    (``_ingest``); every check below runs either way.  The first data row with a missing, unparseable or
-    non-finite cell raises NonFinite; after that, the first row whose
-    ``frame`` or ``id`` is not an integer (``3.0`` is, ``3.5`` is not;
-    magnitudes above 2**53 are refused) raises NonIntegral, then the
+    (``_ingest``), building on it while a thread hashes the file; every
+    check below runs either way.  The first data row with a missing,
+    unparseable or non-finite cell raises NonFinite; after that, the first
+    row whose ``frame`` or ``id`` is not an integer (``3.0`` is, ``3.5``
+    is not; magnitudes above 2**53 are refused) raises NonIntegral, then the
     first row whose ``width``, ``height`` or mass (after the kind default
     fills a blank cell) is not positive raises NonPositive, and then the
     first row whose shifted position overflows raises NonFinite.  An
@@ -833,9 +865,11 @@ def load_tracks(
     files; a refused dataset fails with its first file's error here,
     the file's base name before the message.
     """
-    _, frame, ids, *table, shift = _stack(
-        [_ingest(path, dict(schema or {}))], kind_defaults)
-    return Scenario(frame_rate, frame, ids, *table, path, offset=shift[0])
+    def build(columns: Columns) -> Scenario:
+        _, frame, ids, *table, shift = _stack([columns], kind_defaults)
+        return Scenario(frame_rate, frame, ids, *table, path, offset=shift[0])
+
+    return _ingest(path, dict(schema or {}), build)
 
 
 def load_dataset(paths: Sequence[str], frame_rate: float = 25.0,

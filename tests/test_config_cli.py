@@ -814,6 +814,61 @@ def test_cli_map_two_mode_raster_is_probability_weighted_sum(tmp_path):
     assert np.allclose(mixed.values, expected, rtol=1e-9, atol=1e-12)
 
 
+def test_cli_map_rolls_only_through_step(tmp_path, monkeypatch, capsys):
+    """map --probabilistic decodes only through --step: at every step of
+    the horizon it rolls that far, its outputs byte for byte those of the
+    full rollout, and a step off the horizon is refused naming it."""
+    from risknet import cli
+
+    csv_path = export_cv(
+        tmp_path / "cv.csv",
+        [(0, 0.0, 0.0, 8.0, 0.0), (1, 15.0, 3.0, 6.0, 0.0),
+         (2, -12.0, -2.0, 10.0, 0.5)],
+        n_frames=8, frame_rate=5.0,
+    )
+    hyper = TrainHyper(d_h=4, modes=2, t_h=3, t_f=5, dt=0.2, lr=0.05,
+                       epochs=1, seed=7)
+    manifest, _ = save_model(str(tmp_path / "model"), *init_model(hyper),
+                             hyper)
+    full, rolled, horizons = cli.predict_frame, [], []
+
+    def short(*args, **kwargs):
+        preds = full(*args, **kwargs)
+        horizons.append({pred.horizon for pred in preds.values()})
+        return preds
+
+    def whole(*args, steps=None, **kwargs):
+        rolled.append(steps)
+        return full(*args, **kwargs)
+
+    def run(where, step):
+        (tmp_path / where).mkdir(exist_ok=True)
+        return cli.main([
+            "map", "--scenario", csv_path, "--ego-id", "0", "--frame", "5",
+            "--step", str(step), "--cell", "2.0", "--bounds=-15,-10,25,10",
+            "--probabilistic", "--model", manifest,
+            "--set", "io.frame_rate=5", "--out", str(tmp_path / where / "m")])
+
+    for step in range(1, hyper.t_f + 1):
+        with monkeypatch.context() as mp:
+            mp.setattr(cli, "predict_frame", short)
+            assert run("short", step) == 0
+        assert horizons[-1] == {step}
+        with monkeypatch.context() as mp:
+            mp.setattr(cli, "predict_frame", whole)
+            assert run("full", step) == 0
+        assert rolled[-1] == step
+        for name in ("m.csv", "m.json"):
+            assert (tmp_path / "short" / name).read_bytes() == \
+                (tmp_path / "full" / name).read_bytes()
+    capsys.readouterr()
+    for step in (0, hyper.t_f + 1):
+        assert run("off", step) == 2
+        assert f"step {step} outside prediction horizon {hyper.t_f}" in \
+            capsys.readouterr().err
+    assert not list((tmp_path / "off").iterdir())
+
+
 # ==================== compare ====================
 
 

@@ -1441,6 +1441,28 @@ def test_predict_frame_equals_batch_of_one(t_h):
                 assert np.array_equal(got.states, want.states)
                 assert np.array_equal(got.covariances, want.covariances)
 
+
+def test_predict_frame_steps_are_the_full_rollouts_first():
+    """``steps`` rolls each forecast only that far: every mode's states
+    and covariances are the full rollout's first steps, bit for bit, with
+    the same π and anchor."""
+    hyper = TrainHyper(d_h=6, modes=3, t_h=5, t_f=6, dt=0.2, seed=11)
+    cell, dec = init_model(hyper)
+    sc = churn_scene_with_late_entrant(first_frame=8)
+    agents = sc.frame_ids(10)
+    full = predict_frame(cell, dec, sc, agents, 10, t_h=5)
+    for steps in range(1, hyper.t_f + 1):
+        short = predict_frame(cell, dec, sc, agents, 10, t_h=5, steps=steps)
+        for agent_id in agents:
+            assert short[agent_id].horizon == steps
+            assert short[agent_id].anchor is full[agent_id].anchor
+            for got, want in zip(short[agent_id].modes,
+                                 full[agent_id].modes, strict=True):
+                assert got.pi == want.pi
+                assert np.array_equal(got.states, want.states[:steps])
+                assert np.array_equal(got.covariances,
+                                      want.covariances[:steps])
+
 # ---- packed batches ----
 
 def churn_hyper():

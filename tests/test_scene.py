@@ -1,12 +1,15 @@
 """Scene model: ingestion, graphs, geometry, and synthetic archetypes."""
 
+import contextlib
 import csv
 import inspect
 import io
 import json
 import math
 import os
+import sys
 import tempfile
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -588,6 +591,36 @@ def test_ingest_undecodable_byte_wins_over_an_earlier_defect(
         load_tracks(str(path))
 
 
+@pytest.mark.parametrize("block_rows", [1, 2, 3, scene._BLOCK_ROWS])
+@pytest.mark.parametrize("row", [0, 1, 2, 7])
+@pytest.mark.parametrize("late_quote", [False, True],
+                         ids=["loadtxt", "csv_later"])
+def test_ingest_field_size_limit_is_one_rule(monkeypatch, tmp_path,
+                                             block_rows, row, late_quote):
+    """An unquoted class cell longer than csv's field size limit is
+    BadConfig wherever it lies, in a block that loadtxt would take, at a
+    block boundary or before a block that switches to the csv path; under
+    a limit that admits it, the same file loads with the cell intact."""
+    text = _block_case("quoted_late" if late_quote else "plain")
+    label = "L" * 200_000
+    lines = text.split("\r\n")
+    cells = lines[1 + row].split(",")
+    cells[8] = label
+    lines[1 + row] = ",".join(cells)
+    path = tmp_path / "tracks.csv"
+    path.write_text("\r\n".join(lines))
+    monkeypatch.setattr(scene, "_BLOCK_ROWS", block_rows)
+    assert csv.field_size_limit() < len(label)
+    with pytest.raises(BadConfig, match="field larger than field limit"):
+        load_tracks(str(path))
+    limit = csv.field_size_limit(len(label))
+    try:
+        sc = load_tracks(str(path))
+    finally:
+        csv.field_size_limit(limit)
+    assert label in [k.label for k in sc.kinds]
+
+
 # ---- the ingest cache beside the CSV ----
 
 SIDECAR = ".tracks.csv.risknet.npy"
@@ -709,25 +742,48 @@ def _other_format(good):
     return good.replace(tag, tag.upper())
 
 
+ARRAYS = ("frame", "id", "motion", "extent", "mass", "kind")
+
+
 def _resaved(edit):
-    """A spoil that keeps the sidecar's structure: its three arrays
-    loaded, the (k, n) block passed through ``edit(names, block)``, and
-    all saved again."""
+    """A spoil that keeps the sidecar's structure: its key and six arrays
+    loaded, the arrays by name passed through ``edit(arrays)``, and the
+    key and the arrays it returns saved again, in order."""
     def spoil(good):
         buf, out = io.BytesIO(good), io.BytesIO()
-        key, kind, block = (np.load(buf) for _ in range(3))
-        names = [name for name, _ in json.loads(key.tobytes())["resolved"]
-                 if name != "class"]
-        for array in (key, kind, edit(names, block.copy())):
+        key, *arrays = (np.load(buf) for _ in range(1 + len(ARRAYS)))
+        for array in (key, *edit(dict(zip(ARRAYS, arrays))).values()):
             np.save(out, array)
         return out.getvalue()
     return spoil
 
 
-def _set(name, value):
-    def edit(names, block):
-        block[names.index(name), 0] = value
-        return block
+def _set(name, index, value):
+    def edit(arrays):
+        arrays[name][index] = value
+        return arrays
+    return edit
+
+
+def _each_float(change):
+    """Pass every float array of the sidecar through ``change``."""
+    def edit(arrays):
+        return {name: change(a) if a.dtype == np.float64 else a
+                for name, a in arrays.items()}
+    return edit
+
+
+def _without(name):
+    def edit(arrays):
+        del arrays[name]
+        return arrays
+    return edit
+
+
+def _replaced(name, change):
+    def edit(arrays):
+        arrays[name] = change(arrays[name])
+        return arrays
     return edit
 
 
@@ -740,12 +796,15 @@ SPOILS = [
     _pickled,
     _huge_shape,
     _other_format,
-    _resaved(_set("x", math.nan)),
-    _resaved(_set("mass", math.inf)),
-    _resaved(_set("mass", -math.inf)),
-    _resaved(lambda names, block: block[:-1]),
-    _resaved(lambda names, block: block[:, :-1]),
-    _resaved(lambda names, block: block.astype(np.float32)),
+    _resaved(_set("motion", (0, 0), math.nan)),
+    _resaved(_set("mass", 0, math.inf)),
+    _resaved(_set("mass", 0, -math.inf)),
+    # the file's last numeric column (mass), then its last row, missing
+    _resaved(_without("mass")),
+    _resaved(_each_float(lambda a: a[:-1])),
+    _resaved(_each_float(lambda a: a.astype(np.float32))),
+    _resaved(_replaced("motion", lambda a: a[:, :4])),
+    _resaved(_replaced("frame", lambda a: a.astype(np.int64))),
 ]
 
 
@@ -753,7 +812,7 @@ SPOILS = [
     "empty", "truncated", "one_byte_short", "trailing_byte", "garbage",
     "pickled", "huge_shape", "other_format", "nan_value", "inf_mass",
     "minus_inf_mass", "block_short_of_a_row", "block_short_of_a_column",
-    "float32_block"])
+    "float32_block", "motion_of_four_columns", "int64_frame"])
 def test_cache_spoiled_sidecar_is_a_miss_and_rewritten(cached, tmp_path,
                                                        capfd, spoil):
     path = tmp_path / "tracks.csv"
@@ -948,6 +1007,127 @@ def test_cache_other_column_mapping_is_a_miss(cached, monkeypatch,
     assert_bit_identical(load_tracks(str(path), schema={"x": "x"}), plain)
 
 
+@pytest.mark.parametrize("stale_fails", [True, False],
+                         ids=["stale_fails", "file_fails"])
+def test_cache_stale_sidecar_outcome_never_stands(cached, monkeypatch,
+                                                  tmp_path, stale_fails):
+    """A sidecar of other bytes under the same header is built on while
+    the file is hashed, then dropped: when its table fails a check and
+    the file now loads, and in the reverse case, the load is the file's
+    own, as from a file without a sidecar, and the sidecar is rewritten."""
+    edits, error = FAILURES["duplicate"][:2]
+    failing = cache_rows()
+    for k, column, cell in edits:
+        failing[k][CACHE_HEADER.index(column)] = cell
+    before, after = ((failing, cache_rows()) if stale_fails
+                     else (cache_rows(), failing))
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    write_csv(fresh / "tracks.csv", after, header=CACHE_HEADER)
+    path = tmp_path / "tracks.csv"
+    write_csv(path, before, header=CACHE_HEADER)
+
+    def outcome(where):
+        try:
+            return load_tracks(str(where))
+        except InputError as exc:
+            return exc
+
+    outcome(path)  # writes the sidecar of the earlier bytes
+    write_csv(path, after, header=CACHE_HEADER)
+    want = outcome(fresh / "tracks.csv")
+    assert isinstance(want, error) != stale_fails
+    stacks = []
+    stack = scene._stack
+    monkeypatch.setattr(scene, "_stack", lambda *a: stacks.append(1)
+                        or stack(*a))
+    outcomes = [outcome(path)]  # built on the stale entry, then parsed
+    assert len(stacks) == 2
+    forbid_decode(monkeypatch)
+    outcomes.append(outcome(path))  # a hit on the rewritten entry
+    assert (tmp_path / SIDECAR).read_bytes() == \
+        (fresh / SIDECAR).read_bytes()
+    for got in outcomes:
+        if stale_fails:
+            assert_bit_identical(got, want)
+        else:
+            assert_same_error(got, want)
+            assert str(got) == str(want)
+
+
+@pytest.mark.parametrize("defect", [None, "duplicate"])
+def test_cache_digest_error_is_bad_config(cached, monkeypatch, tmp_path,
+                                          defect):
+    """A digest thread that meets a read error fails the load with the
+    error of an unreadable file, naming it, over whatever the build on
+    the sidecar gave; the thread is joined."""
+    rows = cache_rows()
+    for k, column, cell in FAILURES[defect][0] if defect else []:
+        rows[k][CACHE_HEADER.index(column)] = cell
+    path = tmp_path / "tracks.csv"
+    write_csv(path, rows, header=CACHE_HEADER)
+    with contextlib.suppress(InputError):
+        load_tracks(str(path))
+    assert (tmp_path / SIDECAR).is_file()
+    threads = threading.active_count()
+
+    def unreadable(fh):
+        raise OSError(5, "Input/output error")
+
+    monkeypatch.setattr(scene, "_sha256", unreadable)
+    with pytest.raises(BadConfig) as err:
+        load_tracks(str(path))
+    assert str(err.value) == (f"cannot read track file {path}: "
+                              "[Errno 5] Input/output error")
+    assert threading.active_count() == threads
+
+
+def test_cache_hit_hashes_once_off_the_calling_thread(cached, monkeypatch,
+                                                      tmp_path):
+    path = tmp_path / "tracks.csv"
+    write_csv(path, cache_rows(), header=CACHE_HEADER)
+    miss = load_tracks(str(path))
+    threads, sha256 = [], scene._sha256
+    monkeypatch.setattr(scene, "_sha256", lambda fh: threads.append(
+        threading.get_ident()) or sha256(fh))
+    forbid_decode(monkeypatch)
+    assert_bit_identical(load_tracks(str(path)), miss)
+    assert len(threads) == 1 and threads[0] != threading.get_ident()
+
+
+def test_cache_concurrent_hits_agree(cached, monkeypatch, tmp_path):
+    """Hits on one cached file from more threads than cores, under a short
+    switch interval: each load joins its own digest thread, every scene is
+    the miss's, and no thread is left behind."""
+    path = tmp_path / "tracks.csv"
+    write_csv(path, cache_rows(blank_mass=True), header=CACHE_HEADER)
+    want = load_tracks(str(path))
+    forbid_decode(monkeypatch)
+    threads, got, errors = threading.active_count(), [], []
+
+    def load():
+        try:
+            got.extend(load_tracks(str(path)) for _ in range(5))
+        except Exception as exc:  # reported below, on the test's thread
+            errors.append(exc)
+
+    workers = [threading.Thread(target=load) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert errors == [] and len(got) == 20
+    for sc in got:
+        assert_bit_identical(sc, want)
+    assert threading.active_count() == threads
+
+
 @pytest.mark.parametrize("block_rows", [1, 2, 3])
 def test_cache_tests_in_small_blocks(monkeypatch, tmp_path, capfd,
                                      block_rows):
@@ -968,6 +1148,8 @@ def test_cache_tests_in_small_blocks(monkeypatch, tmp_path, capfd,
           for shuffled in (False, True)
           for defect in (None, "duplicate", "shift_overflow")),
         (test_cache_other_column_mapping_is_a_miss, {}),
+        *((test_cache_stale_sidecar_outcome_never_stands,
+           {"stale_fails": stale_fails}) for stale_fails in (True, False)),
     ]
     for k, (test, kwargs) in enumerate(cases):
         with monkeypatch.context() as mp:
