@@ -1,19 +1,20 @@
 """Classical surrogate safety baselines.
 
 Time-to-collision, time headway, a responsibility-sensitive longitudinal
-safe-distance check, and a non-directional field proxy, all evaluated per
-frame against the same scenario the interaction field sees.
+safe-distance check, and a non-directional field proxy.  ``evaluate_all``
+computes them for every frame of one ego at once, against the same
+scenario the interaction field sees; it is their only implementation.
 """
 
 import csv
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .errors import BadConfig
 from .field import RiskFieldParams, frame_field, frame_totals
-from .scene import DEFAULT_LANE_WIDTH, EPS_SPEED, AgentState, Scenario
+from .scene import DEFAULT_LANE_WIDTH, EPS_SPEED, Scenario
 
 # Only bench/tracing.py reads these two here (ROADMAP direction 1b).
 from .field import total_directional_force  # noqa: F401,E402
@@ -52,79 +53,6 @@ class BaselineConfig:
             raise BadConfig("lane_half_width must be positive")
 
 
-def _heading_sign(vx):
-    """Travel direction along x from the ego's x velocity; slow egos
-    default to +x.  Floats or arrays alike, as are the helpers below."""
-    return np.where(vx < -EPS_SPEED, -1.0, 1.0)
-
-
-def _gap(sign, ego_x, ego_length, x, length):
-    """Bumper-to-bumper gap along the ego's travel axis to agents centred
-    at ``x`` with extent ``length`` along x, negative on overlap."""
-    return sign * (x - ego_x) - 0.5 * (ego_length + length)
-
-
-def _lead_gate(ego_y, gap, y, half_width: float):
-    """Gate shared by ttc/thw/rss and the lead pick: ahead (nonnegative
-    gap) and inside the ego's lane band."""
-    return (abs(y - ego_y) < half_width) & (gap >= 0.0)
-
-
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _lead_metrics(sign, ego_v, lead_vx, gap, rss: RssParams):
-    """TTC, THW and RSS margin of egos with velocity ``ego_v`` (..., 2)
-    against leads at bumper ``gap``, each formula once.  TTC is None where
-    the gap is not closing, THW where the ego stands; the margin is the
-    safe distance minus the gap, positive exactly when the gap is less."""
-    vx = ego_v[..., 0]
-    closing = sign * (vx - lead_vx)
-    speed = np.hypot(vx, ego_v[..., 1])
-    d_safe = rss_safe_distance(sign * vx, sign * lead_vx, rss)
-    return (np.where(closing <= 0.0, None, gap / closing),
-            np.where(speed < EPS_SPEED, None, gap / speed),
-            d_safe - gap)
-
-
-def bumper_gap(ego: AgentState, lead: AgentState) -> float:
-    """Bumper-to-bumper gap along the travel axis, negative on overlap."""
-    return float(_gap(_heading_sign(ego.velocity[0]), ego.position[0],
-                      ego.extent[0], lead.position[0], lead.extent[0]))
-
-
-def _against(ego: AgentState, lead: AgentState,
-             cfg: Optional[BaselineConfig]) -> list:
-    """_lead_metrics of one pair, each None when the lead gate fails."""
-    cfg = cfg or BaselineConfig()
-    gap = bumper_gap(ego, lead)
-    if not _lead_gate(ego.position[1], gap, lead.position[1],
-                      cfg.lane_half_width):
-        return [None] * 3
-    return [m.item() for m in _lead_metrics(
-        _heading_sign(ego.velocity[0]), ego.velocity, lead.velocity[0],
-        gap, cfg.rss)]
-
-
-def ttc(
-    ego: AgentState, lead: AgentState,
-    cfg: Optional[BaselineConfig] = None,
-) -> Optional[float]:
-    """Time to collision in seconds, or None where it does not apply.
-
-    Applies when the lead is ahead of the ego inside its lane band and the
-    bumper gap is closing.
-    """
-    return _against(ego, lead, cfg)[0]
-
-
-def thw(
-    ego: AgentState, lead: AgentState,
-    cfg: Optional[BaselineConfig] = None,
-) -> Optional[float]:
-    """Time headway: bumper gap over ego speed; None for a standing ego
-    or when the lead gate fails."""
-    return _against(ego, lead, cfg)[1]
-
-
 def rss_safe_distance(v_rear, v_front, p: RssParams):
     """Minimum longitudinal distance the rear vehicle must keep, floored
     at zero; floats or arrays alike."""
@@ -134,20 +62,6 @@ def rss_safe_distance(v_rear, v_front, p: RssParams):
          + v_reacted * v_reacted / (2.0 * p.b_min_brake)
          - v_front * v_front / (2.0 * p.b_max_brake))
     return np.fmax(0.0, d)
-
-
-def rss_longitudinal_violation(
-    ego: AgentState, lead: AgentState,
-    cfg: Optional[BaselineConfig] = None,
-) -> Optional[Tuple[bool, float]]:
-    """(unsafe, margin) against the safe-distance rule, or None when the
-    lead gate fails.
-
-    margin = safe distance minus actual gap: positive means unsafe.  The
-    comparison is strict, so a gap exactly at the safe distance is safe.
-    """
-    margin = _against(ego, lead, cfg)[2]
-    return None if margin is None else (margin > 0.0, margin)
 
 
 # ==================== per-frame comparison table ====================
@@ -185,26 +99,33 @@ def evaluate_all(
     params = params or RiskFieldParams()
     ff = frame_field(scenario, ego_id, params)
     ego, others = ff.ego, ff.others
-    sign = _heading_sign(ego.velocity[..., 0])
-    x = others.position[..., 0]
-    ahead = sign * (x - ego.position[..., 0]) > 0.0
-    nc, risk = frame_totals(ff, np.where(ahead, ff.force, 0.0),
+    # travel direction along x from the ego's x velocity; slow egos head +x
+    sign = np.where(ego.velocity[..., 0] < -EPS_SPEED, -1.0, 1.0)
+    along = sign * (others.position[..., 0] - ego.position[..., 0])
+    nc, risk = frame_totals(ff, np.where(along > 0.0, ff.force, 0.0),
                             ff.directional)
-    gap = _gap(sign, ego.position[..., 0], ego.length, x, others.length)
-    leads = ff.present & _lead_gate(ego.position[..., 1], gap,
-                                    others.position[..., 1],
-                                    cfg.lane_half_width)
+    # bumper-to-bumper gap along the travel axis, negative on overlap
+    gap = along - 0.5 * (ego.length + others.length)
+    lateral = np.abs(others.position[..., 1] - ego.position[..., 1])
+    leads = ff.present & (lateral < cfg.lane_half_width) & (gap >= 0.0)
     f = np.arange(len(ff.frame))
     pick = np.argmin(np.where(leads, gap, np.inf), axis=1)
     # where every lead's gap is inf, argmin may land on a non-lead
     pick = np.where(leads[f, pick], pick, leads.argmax(axis=1))
-    t, h, m = _lead_metrics(sign[:, 0], ego.velocity[:, 0],
-                            others.velocity[f, pick, 0], gap[f, pick],
-                            cfg.rss)
-    has_lead = leads.any(axis=1)
-    t, h, m = (np.where(has_lead, v, None).tolist() for v in (t, h, m))
-    return list(map(ComparisonRow, ff.frame.tolist(), t, h, m, nc.tolist(),
-                    risk.tolist()))
+    gap, lead_vx, sign = gap[f, pick], others.velocity[f, pick, 0], sign[:, 0]
+    vx, vy = ego.velocity[:, 0].T
+    none = ~leads.any(axis=1)
+    # rows without a lead compute from the picked padding, then read None
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        closing = sign * (vx - lead_vx)
+        t = np.where(none | (closing <= 0.0), None, gap / closing)
+        speed = np.hypot(vx, vy)
+        h = np.where(none | (speed < EPS_SPEED), None, gap / speed)
+        # the safe distance minus the gap: positive exactly when it is less
+        m = np.where(none, None, rss_safe_distance(
+            sign * vx, sign * lead_vx, cfg.rss) - gap)
+    return list(map(ComparisonRow, ff.frame.tolist(), t.tolist(), h.tolist(),
+                    m.tolist(), nc.tolist(), risk.tolist()))
 
 
 def write_comparison(rows: Sequence[ComparisonRow], path: str) -> None:
@@ -223,23 +144,3 @@ def write_comparison(rows: Sequence[ComparisonRow], path: str) -> None:
                 fmt(row.risknet_force),
             ])
 
-
-def read_comparison(path: str) -> List[ComparisonRow]:
-    rows: List[ComparisonRow] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != COMPARISON_HEADER:
-            raise BadConfig(f"unexpected comparison header in {path}")
-        for rec in reader:
-            def opt(name: str) -> Optional[float]:
-                return float(rec[name]) if rec[name] else None
-
-            rows.append(ComparisonRow(
-                frame=int(rec["frame"]),
-                ttc=opt("ttc"),
-                thw=opt("thw"),
-                rss_margin=opt("rss_margin"),
-                nc_field=float(rec["nc_field"]),
-                risknet_force=float(rec["risknet_force"]),
-            ))
-    return rows

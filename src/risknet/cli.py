@@ -334,11 +334,12 @@ def read_prediction(path: str) -> MixturePrediction:
     lost; displacement metrics are unaffected.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise BadConfig(f"unreadable prediction file: {exc}")
-    if data.get("format") != "risknet-prediction":
+    if not (isinstance(data, dict)
+            and data.get("format") == "risknet-prediction"):
         raise BadConfig(f"not a prediction file: {path}")
     modes = []
     try:

@@ -5,7 +5,7 @@ import json
 import math
 import typing
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Sequence, Tuple, Union
+from typing import Any, Dict, Sequence, Tuple, Union
 
 from .baselines import BaselineConfig, RssParams
 from .errors import BadConfig
@@ -113,17 +113,19 @@ def _build(cls: type, data: Any, path: str) -> Any:
         raise BadConfig(f"bad config value near {path or 'root'}: {exc}")
 
 
-def config_from_dict(data: Mapping[str, Any]) -> RunConfig:
-    return _build(RunConfig, dict(data), "")
+def config_from_dict(data: Any) -> RunConfig:
+    """A RunConfig from parsed JSON; a root that is not an object is
+    refused."""
+    return _build(RunConfig, data, "")
 
 
 def load_config(path: str) -> RunConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise BadConfig(f"cannot read config {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise BadConfig(f"config {path} is not valid JSON: {exc}")
     return config_from_dict(data)
 

@@ -67,9 +67,9 @@ def load_model(
     """Load a model saved by save_model, rejecting format, version,
     name, shape, and size mismatches."""
     try:
-        with open(manifest_path) as fh:
+        with open(manifest_path, encoding="utf-8") as fh:
             manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ModelFormatError(f"unreadable model manifest: {exc}") from exc
     if not isinstance(manifest, dict):
         raise ModelFormatError("model manifest is not a JSON object")

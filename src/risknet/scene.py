@@ -624,13 +624,20 @@ def _sha256(fh) -> str:
     return digest.hexdigest()
 
 
+# NumPy parses an npy header with ast.literal_eval, whose AST conversion
+# keeps one recursion counter per interpreter in CPython 3.11.7: two threads
+# in it at once raise SystemError, so loads in threads take turns there.
+_HEADER_LOCK = threading.Lock()
+
+
 def _next_array(fh, end: int, out: Optional[np.ndarray] = None):
     """The next np.save array of an open sidecar, its header parsed once,
     read into ``out`` (by default a new array); ValueError unless it is
     format 1.0, in C order, within ``end`` and of out's dtype and shape."""
     if np.lib.format.read_magic(fh) != (1, 0):
         raise ValueError("not an npy 1.0 array")
-    shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
+    with _HEADER_LOCK:
+        shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
     if (fortran or dtype.hasobject  # readinto would write object pointers
             or math.prod(shape) * dtype.itemsize > end - fh.tell()
             or out is not None and (out.dtype, out.shape) != (dtype, shape)):

@@ -319,6 +319,18 @@ def directional_force(ego, other, k, C, beta, v0, cap=10.0,
 
 # ---- baselines ----
 
+def heading_sign(vx_ego, eps_speed=0.1):
+    """Travel direction along x: -1 when the ego moves toward -x faster
+    than eps_speed, else +1 (a standing ego faces +x)."""
+    return -1.0 if vx_ego < -eps_speed else 1.0
+
+
+def bumper_gap(x_ego, length_ego, x, length, sign):
+    """Bumper-to-bumper gap along the ego's travel direction (sign, as
+    from heading_sign), negative on overlap."""
+    return sign * (x - x_ego) - 0.5 * (length_ego + length)
+
+
 def ttc(gap, v_ego, v_lead):
     closing = v_ego - v_lead
     if closing <= 0:

@@ -23,8 +23,6 @@ from risknet.baselines import (
     RssParams,
     evaluate_all,
     rss_safe_distance,
-    thw,
-    ttc,
 )
 from risknet.field import (
     GridSpec,
@@ -59,7 +57,7 @@ from risknet.prob import (
     probabilistic_raster,
     replay_prediction,
 )
-from risknet.scene import build_graph, make_archetype
+from risknet.scene import build_graph, make_archetype, scenario_from_states
 
 PARAMS = RiskFieldParams()
 KC1 = RiskFieldParams(k={k: 1.0 for k in PARAMS.k})
@@ -123,9 +121,10 @@ def test_criterion_1_formula_oracles_agree():
     # classical baselines: 25.5 m bumper gap, 20 vs 10 m/s
     b_ego = make_state(0, velocity=(20.0, 0.0))
     b_lead = make_state(1, position=(30.0, 0.0), velocity=(10.0, 0.0))
-    checks.append(("ttc", ttc(b_ego, b_lead), oracles.ttc(25.5, 20.0, 10.0)))
-    checks.append(("ttc_value", ttc(b_ego, b_lead), 2.55))
-    checks.append(("thw", thw(b_ego, b_lead), oracles.thw(25.5, 20.0)))
+    (b_row,) = evaluate_all(scenario_from_states([b_ego, b_lead], 25.0), 0)
+    checks.append(("ttc", b_row.ttc, oracles.ttc(25.5, 20.0, 10.0)))
+    checks.append(("ttc_value", b_row.ttc, 2.55))
+    checks.append(("thw", b_row.thw, oracles.thw(25.5, 20.0)))
     checks.append(("rss", rss_safe_distance(20.0, 10.0, RssParams()),
                    oracles.rss_safe_distance(20.0, 10.0, 0.5, 2.0, 4.0, 8.0)))
 

@@ -1,6 +1,7 @@
 """Surrogate safety baselines: TTC, THW, the longitudinal safe-distance
 check, the non-directional field proxy, and the comparison table."""
 
+import csv
 import math
 
 import pytest
@@ -10,15 +11,11 @@ from hypothesis import strategies as st
 import oracles
 from conftest import constant_velocity_scenario, make_state
 from risknet.baselines import (
+    COMPARISON_HEADER,
     BaselineConfig,
     RssParams,
-    bumper_gap,
     evaluate_all,
-    read_comparison,
-    rss_longitudinal_violation,
     rss_safe_distance,
-    thw,
-    ttc,
     write_comparison,
 )
 from risknet.errors import BadConfig
@@ -35,6 +32,13 @@ def lead_at_gap(gap, speed, lateral=0.0):
                       velocity=(speed, 0.0))
 
 
+def row_of(*states):
+    """The evaluate_all row of a one-frame scene whose ego is agent 0."""
+    (row,) = evaluate_all(scenario_from_states(states, 25.0), 0, CFG,
+                          PARAMS)
+    return row
+
+
 # ---- configuration ----
 
 def test_config_validation():
@@ -49,56 +53,57 @@ def test_config_validation():
 def test_bumper_gap_measures_extents():
     ego = make_state(0, velocity=(10, 0))
     lead = make_state(1, position=(24.5, 0), velocity=(10, 0))
-    assert bumper_gap(ego, lead) == pytest.approx(20.0, abs=1e-12)
+    # the headway is the bumper gap over the ego's 10 m/s
+    assert row_of(ego, lead).thw * 10.0 == pytest.approx(20.0, abs=1e-12)
 
 
 # ---- time to collision ----
 
 def test_ttc_hand_case():
     ego = make_state(0, velocity=(25.0, 0.0))
-    assert ttc(ego, lead_at_gap(20.0, 15.0), CFG) == pytest.approx(
+    assert row_of(ego, lead_at_gap(20.0, 15.0)).ttc == pytest.approx(
         oracles.ttc(20.0, 25.0, 15.0), rel=1e-12)
-    assert ttc(ego, lead_at_gap(20.0, 15.0), CFG) == pytest.approx(2.0)
+    assert row_of(ego, lead_at_gap(20.0, 15.0)).ttc == pytest.approx(2.0)
 
 
 def test_ttc_opening_gap_is_none():
     ego = make_state(0, velocity=(15.0, 0.0))
-    assert ttc(ego, lead_at_gap(20.0, 25.0), CFG) is None
+    assert row_of(ego, lead_at_gap(20.0, 25.0)).ttc is None
 
 
 def test_ttc_contact():
     ego = make_state(0, velocity=(25.0, 0.0))
-    assert ttc(ego, lead_at_gap(0.0, 15.0), CFG) == 0.0
+    assert row_of(ego, lead_at_gap(0.0, 15.0)).ttc == 0.0
 
 
 def test_ttc_out_of_lane_band_is_none():
     ego = make_state(0, velocity=(25.0, 0.0))
-    assert ttc(ego, lead_at_gap(20.0, 15.0, lateral=2.0), CFG) is None
+    assert row_of(ego, lead_at_gap(20.0, 15.0, lateral=2.0)).ttc is None
 
 
 def test_ttc_lead_behind_is_none():
     ego = make_state(0, position=(30, 0), velocity=(25.0, 0.0))
     behind = make_state(1, position=(0, 0), velocity=(15.0, 0.0))
-    assert ttc(ego, behind, CFG) is None
+    assert row_of(ego, behind).ttc is None
 
 
 # ---- time headway ----
 
 def test_thw_hand_case():
     ego = make_state(0, velocity=(15.0, 0.0))
-    assert thw(ego, lead_at_gap(30.0, 10.0), CFG) == pytest.approx(
+    assert row_of(ego, lead_at_gap(30.0, 10.0)).thw == pytest.approx(
         oracles.thw(30.0, 15.0), rel=1e-12)
-    assert thw(ego, lead_at_gap(30.0, 10.0), CFG) == pytest.approx(2.0)
+    assert row_of(ego, lead_at_gap(30.0, 10.0)).thw == pytest.approx(2.0)
 
 
 def test_thw_stationary_ego_is_none():
     ego = make_state(0, velocity=(0.0, 0.0))
-    assert thw(ego, lead_at_gap(30.0, 10.0), CFG) is None
+    assert row_of(ego, lead_at_gap(30.0, 10.0)).thw is None
 
 
 def test_thw_zero_gap():
     ego = make_state(0, velocity=(15.0, 0.0))
-    assert thw(ego, lead_at_gap(0.0, 10.0), CFG) == 0.0
+    assert row_of(ego, lead_at_gap(0.0, 10.0)).thw == 0.0
 
 
 @given(st.floats(1.0, 60.0), st.floats(1.0, 39.0), st.floats(0.2, 30.0))
@@ -108,11 +113,11 @@ def test_ttc_thw_scale_consistency(gap, v_lead, closing):
     v_ego = v_lead + closing
     ego = make_state(0, velocity=(v_ego, 0.0))
     ego2 = make_state(0, velocity=(2 * v_ego, 0.0))
-    one_t = ttc(ego, lead_at_gap(gap, v_lead), CFG)
-    two_t = ttc(ego2, lead_at_gap(2 * gap, 2 * v_lead), CFG)
+    one_t = row_of(ego, lead_at_gap(gap, v_lead)).ttc
+    two_t = row_of(ego2, lead_at_gap(2 * gap, 2 * v_lead)).ttc
     assert two_t == pytest.approx(one_t, rel=1e-9)
-    one_h = thw(ego, lead_at_gap(gap, v_lead), CFG)
-    two_h = thw(ego2, lead_at_gap(2 * gap, 2 * v_lead), CFG)
+    one_h = row_of(ego, lead_at_gap(gap, v_lead)).thw
+    two_h = row_of(ego2, lead_at_gap(2 * gap, 2 * v_lead)).thw
     assert two_h == pytest.approx(one_h, rel=1e-9)
 
 
@@ -124,25 +129,23 @@ def test_rss_hand_case():
     assert rss_safe_distance(20.0, 20.0, CFG.rss) == pytest.approx(
         expected_d, rel=1e-12)
     ego = make_state(0, velocity=(20.0, 0.0))
-    unsafe, margin = rss_longitudinal_violation(
-        ego, lead_at_gap(30.0, 20.0), CFG)
-    assert unsafe
+    margin = row_of(ego, lead_at_gap(30.0, 20.0)).rss_margin
+    assert margin > 0.0
     assert margin == pytest.approx(10.375, abs=1e-9)
 
 
 def test_rss_boundary_gap_is_safe():
     d_safe = rss_safe_distance(20.0, 20.0, CFG.rss)
     ego = make_state(0, velocity=(20.0, 0.0))
-    unsafe, margin = rss_longitudinal_violation(
-        ego, lead_at_gap(d_safe, 20.0), CFG)
-    assert not unsafe
+    margin = row_of(ego, lead_at_gap(d_safe, 20.0)).rss_margin
+    assert not margin > 0.0
     assert margin == pytest.approx(0.0, abs=1e-9)
 
 
 def test_rss_stationary_pair_with_room_is_safe():
     ego = make_state(0, velocity=(0.0, 0.0))
-    unsafe, _ = rss_longitudinal_violation(ego, lead_at_gap(1.0, 0.0), CFG)
-    assert not unsafe
+    margin = row_of(ego, lead_at_gap(1.0, 0.0)).rss_margin
+    assert margin is not None and not margin > 0.0
 
 
 @given(st.floats(0.0, 35.0), st.floats(0.0, 35.0), st.floats(0.1, 5.0))
@@ -165,9 +168,7 @@ def test_rss_matches_oracle_over_grid():
 
 def nc_field(*states):
     """The nc_field column of a one-frame scene whose ego is agent 0."""
-    (row,) = evaluate_all(scenario_from_states(states, 25.0), 0, CFG,
-                          PARAMS)
-    return row.nc_field
+    return row_of(*states).nc_field
 
 
 def test_nc_rear_only_is_zero():
@@ -234,7 +235,8 @@ def test_evaluate_all_constant_gap_following():
 def test_evaluate_all_lead_matches_scalar_pick(data):
     """ttc, thw and rss use the in-band agent ahead with the smallest
     bumper gap, the first by id on a tie, as a loop over the frame's
-    states picks it; the ego heads +x, -x or stands."""
+    states picks it, and equal the oracle formulas on speeds signed
+    along the ego's travel; the ego heads +x, -x or stands."""
     xs = st.sampled_from((-30.0, -10.0, -4.5, 0.0, 4.5, 10.0, 25.0))
     ys = st.sampled_from((0.0, 1.0, -1.75, 1.75, 3.5))
     states = [make_state(0, velocity=(
@@ -246,19 +248,30 @@ def test_evaluate_all_lead_matches_scalar_pick(data):
             extent=(data.draw(st.sampled_from((4.5, 12.0))), 2.0)))
     sc = scenario_from_states(states, 25.0)
     (row,) = evaluate_all(sc, 0, CFG, PARAMS)
-    ego, lead = sc.state(0, 0), None
+    ego, lead, lead_gap = sc.state(0, 0), None, math.inf
+    sign = oracles.heading_sign(ego.velocity[0])
     for s in sc.states_at(0):
-        gap = bumper_gap(ego, s)
-        if (s.agent_id != 0 and gap >= 0.0
-                and abs(s.position[1] - ego.position[1]) < CFG.lane_half_width
-                and (lead is None or gap < bumper_gap(ego, lead))):
-            lead = s
+        gap = oracles.bumper_gap(ego.position[0], ego.extent[0],
+                                 s.position[0], s.extent[0], sign)
+        if (s.agent_id != 0 and 0.0 <= gap < lead_gap
+                and abs(s.position[1] - ego.position[1])
+                < CFG.lane_half_width):
+            lead, lead_gap = s, gap
     if lead is None:
         assert (row.ttc, row.thw, row.rss_margin) == (None, None, None)
-    else:
-        assert row.ttc == ttc(ego, lead, CFG)
-        assert row.thw == thw(ego, lead, CFG)
-        assert row.rss_margin == rss_longitudinal_violation(ego, lead, CFG)[1]
+        return
+    v_ego, v_lead = sign * ego.velocity[0], sign * lead.velocity[0]
+    expected = (
+        oracles.ttc(lead_gap, v_ego, v_lead),
+        oracles.thw(lead_gap, v_ego),
+        oracles.rss_safe_distance(v_ego, v_lead, 0.5, 2.0, 4.0, 8.0)
+        - lead_gap,
+    )
+    for got, want in zip((row.ttc, row.thw, row.rss_margin), expected):
+        if want is None:
+            assert got is None
+        else:
+            assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_rear_overtake_rear_phase_visible_only_to_field():
@@ -296,14 +309,17 @@ def test_comparison_roundtrip(tmp_path):
     rows = evaluate_all(sc, 0, CFG, PARAMS)
     path = tmp_path / "cmp.csv"
     write_comparison(rows, str(path))
-    again = read_comparison(str(path))
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        assert reader.fieldnames == COMPARISON_HEADER
+        again = list(reader)
     assert len(again) == len(rows)
     for a, b in zip(rows, again):
-        assert a.frame == b.frame
+        assert a.frame == int(b["frame"])
         for col in ("ttc", "thw", "rss_margin"):
-            va, vb = getattr(a, col), getattr(b, col)
-            assert (va is None) == (vb is None)
+            va, vb = getattr(a, col), b[col]
+            assert (va is None) == (vb == "")
             if va is not None:
-                assert va == vb
-        assert a.nc_field == b.nc_field
-        assert a.risknet_force == b.risknet_force
+                assert va == float(vb)
+        assert a.nc_field == float(b["nc_field"])
+        assert a.risknet_force == float(b["risknet_force"])

@@ -478,6 +478,60 @@ def test_cli_eval_unreadable_path_exits_2(cutin, tmp_path, case):
     assert str(named) in proc.stderr
 
 
+def cli_input_error(argv, capsys):
+    """The one stderr line of an in-process CLI run that exits 2."""
+    from risknet import cli
+
+    code = cli.main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2, captured.err
+    (line,) = captured.err.splitlines()
+    assert line.startswith("risknet: input error: "), line
+    return line
+
+
+@pytest.mark.parametrize("root", ["[]", '[["io", {"frame_rate": 10.0}]]',
+                                  '"ab"', "null", "3"])
+def test_cli_config_root_not_an_object_exits_2(cutin, tmp_path, capsys,
+                                               root):
+    """A config file is a JSON object; a list, even of key-value pairs,
+    or a scalar root is refused, not run as the defaults."""
+    config = tmp_path / "run.json"
+    config.write_text(root)
+    out = tmp_path / "eval.csv"
+    line = cli_input_error(["eval", "--scenario", cutin, "--ego-id", "0",
+                            "--out", out, "--config", config], capsys)
+    assert line.endswith("config section root must be an object")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["config_utf16", "prediction_utf16",
+                                  "model_utf16", "prediction_list"])
+def test_cli_json_input_not_utf8_or_not_an_object_exits_2(
+        cutin, tmp_path, capsys, case):
+    """A JSON input that is not UTF-8, or a prediction whose root is not
+    an object, is an input error naming the file kind."""
+    reader, form = case.split("_")
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"[]" if form == "list"
+                    else '{"format": 1}'.encode("utf-16"))
+    assert form == "list" or bad.read_bytes().startswith(b"\xff\xfe")
+    scene = ["--scenario", cutin, "--ego-id", "0", "--set",
+             "io.frame_rate=10"]
+    argv, expected = {
+        "config": (["eval", *scene, "--out", tmp_path / "eval.csv",
+                    "--config", bad], "is not valid JSON"),
+        "prediction": (["metrics", *scene, "--frame", "5",
+                        "--prediction", bad],
+                       "unreadable prediction file" if form == "utf16"
+                       else "not a prediction file"),
+        "model": (["predict", *scene, "--model", bad,
+                   "--out", tmp_path / "p.json"],
+                  "unreadable model manifest"),
+    }[reader]
+    assert expected in cli_input_error(argv, capsys)
+
+
 @pytest.mark.parametrize("where", ["first_chunk", "past_8_kib",
                                    "past_first_block"])
 def test_cli_eval_names_the_file_offset_of_a_bad_byte(tmp_path, where):

@@ -22,7 +22,7 @@ import oracles
 import risknet.scene as scene
 from conftest import constant_velocity_scenario, make_state
 from risknet import cli
-from risknet.baselines import bumper_gap
+from risknet.baselines import evaluate_all
 from risknet.errors import (
     BadConfig,
     EgoAbsent,
@@ -1612,14 +1612,22 @@ def test_lateral_cut_in_lane_entry_time():
     assert abs(at_entry - sc.state(0, entry_frame).position[1]) < 1e-9
 
 
+def lead_gap(rear, front):
+    """The bumper gap from rear to front: the headway of rear's
+    evaluate_all row in a scene of the two, times rear's speed."""
+    (row,) = evaluate_all(scenario_from_states([rear, front], 25.0),
+                          rear.agent_id)
+    return row.thw * float(np.hypot(*rear.velocity))
+
+
 def test_blocked_lane_change_gaps_recoverable():
     sc = make_archetype("blocked_lane_change",
                         {"front_gap": 15.0, "rear_gap": 10.0})
     ego = sc.state(0, 0)
     front = sc.state(1, 0)
     rear = sc.state(2, 0)
-    assert abs(bumper_gap(ego, front) - 15.0) < 1e-9
-    assert abs(bumper_gap(rear, ego) - 10.0) < 1e-9
+    assert abs(lead_gap(ego, front) - 15.0) < 1e-9
+    assert abs(lead_gap(rear, ego) - 10.0) < 1e-9
 
 
 def test_rear_overtake_equal_speed_never_closes():
