@@ -336,7 +336,8 @@ def read_prediction(path: str) -> MixturePrediction:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError,
+            RecursionError) as exc:
         raise BadConfig(f"unreadable prediction file: {exc}")
     if not (isinstance(data, dict)
             and data.get("format") == "risknet-prediction"):

@@ -125,7 +125,7 @@ def load_config(path: str) -> RunConfig:
             data = json.load(fh)
     except OSError as exc:
         raise BadConfig(f"cannot read config {path}: {exc}")
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise BadConfig(f"config {path} is not valid JSON: {exc}")
     return config_from_dict(data)
 
@@ -163,7 +163,7 @@ def _coerce(current: Any, raw: str, path: str) -> Any:
     if isinstance(current, dict):
         try:
             parsed = json.loads(raw)
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
             raise BadConfig(f"{path} expects a JSON object, got {raw!r}")
         if not isinstance(parsed, dict):
             raise BadConfig(f"{path} expects a JSON object, got {raw!r}")

@@ -416,9 +416,14 @@ _SIDECAR_KEYS = ("encoding", "origin", "cell", "width", "height", "payload",
 
 def read_raster(sidecar_path: str) -> RiskRaster:
     """Load a raster written by write_raster."""
-    with open(sidecar_path) as fh:
-        sidecar = json.load(fh)
-    if sidecar.get("format") != "risknet-raster":
+    try:
+        with open(sidecar_path, encoding="utf-8") as fh:
+            sidecar = json.load(fh)
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError,
+            RecursionError) as exc:
+        raise BadConfig(f"unreadable raster sidecar {sidecar_path}: {exc}")
+    if not (isinstance(sidecar, dict)
+            and sidecar.get("format") == "risknet-raster"):
         raise BadConfig(f"not a raster sidecar: {sidecar_path}")
     for key in _SIDECAR_KEYS:
         if key not in sidecar:

@@ -155,24 +155,17 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 class PackedStep:
     """One history step of packed rows.
 
-    Absent rows carry zero features.  Neighbour slots hold the rows whose
-    hidden states a present row averages; unused slots are masked out, and
-    a row without neighbours has a zero mean.
+    Absent rows carry zero features.  Each neighbour slot, in order, pairs
+    the rows that use it with the rows they name in it: slot k of a star
+    target names its k-th member, and slot 0 of a member its target.  A
+    row without neighbours has a zero mean.
     """
 
     x: np.ndarray          # (R, D_IN) features
     x_bar: np.ndarray      # (R, D_IN) neighbour feature means
     present: np.ndarray    # (R,) bool
-    nbr_rows: np.ndarray   # (R, K) int
-    nbr_mask: np.ndarray   # (R, K) 1.0 in used slots
+    slots: List[Tuple[np.ndarray, np.ndarray]]  # (users, named) per slot
     nbr_count: np.ndarray  # (R,) neighbours per row, at least 1
-
-    @functools.cached_property
-    def slots(self) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Each neighbour slot in order: the rows that use it, and the
-        rows they name in it."""
-        return [(at, self.nbr_rows[at, k]) for k, at in enumerate(
-            map(np.flatnonzero, self.nbr_mask.T))]
 
 
 # One step of a window's star: the agent ids, the window's target first and
@@ -235,19 +228,18 @@ def pack_histories(
         slot = np.arange(hi - lo) - np.repeat(first, size) - 1
         lengths = np.zeros(n_rows, dtype=np.intp)
         lengths[r] = np.where(slot < 0, np.repeat(size - 1, size), 1)
-        used = np.arange(lengths.max(initial=0)) < lengths[:, None]
-        nbr_rows = np.zeros(used.shape, dtype=np.intp)
-        m = slot >= 0
-        if m.any():
-            nbr_rows[r[m], 0] = hub[m]
-            nbr_rows[hub[m], slot[m]] = r[m]
+        slots = [(hub[slot == k], r[slot == k])
+                 for k in range(lengths.max(initial=0))]
+        if slots:  # a member's one slot names its target
+            m = slot >= 0
+            slots[0] = (np.concatenate((slots[0][0], r[m])),
+                        np.concatenate((slots[0][1], hub[m])))
         feats = np.zeros((n_rows, D_IN))
         feats[r] = x[lo:hi]
-        packed = PackedStep(
-            feats, None, np.bincount(r, minlength=n_rows) > 0, nbr_rows,
-            used.astype(float), np.maximum(used.sum(axis=1), 1.0))
-        packed.x_bar = _neighbour_means(feats, packed.slots, packed.nbr_count)
-        steps.append(packed)
+        count = np.maximum(lengths, 1.0)
+        steps.append(PackedStep(
+            feats, _neighbour_means(feats, slots, count),
+            np.bincount(r, minlength=n_rows) > 0, slots, count))
     return steps, rows
 
 

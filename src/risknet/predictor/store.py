@@ -69,7 +69,8 @@ def load_model(
     try:
         with open(manifest_path, encoding="utf-8") as fh:
             manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError,
+            RecursionError) as exc:
         raise ModelFormatError(f"unreadable model manifest: {exc}") from exc
     if not isinstance(manifest, dict):
         raise ModelFormatError("model manifest is not a JSON object")

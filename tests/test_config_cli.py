@@ -532,6 +532,32 @@ def test_cli_json_input_not_utf8_or_not_an_object_exits_2(
     assert expected in cli_input_error(argv, capsys)
 
 
+@pytest.mark.parametrize("reader", ["config", "prediction", "model",
+                                    "set"])
+def test_cli_json_input_nested_too_deep_exits_2(cutin, tmp_path, capsys,
+                                                reader):
+    """JSON nested 100,000 deep, in a file or a --set value, is an input
+    error in one line with the reader's own message, not a
+    RecursionError traceback."""
+    deep = "[" * 100_000 + "]" * 100_000
+    bad = tmp_path / "deep.json"
+    bad.write_text(deep)
+    scene = ["--scenario", cutin, "--ego-id", "0", "--set",
+             "io.frame_rate=10"]
+    argv, expected = {
+        "config": (["eval", *scene, "--out", tmp_path / "eval.csv",
+                    "--config", bad], "is not valid JSON"),
+        "prediction": (["metrics", *scene, "--frame", "5",
+                        "--prediction", bad], "unreadable prediction file"),
+        "model": (["predict", *scene, "--model", bad,
+                   "--out", tmp_path / "p.json"],
+                  "unreadable model manifest"),
+        "set": (["eval", *scene, "--out", tmp_path / "eval.csv",
+                 "--set", f"risk.k={deep}"], "risk.k expects a JSON object"),
+    }[reader]
+    assert expected in cli_input_error(argv, capsys)
+
+
 @pytest.mark.parametrize("where", ["first_chunk", "past_8_kib",
                                    "past_first_block"])
 def test_cli_eval_names_the_file_offset_of_a_bad_byte(tmp_path, where):

@@ -794,6 +794,23 @@ def test_binary_raster_is_float32_and_refuses_overflow(tmp_path):
         write_raster(beyond, str(tmp_path / "big_csv"))  # csv holds float64
 
 
+@pytest.mark.parametrize("case", ["list", "truncated", "utf16",
+                                  "too_deep", "missing"])
+def test_read_raster_sidecar_input_errors_name_the_file(tmp_path, case):
+    """A raster sidecar is a UTF-8 JSON object: a list root, a truncated
+    or too deeply nested document, UTF-16 text or a missing file is
+    BadConfig naming the sidecar."""
+    sidecar = tmp_path / "r.json"
+    text = {"list": b"[]", "truncated": b"{",
+            "utf16": '{"format": "risknet-raster"}'.encode("utf-16"),
+            "too_deep": b"[" * 100_000 + b"]" * 100_000}
+    if case in text:
+        sidecar.write_bytes(text[case])
+    with pytest.raises(BadConfig) as err:
+        read_raster(str(sidecar))
+    assert str(sidecar) in str(err.value)
+
+
 def test_read_raster_rejects_wrong_size_binary_payload(tmp_path):
     grid = GridSpec(origin=(0.0, 0.0), cell=2.0, width=5, height=3)
     raster = RiskRaster(grid=grid, frame=0, values=np.ones((3, 5)))

@@ -1,7 +1,6 @@
 """Graph-recurrent predictor: cell, encoder, attention, covariance
 propagation, decoding, likelihood, metrics, serialization, training."""
 
-import dataclasses
 import math
 import tracemalloc
 
@@ -94,6 +93,20 @@ def packed(histories):
     for w, a, r in zip(window.tolist(), agent.tolist(), rows.tolist()):
         assert maps[w].setdefault(a, r) == r
     return steps, maps
+
+
+def dense_step(step):
+    """A PackedStep as the six fields of oracles.pack_graph_histories: its
+    slots scattered into padded (R, K) neighbour rows and a 1.0 mask of
+    the used slots, between ``present`` and ``nbr_count``."""
+    nbr_rows = np.zeros((len(step.x), len(step.slots)), dtype=np.intp)
+    nbr_mask = np.zeros(nbr_rows.shape)
+    for k, (at, named) in enumerate(step.slots):
+        assert np.unique(at).size == at.size  # a row uses a slot once
+        nbr_rows[at, k] = named
+        nbr_mask[at, k] = 1.0
+    return (step.x, step.x_bar, step.present, nbr_rows, nbr_mask,
+            step.nbr_count)
 
 
 def window_steps(batch, w):
@@ -230,10 +243,36 @@ def test_pack_histories_matches_graph_oracle(histories):
     assert rows == want_rows
     assert len(steps) == len(want_steps)
     for step, want in zip(steps, want_steps):
-        got = [getattr(step, f.name) for f in dataclasses.fields(step)]
-        for a, b in zip(got, want, strict=True):
+        for a, b in zip(dense_step(step), want, strict=True):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert np.array_equal(a, b)
+
+
+def test_pack_histories_memory_is_linear_in_entries():
+    """One star of 200 members among 20,000 lone windows packs in the
+    memory of 20,201 lone windows, about 220 bytes an entry: each slot
+    lists only the rows that use it.  Padded (rows, 200) slot arrays
+    peaked at about 3.6 KB an entry."""
+
+    def peak(lone, members):
+        window = np.repeat(np.arange(lone + 1), [members + 1] + [1] * lone)
+        agent = np.concatenate([np.arange(members + 1), np.zeros(lone, int)])
+        n = window.size
+        tracemalloc.start()
+        try:
+            (step,), _ = pack_histories(window, np.zeros(n, np.intp), agent,
+                                        np.ones((n, D_IN)), 1)
+            used = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return n, len(step.slots), used
+
+    n, width, wide = peak(20_000, 200)
+    assert (n, width) == (20_201, 200)
+    lone_n, lone_width, lone = peak(n - 1, 0)
+    assert (lone_n, lone_width) == (n, 0)
+    assert wide < 1.5 * lone
+    assert wide < 1_000 * n
 
 
 def dense_gru_reference(gates, step, hd, g):
@@ -243,8 +282,9 @@ def dense_gru_reference(gates, step, hd, g):
     back with ``np.add.at``: the output, the hidden gradient and the
     stacked gate gradients."""
     W, d = gates.stacked, gates.d_h
-    if step.nbr_rows.shape[1]:
-        h_bar = ((hd[step.nbr_rows] * step.nbr_mask[..., None]).sum(axis=1)
+    _, _, _, nbr_rows, nbr_mask, _ = dense_step(step)
+    if nbr_rows.shape[1]:
+        h_bar = ((hd[nbr_rows] * nbr_mask[..., None]).sum(axis=1)
                  / step.nbr_count[:, None])
     else:
         h_bar = np.zeros_like(hd)
@@ -263,10 +303,9 @@ def dense_gru_reference(gates, step, hd, g):
     d_kappa = np.concatenate([da_r, da_z, da_c], axis=1)
     d_xi = np.concatenate([da_r, da_z, da_c * r], axis=1)
     dh = np.where(keep, g, g_new * z) + d_xi @ W["u_self"]
-    if step.nbr_rows.shape[1]:
+    if nbr_rows.shape[1]:
         d_bar = (d_xi @ W["u_nbr"]) / step.nbr_count[:, None]
-        np.add.at(dh, step.nbr_rows,
-                  d_bar[:, None, :] * step.nbr_mask[..., None])
+        np.add.at(dh, nbr_rows, d_bar[:, None, :] * nbr_mask[..., None])
     return out, dh, {"w_self": d_kappa.T @ step.x,
                      "w_nbr": d_kappa.T @ step.x_bar,
                      "u_self": d_xi.T @ hd, "u_nbr": d_xi.T @ h_bar,
@@ -310,8 +349,7 @@ def test_gru_step_neighbour_sums_match_dense_gather(histories, seed):
         out = _gru_step(gates, step, h)
         out._backward(g)
         want, want_dh, want_grads = dense_gru_reference(gates, step, hd, g)
-        x_bar = oracles._neighbour_means(step.x, step.nbr_rows,
-                                         step.nbr_mask, step.nbr_count)
+        x_bar = oracles._neighbour_means(step.x, *dense_step(step)[3:])
         assert np.array_equal(step.x_bar.view(np.int64), x_bar.view(np.int64))
         assert np.array_equal(out.data.view(np.int64), want.view(np.int64))
         assert np.array_equal(h.grad.view(np.int64), want_dh.view(np.int64))
@@ -1106,10 +1144,9 @@ def test_stacked_corpus_matches_per_file_reference(files, tmp_path_factory):
         assert target_rows.tolist() == [
             rows[w["target_id"]] for rows, w in zip(want_rows, want)]
         for step, want_step in zip(steps, want_steps, strict=True):
-            for name, value in zip(
-                    (f.name for f in dataclasses.fields(step)), want_step,
-                    strict=True):
-                assert_bits_equal(getattr(step, name), value)
+            for value, want_value in zip(dense_step(step), want_step,
+                                         strict=True):
+                assert_bits_equal(value, want_value)
     assert train(batch, hyper)[2] == train(reference, hyper)[2]
 
 
