@@ -6,12 +6,12 @@ computes them for every frame of one ego at once, against the same
 scenario the interaction field sees; it is their only implementation.
 """
 
-import csv
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
 
+from .artifacts import render, write_csv
 from .errors import BadConfig
 from .field import RiskFieldParams, frame_field, frame_totals
 from .scene import DEFAULT_LANE_WIDTH, EPS_SPEED, Scenario
@@ -130,17 +130,6 @@ def evaluate_all(
 
 def write_comparison(rows: Sequence[ComparisonRow], path: str) -> None:
     """Write the comparison table; None entries become empty cells."""
-
-    def fmt(v: Optional[float]) -> str:
-        return "" if v is None else repr(float(v))
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(COMPARISON_HEADER)
-        for row in rows:
-            writer.writerow([
-                row.frame, fmt(row.ttc), fmt(row.thw),
-                fmt(row.rss_margin), fmt(row.nc_field),
-                fmt(row.risknet_force),
-            ])
-
+    write_csv(path, COMPARISON_HEADER, [
+        render([getattr(row, name) for row in rows])
+        for name in COMPARISON_HEADER])

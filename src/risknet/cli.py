@@ -11,8 +11,6 @@ artifact gets the full effective configuration echoed alongside it, as a
 """
 
 import argparse
-import contextlib
-import json
 import math
 import operator
 import os
@@ -22,6 +20,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
+from .artifacts import read_json, render, write_csv, write_json
 from .baselines import ComparisonRow, evaluate_all, write_comparison
 from .config import (
     RunConfig,
@@ -62,7 +61,7 @@ from .scene import (
 from .field import total_directional_force  # noqa: F401,E402
 from .scene import build_graph  # noqa: F401,E402
 
-EVAL_HEADER = "frame,time_s,risknet_force"
+EVAL_HEADER = ("frame", "time_s", "risknet_force")
 
 
 # ==================== shared plumbing ====================
@@ -92,35 +91,13 @@ def _load_scenario(args, cfg: RunConfig) -> Scenario:
                        schema=_schema_of(args, cfg))
 
 
-@contextlib.contextmanager
-def _writing():
-    """Output files opened inside the block: a missing directory, a
-    directory or a refused permission is an input error naming the
-    file."""
-    try:
-        yield
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        raise BadConfig(f"cannot write {exc.filename}: {exc.strerror}")
-
-
-def _open_out(path: str, **kwargs):
-    with _writing():
-        return open(path, "w", **kwargs)
-
-
-def _dump_json(path: str, payload: dict) -> None:
-    with _open_out(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_run_sidecar(out_path: str, command: str, cfg: RunConfig,
                        extra: Optional[dict] = None) -> str:
     sidecar = {"command": command, "config": config_to_dict(cfg)}
     if extra:
         sidecar.update(extra)
     path = out_path + ".run.json"
-    _dump_json(path, sidecar)
+    write_json(path, sidecar)
     return path
 
 
@@ -164,12 +141,10 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     scenario = _load_scenario(args, cfg)
     ff = frame_field(scenario, args.ego_id, cfg.risk)
     (force,) = frame_totals(ff, ff.directional)
-    lines = [EVAL_HEADER] + [
-        f"{frame},{repr(frame / scenario.frame_rate)},{repr(value)}"
-        for frame, value in zip(ff.frame.tolist(), force.tolist())]
-    # every row is computed before --out opens, so a refusal writes nothing
-    with _open_out(args.out, newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    # every cell is rendered before --out opens, so a refusal writes nothing
+    write_csv(args.out, EVAL_HEADER, [
+        render(ff.frame), render(ff.frame / scenario.frame_rate),
+        render(force)], "\n")
     _write_run_sidecar(args.out, "eval", cfg, {
         "scenario": os.path.basename(args.scenario),
         "ego_id": args.ego_id,
@@ -208,8 +183,7 @@ def cmd_map(args, cfg: RunConfig) -> int:
         "scenario": os.path.basename(args.scenario),
         "config": config_to_dict(cfg),
     }
-    with _writing():
-        write_raster(raster, args.out, binary=binary, extra=extra)
+    write_raster(raster, args.out, binary=binary, extra=extra)
     print(f"wrote {args.out}.json")
     return 0
 
@@ -241,8 +215,7 @@ def detection_summary(
 def cmd_compare(args, cfg: RunConfig) -> int:
     scenario = _load_scenario(args, cfg)
     rows = evaluate_all(scenario, args.ego_id, cfg.baselines, cfg.risk)
-    with _writing():
-        write_comparison(rows, args.out)
+    write_comparison(rows, args.out)
     summary = detection_summary(rows, cfg)
     for name in ("ttc", "thw", "rss", "nc_field", "risknet"):
         frame = summary[name]
@@ -282,13 +255,10 @@ def cmd_train(args, cfg: RunConfig) -> int:
     os.makedirs(args.out, exist_ok=True)
     save_model(os.path.join(args.out, "model"), cell_params, dec_params,
                hyper)
-    loss_path = os.path.join(args.out, "loss.csv")
-    with open(loss_path, "w", newline="") as fh:
-        fh.write("epoch,mean_nll\n")
-        for epoch, value in enumerate(curve):
-            fh.write(f"{epoch},{repr(value)}\n")
+    write_csv(os.path.join(args.out, "loss.csv"), ("epoch", "mean_nll"),
+              [render(np.arange(len(curve))), render(curve)], "\n")
     cfg.predictor = hyper
-    _dump_json(os.path.join(args.out, "run.json"), {
+    write_json(os.path.join(args.out, "run.json"), {
         "command": "train",
         "config": config_to_dict(cfg),
         "dataset": names,
@@ -310,17 +280,14 @@ def _prediction_payload(pred: MixturePrediction, agent_id: int,
         "frame": frame,
         "dt": pred.dt,
         "anchor": {
-            "position": [float(v) for v in anchor.position],
-            "velocity": [float(v) for v in anchor.velocity],
+            "position": anchor.position.tolist(),
+            "velocity": anchor.velocity.tolist(),
         },
         "modes": [
             {
                 "pi": mode.pi,
-                "states": [[float(v) for v in row] for row in mode.states],
-                "cov_diag": [
-                    [float(v) for v in np.diag(c)]
-                    for c in mode.covariances
-                ],
+                "states": mode.states.tolist(),
+                "cov_diag": np.diagonal(mode.covariances, 0, 1, 2).tolist(),
             }
             for mode in pred.modes
         ],
@@ -333,15 +300,8 @@ def read_prediction(path: str) -> MixturePrediction:
     Only covariance diagonals are stored, so off-diagonal structure is
     lost; displacement metrics are unaffected.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError,
-            RecursionError) as exc:
-        raise BadConfig(f"unreadable prediction file: {exc}")
-    if not (isinstance(data, dict)
-            and data.get("format") == "risknet-prediction"):
-        raise BadConfig(f"not a prediction file: {path}")
+    data = read_json(path, "risknet-prediction", "prediction file",
+                     BadConfig)
     modes = []
     try:
         for m in data["modes"]:
@@ -378,7 +338,7 @@ def cmd_predict(args, cfg: RunConfig) -> int:
                              t_h=hyper.t_h)
     payload = _prediction_payload(pred, args.ego_id, frame)
     payload["config"] = config_to_dict(cfg)
-    _dump_json(args.out, payload)
+    write_json(args.out, payload)
     print(f"wrote {args.out}")
     return 0
 
@@ -423,7 +383,7 @@ def cmd_metrics(args, cfg: RunConfig) -> int:
             "metrics": {name: values[name] for name in METRIC_ORDER},
             "config": config_to_dict(cfg),
         }
-        _dump_json(args.out, payload)
+        write_json(args.out, payload)
     return 0
 
 
@@ -441,8 +401,7 @@ def cmd_gen(args, cfg: RunConfig) -> int:
                   else args.frame_rate)
     scenario = make_archetype(args.archetype, params or None,
                               frame_rate=frame_rate, duration=args.duration)
-    with _writing():
-        export_tracks(scenario, args.out)
+    export_tracks(scenario, args.out)
     _write_run_sidecar(args.out, "gen", cfg, {
         "archetype": args.archetype,
         "params": params,

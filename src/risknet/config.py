@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import reprlib
 import typing
 from dataclasses import dataclass, field
 from typing import Any, Dict, Sequence, Tuple, Union
@@ -143,37 +144,40 @@ def _coerce(current: Any, raw: str, path: str) -> Any:
             return True
         if low in ("false", "0", "no"):
             return False
-        raise BadConfig(f"{path} expects a boolean, got {raw!r}")
-    if isinstance(current, int) and not isinstance(current, bool):
+        want = "a boolean"
+    elif isinstance(current, int):
         try:
             return int(raw)
         except ValueError:
-            raise BadConfig(f"{path} expects an integer, got {raw!r}")
-    if path in ("detect.field", "detect.nc"):
+            want = "an integer"
+    elif path in ("detect.field", "detect.nc"):
         # number-or-preset union: numeric text means newtons
         try:
             return float(raw)
         except ValueError:
             return raw
-    if isinstance(current, float):
+    elif isinstance(current, float):
         try:
             return float(raw)
         except ValueError:
-            raise BadConfig(f"{path} expects a number, got {raw!r}")
-    if isinstance(current, dict):
+            want = "a number"
+    elif isinstance(current, dict):
         try:
             parsed = json.loads(raw)
         except (json.JSONDecodeError, RecursionError):
-            raise BadConfig(f"{path} expects a JSON object, got {raw!r}")
-        if not isinstance(parsed, dict):
-            raise BadConfig(f"{path} expects a JSON object, got {raw!r}")
-        return parsed
-    if isinstance(current, str):
+            parsed = None
+        if isinstance(parsed, dict):
+            return parsed
+        want = "a JSON object"
+    elif isinstance(current, str):
         return raw
-    try:
-        return float(raw)
-    except ValueError:
-        return raw
+    else:
+        try:
+            return float(raw)
+        except ValueError:
+            return raw
+    # a --set value can be any length: echo a bounded repr of it
+    raise BadConfig(f"{path} expects {want}, got {reprlib.repr(raw)}")
 
 
 def apply_overrides(
@@ -190,11 +194,11 @@ def apply_overrides(
         node: Any = data
         for i, part in enumerate(parts[:-1]):
             if not isinstance(node, dict) or part not in node:
-                raise BadConfig(f"unknown config key {path!r}")
+                raise BadConfig(f"unknown config key {reprlib.repr(path)}")
             node = node[part]
         leaf = parts[-1]
         if not isinstance(node, dict) or leaf not in node:
-            raise BadConfig(f"unknown config key {path!r}")
+            raise BadConfig(f"unknown config key {reprlib.repr(path)}")
         node[leaf] = _coerce(node[leaf], raw, path)
     return config_from_dict(data)
 
@@ -202,5 +206,6 @@ def apply_overrides(
 def parse_override(text: str) -> Tuple[str, str]:
     key, sep, value = text.partition("=")
     if not sep or not key:
-        raise BadConfig(f"override {text!r} must look like section.key=value")
+        raise BadConfig(f"override {reprlib.repr(text)} must look like "
+                        "section.key=value")
     return key.strip(), value

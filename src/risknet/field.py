@@ -7,14 +7,15 @@ Doppler-style longitudinal factor and a lateral angular decay.  Each
 formula appears once, in a kernel that broadcasts over agent columns.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BadConfig, EmptyFrame, NumericError
+from .artifacts import (read_f32, read_json, render, write_csv, write_f32,
+                        write_json)
+from .errors import BadConfig, EmptyFrame
 from .scene import EPS_SPEED, AgentState, InteractionGraph, Scenario, within
 
 # alpha_lon takes alpha_cap where its Doppler denominator is closer to
@@ -362,8 +363,6 @@ def rasterize(
 # A raster on disk is a JSON sidecar describing the grid plus a payload
 # that is either a CSV grid or raw little-endian float32, row-major.
 
-F32 = "<f4"  # the model store's payload codec
-
 
 def write_raster(
     raster: RiskRaster,
@@ -378,18 +377,9 @@ def write_raster(
     payload_path = base_path + (".f32" if binary else ".csv")
     sidecar_path = base_path + ".json"
     if binary:
-        with np.errstate(over="ignore"):
-            payload = raster.values.astype(F32)
-        if np.isinf(payload).any():
-            raise NumericError("raster value beyond the float32 range: "
-                               f"{float(np.abs(raster.values).max())!r} N")
-        with open(payload_path, "wb") as fh:
-            fh.write(payload.tobytes())
+        write_f32(payload_path, raster.values, "raster value")
     else:
-        with open(payload_path, "w", newline="") as fh:
-            for row in raster.values:
-                fh.write(",".join(repr(float(v)) for v in row))
-                fh.write("\n")
+        write_csv(payload_path, (), render(raster.values.T), "\n")
     sidecar = {
         "format": "risknet-raster",
         "version": 1,
@@ -404,54 +394,41 @@ def write_raster(
     }
     if extra:
         sidecar.update(extra)
-    with open(sidecar_path, "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(sidecar_path, sidecar)
     return sidecar_path, payload_path
 
 
-_SIDECAR_KEYS = ("encoding", "origin", "cell", "width", "height", "payload",
-                 "frame")
-
-
 def read_raster(sidecar_path: str) -> RiskRaster:
-    """Load a raster written by write_raster."""
+    """Load a raster written by write_raster; a sidecar or payload that
+    is not one is BadConfig naming the file."""
+    sidecar = read_json(sidecar_path, "risknet-raster", "raster sidecar",
+                        BadConfig)
+    directory = sidecar_path[:sidecar_path.rfind("/") + 1]  # "" or ".../"
     try:
-        with open(sidecar_path, encoding="utf-8") as fh:
-            sidecar = json.load(fh)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError,
-            RecursionError) as exc:
-        raise BadConfig(f"unreadable raster sidecar {sidecar_path}: {exc}")
-    if not (isinstance(sidecar, dict)
-            and sidecar.get("format") == "risknet-raster"):
-        raise BadConfig(f"not a raster sidecar: {sidecar_path}")
-    for key in _SIDECAR_KEYS:
-        if key not in sidecar:
-            raise BadConfig(f"raster sidecar {sidecar_path} lacks {key!r}")
-    grid = GridSpec(
-        origin=(float(sidecar["origin"][0]), float(sidecar["origin"][1])),
-        cell=float(sidecar["cell"]),
-        width=int(sidecar["width"]),
-        height=int(sidecar["height"]),
-    )
-    directory = sidecar_path.rsplit("/", 1)
-    prefix = directory[0] + "/" if len(directory) == 2 else ""
-    payload_path = prefix + sidecar["payload"]
-    if sidecar["encoding"] == "f32-le":
-        with open(payload_path, "rb") as fh:
-            raw = fh.read()
-        count = grid.width * grid.height
-        if len(raw) != 4 * count:
-            raise BadConfig(
-                f"raster payload holds {len(raw)} bytes, expected "
-                f"{4 * count} for a {grid.width}x{grid.height} grid"
-            )
-        values = np.frombuffer(raw, F32).astype(float).reshape(
-            grid.height, grid.width)
+        x0, y0 = map(float, sidecar["origin"])
+        grid = GridSpec(origin=(x0, y0), cell=float(sidecar["cell"]),
+                        width=int(sidecar["width"]),
+                        height=int(sidecar["height"]))
+        frame, binary = int(sidecar["frame"]), sidecar["encoding"] == "f32-le"
+        payload_path = directory + sidecar["payload"]
+    except KeyError as exc:
+        raise BadConfig(f"raster sidecar {sidecar_path} lacks {exc}")
+    except (BadConfig, TypeError, ValueError, OverflowError) as exc:
+        raise BadConfig(f"raster sidecar {sidecar_path} is malformed: {exc}")
+    if binary:
+        values = read_f32(payload_path, grid.width * grid.height,
+                          "raster payload", BadConfig)
+        values = values.astype(float).reshape(grid.height, grid.width)
     else:
-        with open(payload_path) as fh:
-            values = np.array([[float(v) for v in line.split(",")]
-                               for line in fh if line.strip()], dtype=float)
+        try:
+            with open(payload_path) as fh:
+                values = np.array([[float(v) for v in line.split(",")]
+                                   for line in fh if line.strip()],
+                                  dtype=float)
+        except (OSError, ValueError) as exc:
+            raise BadConfig(f"unreadable raster payload {payload_path}: "
+                            f"{exc}")
         if values.shape != (grid.height, grid.width):
-            raise BadConfig("raster payload shape disagrees with sidecar")
-    return RiskRaster(grid=grid, frame=int(sidecar["frame"]), values=values)
+            raise BadConfig(f"raster payload {payload_path} shape "
+                            "disagrees with sidecar")
+    return RiskRaster(grid=grid, frame=frame, values=values)

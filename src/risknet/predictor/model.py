@@ -228,10 +228,13 @@ def pack_histories(
         slot = np.arange(hi - lo) - np.repeat(first, size) - 1
         lengths = np.zeros(n_rows, dtype=np.intp)
         lengths[r] = np.where(slot < 0, np.repeat(size - 1, size), 1)
-        slots = [(hub[slot == k], r[slot == k])
-                 for k in range(lengths.max(initial=0))]
+        m = slot >= 0
+        # each slot's entries in entry order: one stable sort by slot
+        by_slot = np.flatnonzero(m)[np.argsort(slot[m], kind="stable")]
+        cuts = np.cumsum(np.bincount(slot[m]))
+        slots = list(zip(np.split(hub[by_slot], cuts)[:-1],
+                         np.split(r[by_slot], cuts)[:-1]))
         if slots:  # a member's one slot names its target
-            m = slot >= 0
             slots[0] = (np.concatenate((slots[0][0], r[m])),
                         np.concatenate((slots[0][1], hub[m])))
         feats = np.zeros((n_rows, D_IN))

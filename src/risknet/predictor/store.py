@@ -2,13 +2,13 @@
 
 import dataclasses
 import itertools
-import json
 import math
 import os
 from typing import Tuple
 
 import numpy as np
 
+from ..artifacts import F32, read_f32, read_json, write_f32, write_json
 from ..errors import ModelFormatError
 from .model import (
     DecoderParams,
@@ -21,7 +21,6 @@ from .train import TrainHyper
 
 FORMAT_NAME = "risknet-model"
 FORMAT_VERSION = 2
-DTYPE = "<f4"  # little-endian float32
 
 
 def save_model(
@@ -34,7 +33,8 @@ def save_model(
 
     The manifest records hyperparameters and the name and shape of every
     parameter; the payload holds the parameters flattened in manifest
-    order.  Returns (manifest_path, payload_path).
+    order.  A parameter beyond the float32 range is NumericError, and
+    neither file is written.  Returns (manifest_path, payload_path).
     """
     items = parameter_items(cell, dec)
     payload_path = base_path + ".f32"
@@ -42,22 +42,16 @@ def save_model(
     manifest = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
-        "dtype": DTYPE,
+        "dtype": F32,
         "hyper": dataclasses.asdict(hyper),
         "params": [
             {"name": name, "shape": list(t.data.shape)} for name, t in items
         ],
         "payload": os.path.basename(payload_path),
     }
-    flat = np.concatenate([
-        np.ascontiguousarray(t.data, dtype=np.float32).ravel()
-        for _, t in items
-    ])
-    with open(payload_path, "wb") as fh:
-        fh.write(flat.astype(DTYPE).tobytes())
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    flat = np.concatenate([t.data.ravel() for _, t in items])
+    write_f32(payload_path, flat, "model parameter")
+    write_json(manifest_path, manifest)
     return manifest_path, payload_path
 
 
@@ -66,24 +60,14 @@ def load_model(
 ) -> Tuple[GraphCellParams, DecoderParams, TrainHyper]:
     """Load a model saved by save_model, rejecting format, version,
     name, shape, and size mismatches."""
-    try:
-        with open(manifest_path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError,
-            RecursionError) as exc:
-        raise ModelFormatError(f"unreadable model manifest: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise ModelFormatError("model manifest is not a JSON object")
-    if manifest.get("format") != FORMAT_NAME:
-        raise ModelFormatError(
-            f"not a model manifest: format={manifest.get('format')!r}"
-        )
+    manifest = read_json(manifest_path, FORMAT_NAME, "model manifest",
+                         ModelFormatError)
     if manifest.get("version") != FORMAT_VERSION:
         raise ModelFormatError(
             f"unsupported model version {manifest.get('version')!r}; "
             f"expected {FORMAT_VERSION}"
         )
-    if manifest.get("dtype") != DTYPE:
+    if manifest.get("dtype") != F32:
         raise ModelFormatError(f"unsupported dtype {manifest.get('dtype')!r}")
 
     hyper_dict = manifest.get("hyper")
@@ -123,18 +107,12 @@ def load_model(
     if not isinstance(payload, str):
         raise ModelFormatError("manifest names no payload file")
     payload_path = os.path.join(os.path.dirname(manifest_path), payload)
-    try:
-        with open(payload_path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise ModelFormatError(f"unreadable model payload: {exc}") from exc
     sizes = [math.prod(shape) for _, shape in shapes]
-    if len(raw) != 4 * sum(sizes):
-        raise ModelFormatError(
-            f"payload holds {len(raw)} bytes, expected {4 * sum(sizes)}")
-    values = np.frombuffer(raw, dtype=DTYPE)
+    values = read_f32(payload_path, sum(sizes), "model payload",
+                      ModelFormatError)
     if not np.isfinite(values).all():
-        raise ModelFormatError("payload holds a non-finite parameter")
+        raise ModelFormatError(
+            f"model payload {payload_path} holds a non-finite parameter")
     chunks = np.split(values, list(itertools.accumulate(sizes))[:-1])
     cell, dec = assemble_model(hyper, (
         chunk.astype(float).reshape(shape)

@@ -26,6 +26,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .artifacts import quote, render, write_csv
 from .errors import (
     BadConfig,
     EgoAbsent,
@@ -685,7 +686,7 @@ def _speculate(path: str, fh, remap: Mapping[str, str], build):
     try:
         with open(_sidecar(path), "rb") as side:
             end = os.fstat(side.fileno()).st_size
-            key = json.loads(_next_array(side, end).tobytes())
+            key = json.loads(bytes(_next_array(side, end).data))
             want, rows, labels = key["sha256"], key["rows"], key["labels"]
             if (key["format"] != _CACHE_FORMAT or _resolve(
                     key["header"], remap) != dict(key["resolved"])):
@@ -902,45 +903,24 @@ def load_dataset(paths: Sequence[str], frame_rate: float = 25.0,
         raise
 
 
-def _render(column: np.ndarray) -> List[str]:
-    """Each value's repr, computed once per distinct value (float64
-    values keyed on their bits, so -0.0 keeps its sign)."""
-    keys = column.view(np.int64) if column.dtype == np.float64 else column
-    _, first, inverse = np.unique(keys, return_index=True,
-                                  return_inverse=True)
-    text = np.array(list(map(repr, column[first].tolist())), dtype=object)
-    return text[inverse].tolist()
-
-
 def export_tracks(scenario: Scenario, path: str) -> None:
     """Write the scenario back out in the canonical CSV schema.
 
     Positions are shifted back by the load-time offset so numeric columns
-    of a loaded file are reproduced exactly.  The bytes are csv.writer's
-    (floats as their ``repr``), but each numeric column is rendered once
-    per distinct value and each class label quoted once.
+    of a loaded file are reproduced exactly.  The bytes are csv.writer's,
+    floats as their ``repr``; each class label is quoted once.
     """
-    labels = []
-    for kind in scenario.kinds:
-        buf = io.StringIO()
-        # beside a second field, as in a row: a lone "" would be quoted
-        csv.writer(buf).writerow((kind.label, ""))
-        labels.append(buf.getvalue()[:-3])  # less ',\r\n'
+    labels = np.array([quote(kind.label) for kind in scenario.kinds],
+                      dtype=object)
     motion = scenario.motion
-    columns = [
-        *map(_render, (scenario.frame, scenario.agent_id,
-                       motion[:, 0] - scenario.offset[0],
-                       motion[:, 1] - scenario.offset[1],
-                       *motion[:, 2:6].T, *scenario.extent.T)),
-        np.array(labels, dtype=object)[scenario.kind].tolist(),
-        _render(scenario.mass),
-    ]
-    rows = map(",".join, zip(*columns))
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(EXPORT_HEADER)
-        # in blocks of rows, so a long scene is never one string
-        for block in iter(lambda: list(itertools.islice(rows, 4096)), []):
-            fh.write("\r\n".join(block) + "\r\n")
+    write_csv(path, EXPORT_HEADER, [
+        *map(render, (scenario.frame, scenario.agent_id,
+                      motion[:, 0] - scenario.offset[0],
+                      motion[:, 1] - scenario.offset[1],
+                      *motion[:, 2:6].T, *scenario.extent.T)),
+        labels[scenario.kind].tolist(),
+        render(scenario.mass),
+    ])
 
 
 # ==================== interaction graph ====================

@@ -558,6 +558,21 @@ def test_cli_json_input_nested_too_deep_exits_2(cutin, tmp_path, capsys,
     assert expected in cli_input_error(argv, capsys)
 
 
+@pytest.mark.parametrize("item", ["risk.k={}", "predictor.epochs={}",
+                                  "risk.alpha_cap={}", "{}",
+                                  "risk.{}=1"])
+def test_cli_set_error_echoes_a_bounded_value(cutin, tmp_path, capsys,
+                                              item):
+    """A refused 200,000-character --set value, key or override is echoed
+    shortened: the input error is one line under 300 characters."""
+    line = cli_input_error(
+        ["eval", "--scenario", cutin, "--ego-id", "0", "--out",
+         tmp_path / "eval.csv", "--set", item.format("x" * 200_000)],
+        capsys)
+    assert len(line) < 300, line[:300]
+    assert not (tmp_path / "eval.csv").exists()
+
+
 @pytest.mark.parametrize("where", ["first_chunk", "past_8_kib",
                                    "past_first_block"])
 def test_cli_eval_names_the_file_offset_of_a_bad_byte(tmp_path, where):

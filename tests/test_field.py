@@ -811,6 +811,44 @@ def test_read_raster_sidecar_input_errors_name_the_file(tmp_path, case):
     assert str(sidecar) in str(err.value)
 
 
+# sidecar field -> (bad value, the file the refusal names)
+SIDECAR_FIELD_DEFECTS = {
+    "origin_number": ("origin", 3, "sidecar"),
+    "origin_short": ("origin", [1.0], "sidecar"),
+    "width_text": ("width", "abc", "sidecar"),
+    "height_zero": ("height", 0, "sidecar"),
+    "cell_list": ("cell", [], "sidecar"),
+    "frame_infinite": ("frame", math.inf, "sidecar"),
+    "payload_number": ("payload", 7, "sidecar"),
+    "payload_missing": ("payload", "gone", "payload"),
+    "payload_directory": ("payload", "..", "payload"),
+    "payload_garbled": ("payload", "garbled", "payload"),
+}
+
+
+@pytest.mark.parametrize("binary", [False, True], ids=["csv", "f32"])
+@pytest.mark.parametrize("defect", sorted(SIDECAR_FIELD_DEFECTS))
+def test_read_raster_bad_field_or_payload_names_the_file(tmp_path, defect,
+                                                         binary):
+    """A sidecar field of the wrong type or range, or a payload that is
+    missing, a directory or not numbers, is BadConfig naming the sidecar
+    or the payload, in both encodings."""
+    grid = GridSpec(origin=(0.0, 0.0), cell=2.0, width=5, height=3)
+    raster = RiskRaster(grid=grid, frame=0, values=np.ones((3, 5)))
+    sidecar, _ = write_raster(raster, str(tmp_path / "r"), binary=binary)
+    (tmp_path / "garbled").write_bytes(b"\xff,x\n")
+    key, value, named = SIDECAR_FIELD_DEFECTS[defect]
+    with open(sidecar) as fh:
+        document = json.load(fh)
+    document[key] = value
+    with open(sidecar, "w") as fh:
+        json.dump(document, fh)
+    with pytest.raises(BadConfig) as err:
+        read_raster(sidecar)
+    assert (sidecar if named == "sidecar" else str(tmp_path / value)) in (
+        str(err.value))
+
+
 def test_read_raster_rejects_wrong_size_binary_payload(tmp_path):
     grid = GridSpec(origin=(0.0, 0.0), cell=2.0, width=5, height=3)
     raster = RiskRaster(grid=grid, frame=0, values=np.ones((3, 5)))

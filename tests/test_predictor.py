@@ -2,11 +2,12 @@
 propagation, decoding, likelihood, metrics, serialization, training."""
 
 import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -221,6 +222,13 @@ def star_histories(draw):
         others = [a for a in range(8) if a != target]
         windows.append([(target, sorted(draw(st.sets(st.sampled_from(
             others), max_size=4)))) for _ in range(n_steps)])
+    return histories_of(windows, rng)
+
+
+def histories_of(windows, rng):
+    """Star histories of windows of (target, neighbour ids) steps, with
+    random features: the arrays pack_histories reads and the oracle's
+    (features, graph) steps."""
     arrays, graphs = [], []
     for window in windows:
         arrays.append([star([t] + nbrs, *rng.normal(size=(1 + len(nbrs),
@@ -234,8 +242,16 @@ def star_histories(draw):
     return arrays, graphs
 
 
+# one wide star (200 members, then 150) among narrow and lone windows
+WIDE_STAR = histories_of(
+    [[(0, list(range(1, 201))), (0, list(range(1, 151)))],
+     [(7, [3]), (7, [3, 9])], [(2, []), (2, [])]],
+    np.random.default_rng(5))
+
+
 @settings(max_examples=150, deadline=None)
 @given(star_histories())
+@example(WIDE_STAR)
 def test_pack_histories_matches_graph_oracle(histories):
     arrays, graphs = histories
     steps, rows = packed(arrays)
@@ -863,6 +879,33 @@ def test_load_model_rejects_malformed(tmp_path):
         fh.write(payload[:-4])
     with pytest.raises(ModelFormatError):
         load_model(base + ".json")
+
+
+@pytest.mark.parametrize("big", [1e39, -1e300, math.inf])
+def test_save_model_refuses_a_parameter_beyond_float32(tmp_path, big):
+    """A parameter the float32 payload cannot hold is NumericError, and
+    neither the manifest nor the payload is written."""
+    hyper = small_hyper()
+    cell, dec = init_model(hyper)
+    parameter_items(cell, dec)[-1][1].data.flat[0] = big
+    with pytest.raises(NumericError, match="float32"):
+        save_model(str(tmp_path / "model"), cell, dec, hyper)
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("defect", ["short", "missing"])
+def test_load_model_refuses_a_short_or_missing_payload(tmp_path, defect):
+    hyper = small_hyper()
+    manifest, payload = save_model(str(tmp_path / "model"),
+                                   *init_model(hyper), hyper)
+    if defect == "short":
+        with open(payload, "r+b") as fh:
+            fh.truncate(8)
+    else:
+        os.remove(payload)
+    with pytest.raises(ModelFormatError, match="model payload") as err:
+        load_model(manifest)
+    assert payload in str(err.value)
 
 
 MANIFEST_DEFECTS = {
